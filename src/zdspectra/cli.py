@@ -116,12 +116,6 @@ def _add_common(parser: argparse.ArgumentParser, *, dense: bool) -> None:
             help="absolute tolerance for matching predicted eigenvalues",
         )
         parser.add_argument(
-            "--eigen-convergence",
-            type=float,
-            default=DEFAULT_TOLERANCES.eigen_convergence,
-            help="relative off-diagonal target of the eigensolver",
-        )
-        parser.add_argument(
             "--grouping-gap",
             type=float,
             default=DEFAULT_TOLERANCES.grouping_gap,
@@ -164,9 +158,6 @@ def _make_config(args, parser) -> RunConfig:
     # dense work never exceeds what may be enumerated at all
     dense_cap = min(dense_cap, size_cap)
     tolerances = Tolerances(
-        eigen_convergence=getattr(
-            args, "eigen_convergence", DEFAULT_TOLERANCES.eigen_convergence
-        ),
         grouping_gap=getattr(args, "grouping_gap", DEFAULT_TOLERANCES.grouping_gap),
         projection_threshold=getattr(
             args, "projection_threshold", DEFAULT_TOLERANCES.projection_threshold

@@ -182,7 +182,8 @@ def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivi
         for coords in product(range(m), repeat=n)
         if 0 < sum(1 for c in coords if c != 0) < n
     )
-    assert len(vertices) == count, "vertex enumeration disagrees with the count law"
+    if len(vertices) != count:
+        raise ArithmeticError("vertex enumeration disagrees with the count law")
     return ZeroDivisorGraph(m, n, vertices, _group_cells(vertices, n))
 
 
@@ -202,7 +203,8 @@ def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Bipa
         elif coords[n - 2] == 0 and coords[n - 1] != 0:
             side_b.append(_make_vertex(coords))
     vertices = tuple(side_a + side_b)
-    assert len(vertices) == count, "side enumeration disagrees with the count law"
+    if len(vertices) != count:
+        raise ArithmeticError("side enumeration disagrees with the count law")
     sides = (
         tuple(range(len(side_a))),
         tuple(range(len(side_a), len(vertices))),

@@ -388,7 +388,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, bool]:
             for c in range(col + 1, n_cols):
                 num = p * row_r[c] - factor * row_p[c]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination lost exactness"
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
                 row_r[c] = q
             row_r[col] = 0
         prev = p

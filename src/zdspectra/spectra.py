@@ -1,14 +1,15 @@
 """Spectral checks: dense eigensolving, main-eigenvalue classification,
 Krylov ranks, and comparison of graph spectra against their predictions.
 
-The eigensolver is cyclic-sweep Jacobi on dense symmetric matrices
-(compiled with numba when available, plain numpy otherwise).  Computed
-eigenvalues are merged into groups by a gap rule, each group is flagged
-as main or not by projecting the normalized all-ones vector onto its
-eigenspace, and a dead band around the decision threshold is reported
-as ambiguous rather than silently resolved.  Exact routes run beside
-the floating ones: Krylov ranks over the integers and annihilation of
-the quadratic pair powers in exact arithmetic.
+Dense symmetric matrices are decomposed by LAPACK through
+numpy.linalg.eigh.  Computed eigenvalues are merged into groups by a
+gap rule, each group is flagged as main or not by projecting the
+normalized all-ones vector onto its eigenspace (a quantity that does
+not depend on the basis chosen inside the eigenspace), and a dead band
+around the decision threshold is reported as ambiguous rather than
+silently resolved.  Exact routes run beside the floating ones: Krylov
+ranks over the integers and annihilation of the quadratic pair powers
+in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "Tolerances",
     "DEFAULT_TOLERANCES",
-    "JacobiConvergenceError",
     "AmbiguousClassification",
     "SpectrumMismatch",
     "NonzeroDeterminant",
@@ -63,10 +63,6 @@ DEFAULT_DENSE_CAP = 3_000
 class Tolerances:
     """Numeric policy for the floating-point spectral pipeline."""
 
-    # Jacobi stops when the off-diagonal Frobenius norm drops below
-    # eigen_convergence * ||A||_F, within max_sweeps cyclic sweeps.
-    eigen_convergence: float = 1e-12
-    max_sweeps: int = 100
     # Computed eigenvalues closer than max(grouping_gap,
     # grouping_gap_rel * ||A||_F) are merged into one group.
     grouping_gap: float = 1e-8
@@ -79,19 +75,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-class JacobiConvergenceError(RuntimeError):
-    """The rotation sweeps exhausted their budget before convergence."""
-
-    def __init__(self, sweeps: int, off: float, target: float) -> None:
-        super().__init__(
-            f"no convergence after {sweeps} sweeps: off-diagonal norm "
-            f"{off:.3e} above target {target:.3e}"
-        )
-        self.sweeps = sweeps
-        self.off = off
-        self.target = target
 
 
 class AmbiguousClassification(Exception):
@@ -118,138 +101,20 @@ class NonzeroDeterminant(Exception):
 # -- eigensolver ------------------------------------------------------------
 
 
-def _jacobi_dense(A, target, max_sweeps):  # pragma: no cover - exercised compiled
-    n = A.shape[0]
-    V = np.eye(n)
-    off = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                off += A[i, j] * A[i, j]
-    off = math.sqrt(off)
-    sweeps = 0
-    skip = target / max(1.0, float(n))
-    while off > target and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    if k != p and k != q:
-                        akp = A[k, p]
-                        akq = A[k, q]
-                        A[k, p] = c * akp - s * akq
-                        A[k, q] = s * akp + c * akq
-                        A[p, k] = A[k, p]
-                        A[q, k] = A[k, q]
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - s * vkq
-                    V[k, q] = s * vkp + c * vkq
-        sweeps += 1
-        off = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    off += A[i, j] * A[i, j]
-        off = math.sqrt(off)
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = A[i, i]
-    return w, V, sweeps, off
-
-
-def _jacobi_numpy(A, target, max_sweeps):
-    """Slice-vectorized fallback with the same rotation order."""
-    n = A.shape[0]
-    V = np.eye(n)
-
-    def off_norm(M):
-        hollow = M.copy()
-        np.fill_diagonal(hollow, 0.0)
-        return float(np.linalg.norm(hollow))
-
-    off = off_norm(A)
-    sweeps = 0
-    skip = target / max(1.0, float(n))
-    while off > target and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s * rowq
-                A[q, :] = s * rowp + c * rowq
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s * colq
-                A[:, q] = s * colp + c * colq
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        sweeps += 1
-        off = off_norm(A)
-    return np.diag(A).copy(), V, sweeps, off
-
-
-try:  # compiled kernel when numba is around; pure numpy otherwise
-    from numba import njit
-
-    _jacobi_kernel = njit(cache=True)(_jacobi_dense)
-except ImportError:  # pragma: no cover
-    _jacobi_kernel = _jacobi_numpy
-
-
-def symmetric_eigen(
-    matrix: object, tolerances: Tolerances | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigen(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of an exactly symmetric matrix.
 
     Returns (w, V) with eigenvalues w ascending and orthonormal
-    eigenvectors in the columns of V.  Deterministic for fixed input:
-    rotations run in cyclic row order and ties sort stably.  Raises
-    JacobiConvergenceError when the sweep budget is exhausted.
+    eigenvectors in the columns of V, from LAPACK's symmetric solver
+    through numpy.linalg.eigh.  Deterministic for fixed input; ties sort
+    stably.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
-    A = np.array(matrix, dtype=np.float64, copy=True)
+    A = np.asarray(matrix, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("matrix must be square and non-empty")
     if not np.array_equal(A, A.T):
         raise ValueError("matrix must be exactly symmetric")
-    A = np.ascontiguousarray(A)
-    target = tol.eigen_convergence * float(np.linalg.norm(A))
-    w, V, sweeps, off = _jacobi_kernel(A, target, tol.max_sweeps)
-    if off > target:
-        raise JacobiConvergenceError(sweeps, off, target)
+    w, V = np.linalg.eigh(A)
     order = np.argsort(w, kind="stable")
     return w[order], V[:, order]
 
@@ -335,8 +200,12 @@ def _classify(
             EigenvalueGroup(value, b - a, projection, projection > tol.projection_threshold)
         )
     report = SpectralReport(source, tuple(groups), gap, tol.projection_threshold)
-    assert report.total_multiplicity == n
-    assert any(g.is_main for g in groups), "every graph has a main eigenvalue"
+    if report.total_multiplicity != n:
+        raise ArithmeticError(
+            f"group multiplicities total {report.total_multiplicity}, order is {n}"
+        )
+    if not any(g.is_main for g in groups):
+        raise RuntimeError("every graph has a main eigenvalue")
     return report
 
 
@@ -353,7 +222,7 @@ def classify_main(
     band raise AmbiguousClassification.
     """
     tol = tolerances or DEFAULT_TOLERANCES
-    w, V = symmetric_eigen(matrix, tol)
+    w, V = symmetric_eigen(matrix)
     frobenius = float(np.linalg.norm(np.asarray(matrix, dtype=np.float64)))
     return _classify(w, V, frobenius, tol, source)
 
@@ -491,7 +360,12 @@ def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
         )
     zero = m**n - (m - 1) ** n - 2**n + 1
     prediction = PredictedSpectrum(m, n, p_values, tuple(q_values), zero)
-    assert prediction.total_multiplicity == m**n - (m - 1) ** n - 1
+    count = m**n - (m - 1) ** n - 1
+    if prediction.total_multiplicity != count:
+        raise ArithmeticError(
+            f"predicted multiplicities total {prediction.total_multiplicity}, "
+            f"vertex count is {count}"
+        )
     return prediction
 
 
@@ -549,7 +423,7 @@ def eigen_bundle(graph: object, tolerances: Tolerances | None = None) -> EigenBu
     tol = tolerances or DEFAULT_TOLERANCES
     adjacency = adjacency_matrix(graph)
     dense = adjacency.astype(np.float64)
-    w, V = symmetric_eigen(dense, tol)
+    w, V = symmetric_eigen(dense)
     source = GraphSource(graph.m, graph.n, graph.role)
     report = _classify(w, V, float(np.linalg.norm(dense)), tol, source)
     return EigenBundle(graph, adjacency, w, V, report)

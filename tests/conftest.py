@@ -26,7 +26,7 @@ def graphs():
 
 @pytest.fixture(scope="session")
 def bundles(graphs):
-    """Memoized eigendecompositions; the Jacobi runs dominate suite time."""
+    """Memoized eigendecompositions, shared by every test that reads a cell."""
     cache = {}
 
     def get(m, n, role="full"):

@@ -240,6 +240,7 @@ def test_usage_errors_exit_two(capsys):
         ["quotient", "--kind", "r", "--m", "2", "--n", "4"],
         ["quotient", "--kind", "p", "--m", "1", "--n", "4"],
         ["report", "--m", "2"],
+        ["report", "--m", "2", "--n", "4", "--eigen-convergence", "1e-12"],
         ["unknown"],
     ):
         with pytest.raises(SystemExit) as info:
