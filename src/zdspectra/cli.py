@@ -21,7 +21,6 @@ from .graph import (
     DEFAULT_SIZE_CAP,
     NotEquitableError,
     SizeCapExceeded,
-    adjacency_matrix,
     adjacency_to_csv,
     build_bipartite,
     build_graph,
@@ -29,6 +28,7 @@ from .graph import (
     expected_cell_sizes,
     to_dot,
     to_json_descriptor,
+    vertex_count,
 )
 from .quotient import (
     NonIntegerEntryError,
@@ -54,6 +54,7 @@ from .spectra import (
     EigenBundle,
     PredictedSpectrum,
     Tolerances,
+    _match_sorted,
     eigen_bundle,
     krylov_rank,
     predicted_spectrum,
@@ -288,7 +289,7 @@ def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
 
 
 def _krylov_check(graph_obj, tag: str) -> CheckResult:
-    rank = krylov_rank(adjacency_matrix(graph_obj))
+    rank = krylov_rank(graph_obj)
     want = graph_obj.n - 1
     return CheckResult(
         f"exact Krylov rank equals n-1 ({tag})",
@@ -298,26 +299,14 @@ def _krylov_check(graph_obj, tag: str) -> CheckResult:
     )
 
 
-def _values_match(
-    predicted: list[float], computed: list[float], tolerance: float
-) -> tuple[bool, float | None]:
-    if len(predicted) != len(computed):
-        return False, None
-    residual = max(
-        (abs(a - b) for a, b in zip(sorted(predicted), sorted(computed))),
-        default=0.0,
-    )
-    return residual <= tolerance, residual
-
-
 def _partial_bipartite_checks(
     bundle: EigenBundle, m: int, n: int, tolerance: float
 ) -> list[CheckResult]:
     """Subgraph-side correspondences when the full graph is too dense."""
     q_spectrum = list(quotient_eigenvalues(build_q(m, n)))
     main_values = list(bundle.report.main_values())
-    ok, residual = _values_match(q_spectrum, main_values, tolerance)
-    rank = krylov_rank(bundle.adjacency_int, max_cols=len(bundle.report.groups) + 1)
+    ok, residual = _match_sorted(q_spectrum, main_values, tolerance)
+    rank = krylov_rank(bundle.graph, max_cols=len(bundle.report.groups) + 1)
     return [
         CheckResult(
             "subgraph main eigenvalues equal the bipartite quotient spectrum",
@@ -368,8 +357,8 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
     tol = config.tolerances
     prediction = predicted_spectrum(m, n)
     q_spectrum = quotient_eigenvalues(build_q(m, n))
-    count_full = m**n - (m - 1) ** n - 1
-    count_bip = 2 * (m - 1) * m ** (n - 2)
+    count_full = vertex_count(m, n, "full")
+    count_bip = vertex_count(m, n, "bipartite")
 
     full_checks = _quotient_checks(m, n, QuotientKind.P, tol.grouping_gap)
     bip_checks = _quotient_checks(m, n, QuotientKind.Q, tol.grouping_gap)
@@ -481,8 +470,8 @@ def _graph_entry(
 
 def assemble_report(m: int, n: int, config: RunConfig) -> tuple[list[dict], Battery]:
     battery = run_battery(m, n, config)
-    count_full = m**n - (m - 1) ** n - 1
-    count_bip = 2 * (m - 1) * m ** (n - 2)
+    count_full = vertex_count(m, n, "full")
+    count_bip = vertex_count(m, n, "bipartite")
     full_entry = _graph_entry(
         battery,
         "full",

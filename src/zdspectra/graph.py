@@ -9,6 +9,15 @@ tuples whose last two coordinates have exactly one zero, the partition
 of either graph by zero-coordinate count, and empirical quotients of
 that partition.  Supports are stored as single machine words, so n is
 capped at 63.
+
+Vertices with the same support have the same neighbours, so sums over
+neighbourhoods run on the lattice of the 2**n supports instead of the
+vertex set: `disjoint_sums` adds up a per-support table over every
+support disjoint from each support with a subset-sum transform, in
+O(n * 2**n) time.  Both graphs have at least 2**(n-1) vertices, so this
+never builds anything larger than O(vertex count).  Only the dense
+adjacency matrix (for the eigensolver) and the exports compare vertex
+pairs.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ __all__ = [
     "BipartiteSubgraph",
     "build_graph",
     "build_bipartite",
+    "vertex_count",
+    "disjoint_sums",
     "empirical_quotient",
     "adjacency_matrix",
     "adjacency_to_csv",
@@ -87,6 +98,15 @@ def _check_params(m: int, n: int) -> None:
             f"tuple length n must be at most {MAX_TUPLE_LENGTH} "
             f"(supports are machine words), got {n}"
         )
+
+
+def vertex_count(m: int, n: int, role: str = "full") -> int:
+    """Closed-form vertex count of the full graph or the two-sided subgraph."""
+    if role == "full":
+        return m**n - (m - 1) ** n - 1
+    if role == "bipartite":
+        return 2 * (m - 1) * m ** (n - 2)
+    raise ValueError(f"role must be 'full' or 'bipartite', got {role!r}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +194,7 @@ def _group_cells(vertices: Sequence[VertexTuple], n: int) -> tuple[tuple[int, ..
 def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivisorGraph:
     """Enumerate the zero-divisor graph for (m, n), refusing above size_cap."""
     _check_params(m, n)
-    count = m**n - (m - 1) ** n - 1
+    count = vertex_count(m, n, "full")
     if count > size_cap:
         raise SizeCapExceeded(f"zero-divisor graph for m={m}, n={n}", count, size_cap)
     vertices = tuple(
@@ -192,7 +212,7 @@ def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Bipa
     exactly one zero; the side with the zero in the last coordinate comes
     first, each side in lexicographic order."""
     _check_params(m, n)
-    count = 2 * (m - 1) * m ** (n - 2)
+    count = vertex_count(m, n, "bipartite")
     if count > size_cap:
         raise SizeCapExceeded(f"two-sided subgraph for m={m}, n={n}", count, size_cap)
     side_a = []
@@ -212,21 +232,22 @@ def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Bipa
     return BipartiteSubgraph(m, n, vertices, _group_cells(vertices, n), sides)
 
 
-def _counts_per_cell(
-    graph: _SupportGraph, cells: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """counts[v, j] = number of neighbors of vertex v inside cells[j]."""
-    sup = graph.support_array
-    n_vertices = len(sup)
-    counts = np.zeros((n_vertices, len(cells)), dtype=np.int64)
-    cell_idx = [np.asarray(cell, dtype=np.int64) for cell in cells]
-    chunk = max(256, 4_000_000 // max(1, n_vertices))
-    for start in range(0, n_vertices, chunk):
-        stop = min(n_vertices, start + chunk)
-        block = (sup[start:stop, None] & sup[None, :]) == 0
-        for j, idx in enumerate(cell_idx):
-            counts[start:stop, j] = block[:, idx].sum(axis=1)
-    return counts
+def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
+    """out[s] = sum of table[t] over all supports t disjoint from s.
+
+    `table` has one row per support bitmask (2**n rows, any trailing
+    shape).  A subset-sum transform along each of the n bit axes gives
+    the sum over t contained in r; the complement of s is 2**n - 1 - s,
+    so reversing the rows reads it at ~s.  Integer tables of dtype object
+    stay in exact Python integers.
+    """
+    table = np.asarray(table)
+    if table.shape[0] != 1 << n:
+        raise ValueError(f"table must have 2**{n} rows, got {table.shape[0]}")
+    work = table.reshape((2,) * n + table.shape[1:])
+    for axis in range(n):
+        work = np.cumsum(work, axis=axis, dtype=table.dtype)
+    return work.reshape(table.shape)[::-1]
 
 
 def empirical_quotient(
@@ -234,9 +255,12 @@ def empirical_quotient(
 ) -> tuple[tuple[int, ...], ...]:
     """Count neighbors per cell and insist the count is constant on each cell.
 
-    Returns the quotient matrix as nested tuples; raises NotEquitableError
-    with two witness vertices when a cell is not equitable.  The default
-    partition is by zero-coordinate count.
+    Neighbour counts come from a support-by-cell histogram summed over
+    disjoint supports, so any partition works, including one that splits
+    the vertices of a support.  Returns the quotient matrix as nested
+    tuples; raises NotEquitableError with two witness vertices when a
+    cell is not equitable.  The default partition is by zero-coordinate
+    count.
     """
     if cells is None:
         cells = graph.cells
@@ -244,7 +268,16 @@ def empirical_quotient(
     flat = sorted(i for cell in cells for i in cell)
     if flat != list(range(graph.vertex_count)) or any(not cell for cell in cells):
         raise ValueError("cells must be non-empty and partition the vertex set")
-    counts = _counts_per_cell(graph, cells)
+    cell_of = np.empty(graph.vertex_count, dtype=np.int64)
+    for j, cell in enumerate(cells):
+        cell_of[list(cell)] = j
+    sup = graph.support_array.astype(np.int64)
+    lattice = 1 << graph.n
+    per_support = np.bincount(
+        sup * len(cells) + cell_of, minlength=lattice * len(cells)
+    ).reshape(lattice, len(cells))
+    # counts[v, j] = number of neighbours of vertex v inside cells[j]
+    counts = disjoint_sums(per_support, graph.n)[sup]
     quotient = []
     for i, cell in enumerate(cells):
         sub = counts[np.asarray(cell, dtype=np.int64)]

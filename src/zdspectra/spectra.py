@@ -9,7 +9,9 @@ not depend on the basis chosen inside the eigenspace), and a dead band
 around the decision threshold is reported as ambiguous rather than
 silently resolved.  Exact routes run beside the floating ones: Krylov
 ranks over the integers and annihilation of the quadratic pair powers
-in exact arithmetic.
+in exact arithmetic.  A graph's Krylov rank is computed on its support
+lattice (one entry per support, see graph.disjoint_sums), so it never
+forms the adjacency matrix; only the dense eigensolve does.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .graph import (
     adjacency_matrix,
     build_bipartite,
     build_graph,
+    disjoint_sums,
+    vertex_count,
 )
 from .quotient import QuotientMatrix, build_p, build_q, exact_rank, json_safe_int
 
@@ -230,12 +234,8 @@ def classify_main(
 # -- exact Krylov rank ------------------------------------------------------
 
 
-def krylov_rank(matrix: object, max_cols: int | None = None) -> int:
-    """Rank of [e, Ae, A**2 e, ...] over the rationals, in exact arithmetic.
-
-    Columns extend until two consecutive ranks agree (the rank can never
-    grow again after that), capped at max_cols (default: order + 1).
-    """
+def _matrix_operator(matrix: object):
+    """(order, matvec) for a square integer matrix, in exact integers."""
     M = np.asarray(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValueError("matrix must be square and non-empty")
@@ -244,28 +244,54 @@ def krylov_rank(matrix: object, max_cols: int | None = None) -> int:
             raise ValueError("matrix entries must be integers")
     elif not np.issubdtype(M.dtype, np.integer):
         raise ValueError("matrix entries must be integers")
-    n = M.shape[0]
-    cap = n + 1 if max_cols is None else max_cols
+    M = M.astype(object)
+    return M.shape[0], lambda vec: M @ vec
+
+
+def _lattice_operator(graph: object):
+    """(order, matvec) for a graph's adjacency restricted to vectors that
+    are constant on each support class, one entry per support present.
+
+    Vertex u is adjacent to v exactly when their supports are disjoint,
+    so (A x)[u] is the sum over disjoint supports t of size(t) * x[t].
+    Every vertex carries its class's entry, so ranks of such vectors equal
+    ranks of the vertex-indexed vectors they stand for.
+    """
+    sizes = np.bincount(
+        graph.support_array.astype(np.int64), minlength=1 << graph.n
+    ).astype(object)
+    present = np.flatnonzero(sizes)
+    table = np.zeros(len(sizes), dtype=object)
+
+    def matvec(vec):
+        table[present] = sizes[present] * vec
+        return disjoint_sums(table, graph.n)[present]
+
+    return len(present), matvec
+
+
+def krylov_rank(operand: object, max_cols: int | None = None) -> int:
+    """Rank of [e, Ae, A**2 e, ...] over the rationals, in exact arithmetic.
+
+    `operand` is a square integer matrix A, or a graph, whose adjacency
+    is then applied on its support lattice without forming A; the rank
+    is the same as for the graph's adjacency matrix.  Columns extend
+    until two consecutive ranks agree (the rank can never grow again
+    after that), capped at max_cols (default: order + 1).
+    """
+    if hasattr(operand, "support_array"):
+        order, matvec = _lattice_operator(operand)
+    else:
+        order, matvec = _matrix_operator(operand)
+    cap = order + 1 if max_cols is None else max_cols
     if cap < 1:
         raise ValueError(f"max_cols must be at least 1, got {max_cols!r}")
-    binary = M.dtype != object and int(M.min()) >= 0 and int(M.max()) <= 1
-    if binary:
-        neighbors = [np.flatnonzero(row).tolist() for row in M]
-    else:
-        dense_rows = [[int(x) for x in row] for row in M.tolist()]
-    vec = [1] * n
-    krylov_rows = [vec]
+    vec = np.ones(order, dtype=object)
+    krylov_rows = [vec.tolist()]
     rank = 1
     while len(krylov_rows) < cap:
-        prev = krylov_rows[-1]
-        if binary:
-            nxt = [sum(prev[j] for j in hood) for hood in neighbors]
-        else:
-            nxt = [
-                sum(row[j] * prev[j] for j in range(n) if row[j])
-                for row in dense_rows
-            ]
-        krylov_rows.append(nxt)
+        vec = matvec(vec)
+        krylov_rows.append(vec.tolist())
         new_rank = exact_rank(krylov_rows)
         if new_rank == rank:
             return rank
@@ -360,7 +386,7 @@ def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
         )
     zero = m**n - (m - 1) ** n - 2**n + 1
     prediction = PredictedSpectrum(m, n, p_values, tuple(q_values), zero)
-    count = m**n - (m - 1) ** n - 1
+    count = vertex_count(m, n, "full")
     if prediction.total_multiplicity != count:
         raise ArithmeticError(
             f"predicted multiplicities total {prediction.total_multiplicity}, "
@@ -412,7 +438,6 @@ class EigenBundle:
     """One graph with its dense eigensystem and classification."""
 
     graph: object
-    adjacency_int: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     report: SpectralReport
@@ -421,12 +446,11 @@ class EigenBundle:
 def eigen_bundle(graph: object, tolerances: Tolerances | None = None) -> EigenBundle:
     """Decompose a graph's adjacency matrix once, for reuse across checks."""
     tol = tolerances or DEFAULT_TOLERANCES
-    adjacency = adjacency_matrix(graph)
-    dense = adjacency.astype(np.float64)
+    dense = adjacency_matrix(graph).astype(np.float64)
     w, V = symmetric_eigen(dense)
     source = GraphSource(graph.m, graph.n, graph.role)
     report = _classify(w, V, float(np.linalg.norm(dense)), tol, source)
-    return EigenBundle(graph, adjacency, w, V, report)
+    return EigenBundle(graph, w, V, report)
 
 
 def _dense_graph_bundle(
@@ -463,7 +487,7 @@ def verify_spectrum_theorem(
     """
     prediction = predicted_spectrum(m, n)
     if bundle is None:
-        count = m**n - (m - 1) ** n - 1
+        count = vertex_count(m, n, "full")
         bundle = _dense_graph_bundle(
             m, n, count, f"graph for m={m}, n={n}",
             build_graph, tolerances, size_cap, dense_cap,
@@ -505,9 +529,11 @@ def verify_spectrum_theorem(
 
 def _match_sorted(
     predicted: list[float], computed: list[float], tolerance: float
-) -> tuple[bool, float]:
+) -> tuple[bool, float | None]:
+    """Match two value lists after sorting; the residual is the largest
+    difference, or None when the lengths differ."""
     if len(predicted) != len(computed):
-        return False, math.inf
+        return False, None
     residual = max(
         (abs(a - b) for a, b in zip(sorted(predicted), sorted(computed))),
         default=0.0,
@@ -534,13 +560,13 @@ def verify_main_correspondences(
     and both main counts equal n-1 and the exact Krylov ranks.
     """
     if full_bundle is None:
-        count = m**n - (m - 1) ** n - 1
+        count = vertex_count(m, n, "full")
         full_bundle = _dense_graph_bundle(
             m, n, count, f"graph for m={m}, n={n}",
             build_graph, tolerances, size_cap, dense_cap,
         )
     if bipartite_bundle is None:
-        count = 2 * (m - 1) * m ** (n - 2)
+        count = vertex_count(m, n, "bipartite")
         bipartite_bundle = _dense_graph_bundle(
             m, n, count, f"two-sided subgraph for m={m}, n={n}",
             build_bipartite, tolerances, size_cap, dense_cap,
@@ -557,7 +583,7 @@ def verify_main_correspondences(
         CheckResult(
             "main eigenvalues equal the full quotient spectrum",
             ok,
-            None if math.isinf(res) else res,
+            res,
             f"{len(main_full)} main vs {len(p_spectrum)} predicted",
         )
     )
@@ -566,7 +592,7 @@ def verify_main_correspondences(
         CheckResult(
             "subgraph main eigenvalues equal the bipartite quotient spectrum",
             ok,
-            None if math.isinf(res) else res,
+            res,
             f"{len(main_bip)} main vs {len(q_spectrum)} predicted",
         )
     )
@@ -583,7 +609,7 @@ def verify_main_correspondences(
         CheckResult(
             "nonzero non-main values equal the negated subgraph mains",
             ok,
-            None if math.isinf(res) else res,
+            res,
             f"{len(nonmain)} non-main vs {len(main_bip)} negated mains",
         )
     )
@@ -596,7 +622,7 @@ def verify_main_correspondences(
         )
     )
     distinct_full = len(full_bundle.report.groups)
-    rank_full = krylov_rank(full_bundle.adjacency_int, max_cols=distinct_full + 1)
+    rank_full = krylov_rank(full_bundle.graph, max_cols=distinct_full + 1)
     checks.append(
         CheckResult(
             "exact Krylov rank of the graph equals its main count",
@@ -606,9 +632,7 @@ def verify_main_correspondences(
         )
     )
     distinct_bip = len(bipartite_bundle.report.groups)
-    rank_bip = krylov_rank(
-        bipartite_bundle.adjacency_int, max_cols=distinct_bip + 1
-    )
+    rank_bip = krylov_rank(bipartite_bundle.graph, max_cols=distinct_bip + 1)
     checks.append(
         CheckResult(
             "exact Krylov rank of the subgraph equals its main count",

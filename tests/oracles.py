@@ -94,21 +94,31 @@ def rank_gauss(rows) -> int:
     return rank
 
 
+def neighbor_counts(
+    vertices: list[tuple[int, ...]],
+    cells: list[list[int]],
+) -> list[list[int]]:
+    """counts[v][j] = number of neighbors of vertex v inside cells[j]."""
+    adjacency = brute_adjacency(vertices)
+    return [
+        [sum(adjacency[v][u] for u in other) for other in cells]
+        for v in range(len(vertices))
+    ]
+
+
 def quotient_by_counting(
     vertices: list[tuple[int, ...]],
     cells: list[list[int]],
 ) -> list[list[int]]:
-    """Neighbor counts per cell pair, asserting constancy within each cell."""
-    adjacency = brute_adjacency(vertices)
+    """Neighbor counts per cell pair, insisting on constancy within each cell."""
+    counts = neighbor_counts(vertices, cells)
     rows = []
     for cell in cells:
         row = []
-        for other in cells:
-            counts = {
-                sum(adjacency[v][u] for u in other)
-                for v in cell
-            }
-            assert len(counts) == 1, "partition is not equitable"
-            row.append(counts.pop())
+        for j in range(len(cells)):
+            seen = {counts[v][j] for v in cell}
+            if len(seen) != 1:
+                raise ValueError("partition is not equitable")
+            row.append(seen.pop())
         rows.append(row)
     return rows

@@ -254,3 +254,15 @@ def test_domain_errors_exit_two(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+def test_report_at_fourteen_thousand_vertices_passes(capsys):
+    # m=4, n=7: 14,196 vertices; structural checks and exact Krylov ranks
+    # run on the support lattice, dense spectra are capped off.
+    code, out, err = run(capsys, "report", "--m", "4", "--n", "7", "--dense-cap", "1")
+    assert code == 0 and err == ""
+    full, bip = json.loads(out)
+    assert full["vertices"] == 14196
+    for entry in (full, bip):
+        assert entry["checks"] and all(c["pass"] for c in entry["checks"])
+        assert any("Krylov" in c["name"] for c in entry["checks"])

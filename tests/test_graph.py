@@ -11,14 +11,22 @@ from zdspectra.graph import (
     adjacency_to_csv,
     build_bipartite,
     build_graph,
+    disjoint_sums,
     empirical_quotient,
     expected_cell_sizes,
     to_dot,
     to_json_descriptor,
+    vertex_count,
 )
 from zdspectra.quotient import build_p, build_q
 
-from oracles import brute_adjacency, brute_edges, brute_vertices
+from oracles import (
+    brute_adjacency,
+    brute_edges,
+    brute_vertices,
+    neighbor_counts,
+    quotient_by_counting,
+)
 
 
 # === vertex enumeration ===
@@ -28,6 +36,7 @@ def test_vertex_count_closed_form(graphs):
         for n in (2, 3, 4, 5):
             g = graphs(m, n)
             assert g.vertex_count == m**n - (m - 1) ** n - 1
+            assert vertex_count(m, n, "full") == g.vertex_count
 
 
 def test_vertices_match_brute_enumeration(graphs):
@@ -133,6 +142,8 @@ def test_cells_group_by_zero_count(graphs):
 def test_expected_cell_sizes_role_validation():
     with pytest.raises(ValueError):
         expected_cell_sizes(2, 4, "directed")
+    with pytest.raises(ValueError):
+        vertex_count(2, 4, "directed")
 
 
 def test_empirical_quotient_equals_closed_form(graphs):
@@ -159,6 +170,73 @@ def test_empirical_quotient_partition_validation(graphs):
         empirical_quotient(g, [[0, 1, 2, 3, 4, 5], []])
     with pytest.raises(ValueError):
         empirical_quotient(g, [[0, 0, 1, 2, 3, 4], [5]])
+
+
+def test_disjoint_sums_against_direct_sum():
+    n = 4
+    rng = np.random.default_rng(7)
+    table = rng.integers(-50, 50, size=(1 << n, 3))
+    expected = np.array(
+        [
+            sum(table[t] for t in range(1 << n) if s & t == 0)
+            for s in range(1 << n)
+        ]
+    )
+    assert np.array_equal(disjoint_sums(table, n), expected)
+    big = np.array([10**30, 1, 2, 3], dtype=object)
+    assert disjoint_sums(big, 2).tolist() == [10**30 + 6, 10**30 + 2, 10**30 + 1, 10**30]
+    with pytest.raises(ValueError):
+        disjoint_sums(np.zeros(8), 2)
+
+
+def test_empirical_quotient_on_partition_splitting_supports(graphs):
+    # Cells keyed by (first coordinate, zero count) are the orbits of the
+    # automorphisms that permute the other coordinates and their nonzero
+    # values, so the partition is equitable; at m=3 it separates vertices
+    # of one support whose first coordinate is 1 from those where it is 2.
+    g = graphs(3, 4)
+    keys = sorted({(v.coords[0], v.zero_count) for v in g.vertices})
+    cells = [
+        [i for i, v in enumerate(g.vertices) if (v.coords[0], v.zero_count) == key]
+        for key in keys
+    ]
+    cell_supports = [{g.vertices[i].support for i in cell} for cell in cells]
+    assert any(a & b for a in cell_supports for b in cell_supports if a is not b)
+    expected = quotient_by_counting([v.coords for v in g.vertices], cells)
+    assert empirical_quotient(g, cells) == tuple(tuple(row) for row in expected)
+
+
+def _brute_witnesses(g, cells):
+    """NotEquitableError arguments by direct counting: the first cell with
+    a mismatch, its first vertex that disagrees with the cell's first
+    vertex, and the first cell where they disagree."""
+    counts = neighbor_counts([v.coords for v in g.vertices], cells)
+    for i, cell in enumerate(cells):
+        first = counts[cell[0]]
+        for v in cell:
+            for j, (want, got) in enumerate(zip(first, counts[v])):
+                if want != got:
+                    label = g.vertices[v].label(g.m)
+                    return (i + 1, j + 1,
+                            ((g.vertices[cell[0]].label(g.m), want), (label, got)))
+    return None
+
+
+@pytest.mark.parametrize("m, n, role", [(3, 3, "full"), (3, 4, "bipartite"), (4, 3, "full")])
+def test_non_equitable_witnesses_match_brute_force(graphs, m, n, role):
+    g = graphs(m, n, role)
+    # cells by last coordinate, listed in descending vertex order
+    cells = [
+        [i for i in reversed(range(g.vertex_count)) if g.vertices[i].coords[-1] == c]
+        for c in range(m)
+    ]
+    cells = [cell for cell in cells if cell]
+    expected = _brute_witnesses(g, cells)
+    assert expected is not None
+    with pytest.raises(NotEquitableError) as info:
+        empirical_quotient(g, cells)
+    err = info.value
+    assert (err.cell_i, err.cell_j, err.witnesses) == expected
 
 
 def test_non_equitable_partition_reports_witnesses(graphs):
@@ -196,6 +274,7 @@ def test_bipartite_count_closed_form(graphs):
         for n in (2, 3, 4, 5):
             b = graphs(m, n, "bipartite")
             assert b.vertex_count == 2 * (m - 1) * m ** (n - 2)
+            assert vertex_count(m, n, "bipartite") == b.vertex_count
             assert len(b.sides[0]) == len(b.sides[1])
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zdspectra.fib import QuadraticNumber, golden_pair
-from zdspectra.graph import SizeCapExceeded, adjacency_matrix
+from zdspectra.graph import SizeCapExceeded, ZeroDivisorGraph, adjacency_matrix
 from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
 from zdspectra.spectra import (
     DEFAULT_DENSE_CAP,
@@ -29,6 +29,9 @@ from zdspectra.spectra import (
     verify_main_correspondences,
     verify_spectrum_theorem,
 )
+
+from conftest import dense_grid
+from oracles import brute_adjacency
 
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -207,6 +210,27 @@ def test_krylov_rank_validation():
         krylov_rank(np.array([[True, False], [False, True]]))
     with pytest.raises(ValueError):
         krylov_rank(np.zeros((2, 3), dtype=int))
+
+
+@pytest.mark.parametrize("role", ["full", "bipartite"])
+def test_krylov_rank_of_graph_matches_its_adjacency(graphs, role):
+    for m, n in dense_grid():
+        g = graphs(m, n, role)
+        adjacency = adjacency_matrix(g)
+        for cap in [None, *range(1, n + 2)]:
+            assert krylov_rank(g, max_cols=cap) == krylov_rank(adjacency, max_cols=cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_krylov_rank_on_irregular_vertex_subsets(graphs, seed):
+    # Induced subgraphs on random vertex subsets have uneven support
+    # classes, so the lattice route must weight each class by its size.
+    g = graphs(3, 4)
+    rng = np.random.default_rng(seed)
+    keep = sorted(rng.choice(g.vertex_count, size=25, replace=False).tolist())
+    sub = ZeroDivisorGraph(g.m, g.n, tuple(g.vertices[i] for i in keep), ())
+    adjacency = np.array(brute_adjacency([v.coords for v in sub.vertices]))
+    assert krylov_rank(sub) == krylov_rank(adjacency)
 
 
 def test_krylov_rank_matches_walk_rank(graphs):
