@@ -31,7 +31,6 @@ from .graph import (
     vertex_count,
 )
 from .quotient import (
-    NonIntegerEntryError,
     QuotientKind,
     build_p,
     build_q,
@@ -49,6 +48,7 @@ from .quotient import (
 from .spectra import (
     DEFAULT_DENSE_CAP,
     DEFAULT_TOLERANCES,
+    EXACT_ANNIHILATION_MAX_N,
     AmbiguousClassification,
     CheckResult,
     EigenBundle,
@@ -205,12 +205,8 @@ def _quotient_checks(m: int, n: int, kind: QuotientKind, gap: float) -> list[Che
 
     walk = walk_matrix_iterative(quotient)
     closed_of = walk_matrix_closed_p if kind is QuotientKind.P else walk_matrix_closed_q
-    try:
-        closed = closed_of(m, n)
-        routes_agree = closed.entries == walk.entries
-        detail = "" if routes_agree else "closed and iterative walk matrices differ"
-    except NonIntegerEntryError as exc:
-        routes_agree, detail = False, str(exc)
+    routes_agree = closed_of(m, n).entries == walk.entries
+    detail = "" if routes_agree else "closed and iterative walk matrices differ"
     checks.append(CheckResult(f"walk routes agree ({tag})", routes_agree, None, detail))
 
     rank = exact_rank(walk)
@@ -365,10 +361,12 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
     full_skipped: list[str] = []
     bip_skipped: list[str] = []
 
-    if n <= 10:
+    if n <= EXACT_ANNIHILATION_MAX_N:
         bip_checks += list(q_eigen_exact_check(m, n).checks)
     else:
-        bip_skipped.append(f"exact annihilation: n={n} beyond the exact bound 10")
+        bip_skipped.append(
+            f"exact annihilation: n={n} beyond the exact bound {EXACT_ANNIHILATION_MAX_N}"
+        )
 
     capped = count_full > config.size_cap
     full_bundle = bip_bundle = None

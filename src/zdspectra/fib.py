@@ -4,8 +4,10 @@ The family is F[0] = F[1] = 1 and F[k] = F[k-1] + (m-1)*F[k-2] for an
 integer weight m >= 2 (m = 2 gives the classical Fibonacci numbers).
 Consecutive-term ratios are exact rationals, and the two roots of
 x**2 - x - (m-1) form the pair (phi, xi) with phi + xi = 1 and
-phi*xi = -(m-1).  Everything here is integer or rational arithmetic;
-no floats are produced except on explicit conversion.
+phi*xi = -(m-1).  Products of phi and xi are kept as integer pairs
+(a, b) meaning a + b*phi.  Everything here is integer or rational
+arithmetic; no floats are produced except on explicit conversion.  The
+module also holds the package's parameter checks.
 """
 
 from __future__ import annotations
@@ -26,12 +28,29 @@ __all__ = [
     "gamma",
     "docagne_residual",
     "golden_pair",
+    "pair_power",
+    "zphi_mul",
+    "zphi_to_quadratic",
 ]
 
 
-def _check_weight(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"weight m must be an integer >= 2, got {m!r}")
+def check_integer(value: object, name: str, minimum: int) -> None:
+    """Raise ValueError unless value is an int (not a bool) >= minimum."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_params(m: int, n: int, max_n: int | None = None) -> None:
+    """The package's one check of a parameter cell: field size m >= 2 and
+    tuple length n >= 2, and n <= max_n where graphs store supports as
+    machine words."""
+    check_integer(m, "field size m", 2)
+    check_integer(n, "tuple length n", 2)
+    if max_n is not None and n > max_n:
+        raise ValueError(
+            f"tuple length n must be at most {max_n} "
+            f"(supports are machine words), got {n}"
+        )
 
 
 class FibSequence:
@@ -42,14 +61,13 @@ class FibSequence:
     """
 
     def __init__(self, m: int) -> None:
-        _check_weight(m)
+        check_integer(m, "weight m", 2)
         self.m = m
         self._values = [1, 1]
         self._lock = threading.Lock()
 
     def value(self, k: int) -> int:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValueError(f"index k must be an integer >= 0, got {k!r}")
+        check_integer(k, "index k", 0)
         if k >= len(self._values):
             with self._lock:
                 vals = self._values
@@ -216,8 +234,7 @@ class QuadraticNumber:
         return o * self.inverse()
 
     def __pow__(self, exponent: int) -> QuadraticNumber:
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError(f"exponent must be an integer >= 0, got {exponent!r}")
+        check_integer(exponent, "exponent", 0)
         result = QuadraticNumber(Fraction(1))
         base = self
         e = exponent
@@ -260,7 +277,44 @@ def golden_pair(m: int) -> tuple[QuadraticNumber, QuadraticNumber]:
     phi + xi == 1 and phi*xi == -(m-1).  Both collapse to plain rationals
     whenever 4m-3 is a perfect square (for example m = 3 gives (2, -1)).
     """
-    _check_weight(m)
+    check_integer(m, "weight m", 2)
     d = 4 * m - 3
     half = Fraction(1, 2)
     return QuadraticNumber(half, half, d), QuadraticNumber(half, -half, d)
+
+
+# -- integers of Z[phi] -------------------------------------------------------
+#
+# phi and xi are algebraic integers: phi**2 = phi + (m-1) and xi = 1 - phi.
+# So every product of them is a + b*phi with integers a, b, held as the
+# pair (a, b); sums are componentwise and only products need the rule
+# below.  When 4m-3 is a perfect square phi is an integer and distinct
+# pairs can name the same number, so compare values through
+# zphi_to_quadratic, never pairs.
+
+
+def zphi_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b*phi)(c + d*phi) = (ac + (m-1)bd) + (ad + bc + bd)*phi."""
+    a, b = x
+    c, d = y
+    bd = b * d
+    return a * c + (m - 1) * bd, a * d + b * c + bd
+
+
+def pair_power(m: int, i: int, j: int) -> tuple[int, int]:
+    """phi**i * xi**j as the integer pair (a, b) meaning a + b*phi."""
+    check_integer(m, "weight m", 2)
+    check_integer(i, "exponent", 0)
+    check_integer(j, "exponent", 0)
+    value = (1, 0)
+    for _ in range(i):
+        value = zphi_mul(m, value, (0, 1))
+    for _ in range(j):
+        value = zphi_mul(m, value, (1, -1))
+    return value
+
+
+def zphi_to_quadratic(m: int, x: tuple[int, int]) -> QuadraticNumber:
+    """a + b*phi in canonical a' + b'*sqrt(4m-3) form, phi = (1 + sqrt(4m-3))/2."""
+    a, b = x
+    return QuadraticNumber(Fraction(2 * a + b, 2), Fraction(b, 2), 4 * m - 3)

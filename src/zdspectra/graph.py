@@ -30,6 +30,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .fib import check_params
+
 __all__ = [
     "DEFAULT_SIZE_CAP",
     "MAX_TUPLE_LENGTH",
@@ -86,18 +88,6 @@ class NotEquitableError(Exception):
         self.cell_i = cell_i
         self.cell_j = cell_j
         self.witnesses = ((witness_a, count_a), (witness_b, count_b))
-
-
-def _check_params(m: int, n: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"field size m must be an integer >= 2, got {m!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"tuple length n must be an integer >= 2, got {n!r}")
-    if n > MAX_TUPLE_LENGTH:
-        raise ValueError(
-            f"tuple length n must be at most {MAX_TUPLE_LENGTH} "
-            f"(supports are machine words), got {n}"
-        )
 
 
 def vertex_count(m: int, n: int, role: str = "full") -> int:
@@ -193,7 +183,7 @@ def _group_cells(vertices: Sequence[VertexTuple], n: int) -> tuple[tuple[int, ..
 
 def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivisorGraph:
     """Enumerate the zero-divisor graph for (m, n), refusing above size_cap."""
-    _check_params(m, n)
+    check_params(m, n, MAX_TUPLE_LENGTH)
     count = vertex_count(m, n, "full")
     if count > size_cap:
         raise SizeCapExceeded(f"zero-divisor graph for m={m}, n={n}", count, size_cap)
@@ -211,7 +201,7 @@ def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Bipa
     """Induced subgraph on the vertices whose last two coordinates contain
     exactly one zero; the side with the zero in the last coordinate comes
     first, each side in lexicographic order."""
-    _check_params(m, n)
+    check_params(m, n, MAX_TUPLE_LENGTH)
     count = vertex_count(m, n, "bipartite")
     if count > size_cap:
         raise SizeCapExceeded(f"two-sided subgraph for m={m}, n={n}", count, size_cap)
@@ -348,7 +338,7 @@ def to_json_descriptor(graph: _SupportGraph) -> dict:
 
 def expected_cell_sizes(m: int, n: int, role: str = "full") -> tuple[int, ...]:
     """Closed-form cell sizes of the zero-count partition, cells 1..n-1."""
-    _check_params(m, n)
+    check_params(m, n, MAX_TUPLE_LENGTH)
     if role == "full":
         return tuple(comb(n, i) * (m - 1) ** (n - i) for i in range(1, n))
     if role == "bipartite":

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .fib import FibSequence
+from .fib import FibSequence, check_params
 
 __all__ = [
     "QuotientKind",
     "QuotientMatrix",
     "WalkMatrix",
     "WalkFactorization",
-    "NonIntegerEntryError",
     "build_p",
     "build_q",
     "walk_matrix_iterative",
@@ -45,23 +44,9 @@ __all__ = [
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-class NonIntegerEntryError(ArithmeticError):
-    """A closed-form walk entry failed to reduce to an integer.
-
-    This signals an implementation bug, never a user error.
-    """
-
-
 class QuotientKind(Enum):
     P = "P"  # full-graph partition quotient
     Q = "Q"  # bipartite-subgraph partition quotient
-
-
-def _check_order(m: int, n: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"field size m must be an integer >= 2, got {m!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"tuple length n must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +73,7 @@ class QuotientMatrix:
 def build_p(m: int, n: int) -> QuotientMatrix:
     """Full-graph quotient: entry (i, j) is C(i, n-j) * (m-1)**(n-j) when
     i + j >= n and 0 otherwise.  Row i sums to m**i - 1."""
-    _check_order(m, n)
+    check_params(m, n)
     entries = tuple(
         tuple(
             math.comb(i, n - j) * (m - 1) ** (n - j) if i + j >= n else 0
@@ -103,7 +88,7 @@ def build_q(m: int, n: int) -> QuotientMatrix:
     """Two-sided-subgraph quotient: entry (i, j) is
     C(i-1, n-j-1) * (m-1)**(n-j) when i + j >= n and 0 otherwise.
     Row i sums to (m-1) * m**(i-1)."""
-    _check_order(m, n)
+    check_params(m, n)
     entries = tuple(
         tuple(
             math.comb(i - 1, n - j - 1) * (m - 1) ** (n - j) if i + j >= n else 0
@@ -151,7 +136,7 @@ def h_coefficients(m: int, n: int) -> tuple[int, ...]:
     h_0 = 1 and h_j = F[j+1]**n - sum(h_r * F[j-r]**n for r < j).  The
     result always contains h_0, so its length is max(1, n-2).
     """
-    _check_order(m, n)
+    check_params(m, n)
     f = FibSequence(m)
     hs = [1]
     for j in range(1, max(1, n - 2)):
@@ -166,16 +151,16 @@ def walk_matrix_closed_p(m: int, n: int) -> WalkMatrix:
 
         entry(i, k) = F[k]**n * g[k]**i - sum_j h_j * F[k-j-1]**n * g[k-j-1]**i
 
-    with g[k] = F[k+1]/F[k], evaluated in exact rational arithmetic.
-    Every entry must reduce to an integer; a surviving denominator raises
-    NonIntegerEntryError.
+    with g[k] = F[k+1]/F[k].  Since i < n, each term F[k]**n * g[k]**i is
+    the integer F[k]**(n-i) * F[k+1]**i, so the form is evaluated in that
+    integer shape, like walk_matrix_closed_q.
     """
-    _check_order(m, n)
+    check_params(m, n)
     f = FibSequence(m)
     hs = h_coefficients(m, n)
 
-    def power_term(idx: int, i: int) -> Fraction:
-        return Fraction(f.value(idx)) ** n * f.ratio(idx) ** i
+    def power_term(idx: int, i: int) -> int:
+        return f.value(idx) ** (n - i) * f.value(idx + 1) ** i
 
     rows = []
     for i in range(1, n):
@@ -184,12 +169,7 @@ def walk_matrix_closed_p(m: int, n: int) -> WalkMatrix:
             value = power_term(k, i)
             for j in range(k):
                 value -= hs[j] * power_term(k - j - 1, i)
-            if value.denominator != 1:
-                raise NonIntegerEntryError(
-                    f"closed-form entry (i={i}, k={k}) for m={m}, n={n} "
-                    f"reduced to {value}"
-                )
-            row.append(int(value))
+            row.append(value)
         rows.append(tuple(row))
     return WalkMatrix(QuotientKind.P, m, n, tuple(rows))
 
@@ -199,7 +179,7 @@ def walk_matrix_closed_q(m: int, n: int) -> WalkMatrix:
 
         entry(i, k) = (m-1)**k * F[k]**(n-i-1) * F[k+1]**(i-1)
     """
-    _check_order(m, n)
+    check_params(m, n)
     f = FibSequence(m)
     entries = tuple(
         tuple(
@@ -268,7 +248,7 @@ def factorize_walk(m: int, n: int, kind: QuotientKind) -> WalkFactorization:
     (-h_{k-1}, ..., -h_0, 1, 0, ...); for the Q kind,
     D[k] = (m-1)**k * F[k]**(n-2) and U is the identity.
     """
-    _check_order(m, n)
+    check_params(m, n)
     if not isinstance(kind, QuotientKind):
         raise ValueError(f"kind must be a QuotientKind, got {kind!r}")
     f = FibSequence(m)

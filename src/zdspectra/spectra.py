@@ -8,8 +8,10 @@ normalized all-ones vector onto its eigenspace (a quantity that does
 not depend on the basis chosen inside the eigenspace), and a dead band
 around the decision threshold is reported as ambiguous rather than
 silently resolved.  Exact routes run beside the floating ones: Krylov
-ranks over the integers and annihilation of the quadratic pair powers
-in exact arithmetic.  A graph's Krylov rank is computed on its support
+ranks over the integers and annihilation of the quadratic pair powers.
+The pair powers are algebraic integers a + b*phi, so annihilation runs
+in integer Z[phi] arithmetic on the quotient's integer characteristic
+polynomial.  A graph's Krylov rank is computed on its support
 lattice (one entry per support, see graph.disjoint_sums), so it never
 forms the adjacency matrix; only the dense eigensolve does.
 """
@@ -18,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .fib import QuadraticNumber, golden_pair
+from .fib import QuadraticNumber, pair_power, zphi_mul, zphi_to_quadratic
 from .graph import (
     DEFAULT_SIZE_CAP,
     SizeCapExceeded,
@@ -36,6 +37,7 @@ from .quotient import QuotientMatrix, build_p, build_q, exact_rank, json_safe_in
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
+    "EXACT_ANNIHILATION_MAX_N",
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "AmbiguousClassification",
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 3_000
+# Largest n for which q_eigen_exact_check runs (and run_battery asks it to).
+EXACT_ANNIHILATION_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -377,10 +381,9 @@ class PredictedSpectrum:
 def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
     """Assemble the predicted full-graph spectrum for (m, n)."""
     p_values = quotient_eigenvalues(build_p(m, n))
-    phi, xi = golden_pair(m)
     q_values = []
     for i in range(1, n):
-        exact = phi**i * xi ** (n - i)
+        exact = zphi_to_quadratic(m, pair_power(m, i, n - i))
         q_values.append(
             QEigenvalue(i, exact, float(exact), math.comb(n, i) - 1)
         )
@@ -651,64 +654,75 @@ def verify_main_correspondences(
 # -- exact annihilation -----------------------------------------------------
 
 
-def _det_quadratic(rows: list[list[QuadraticNumber]]) -> QuadraticNumber:
-    """Exact determinant over the quadratic field, by elimination."""
+def _char_poly(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Coefficients c[0..r] of det(x I - M) = sum c[k] x**k for a square
+    integer matrix M of order r, by Faddeev-LeVerrier.
+
+    With N_1 = I, c[r-k] = -trace(M N_k) / k and N_{k+1} = M N_k + c[r-k] I;
+    each division is exact, and a remainder raises ArithmeticError.
+    """
     order = len(rows)
-    rows = [list(row) for row in rows]
-    det = QuadraticNumber(Fraction(1))
-    negate = False
-    for col in range(order):
-        pivot_row = next(
-            (r for r in range(col, order) if not rows[r][col].is_zero), None
-        )
-        if pivot_row is None:
-            return QuadraticNumber(Fraction(0))
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            negate = not negate
-        pivot = rows[col][col]
-        det = det * pivot
-        inv = pivot.inverse()
-        for r in range(col + 1, order):
-            factor = rows[r][col] * inv
-            if factor.is_zero:
-                continue
-            for c in range(col, order):
-                rows[r][c] = rows[r][c] - factor * rows[col][c]
-    return -det if negate else det
+    coeffs = [0] * (order + 1)
+    coeffs[order] = 1
+    product = [[0] * order for _ in range(order)]  # M N_k, with N_0 = 0
+    for k in range(1, order + 1):
+        shift = coeffs[order - k + 1]
+        for i in range(order):
+            product[i][i] += shift  # now N_k
+        nk_cols = list(zip(*product))
+        product = [
+            [sum(a * b for a, b in zip(row, col)) for col in nk_cols] for row in rows
+        ]
+        coeff, rem = divmod(-sum(product[i][i] for i in range(order)), k)
+        if rem:
+            raise ArithmeticError(
+                f"Faddeev-LeVerrier step {k} left remainder {rem}"
+            )
+        coeffs[order - k] = coeff
+    return coeffs
+
+
+def _det_shifted(m: int, coeffs: list[int], value: tuple[int, int]) -> tuple[int, int]:
+    """det(M + value I) for value in Z[phi], from the characteristic
+    polynomial coefficients of M: it is (-1)**r * chi_M(-value), evaluated
+    by Horner in Z[phi]."""
+    order = len(coeffs) - 1
+    x = (-value[0], -value[1])
+    acc = (coeffs[order], 0)
+    for c in reversed(coeffs[:order]):
+        a, b = zphi_mul(m, acc, x)
+        acc = (a + c, b)
+    return acc if order % 2 == 0 else (-acc[0], -acc[1])
 
 
 def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
     """Exactly verify that every pair power phi**i * xi**(n-i) annihilates
-    the bipartite quotient: det(Q + value * I) == 0 in the quadratic field.
+    the bipartite quotient: det(Q + value * I) == 0.
 
-    Returns one check per index i; `raise_if_failed` raises
-    NonzeroDeterminant with the exact residual in the detail.
+    The pair powers are algebraic integers a + b*phi, so the check runs in
+    integer Z[phi] arithmetic: the integer characteristic polynomial of Q
+    is computed once, then evaluated at each negated pair power; values
+    become QuadraticNumbers only for the report.  n is limited to
+    EXACT_ANNIHILATION_MAX_N.  Returns one check per index i;
+    `raise_if_failed` raises NonzeroDeterminant with the exact determinant
+    in the detail.
     """
-    if n > 10:
+    if n > EXACT_ANNIHILATION_MAX_N:
         raise ValueError(
-            f"exact annihilation is supported for n <= 10, got n={n}"
+            f"exact annihilation is supported for n <= {EXACT_ANNIHILATION_MAX_N}, "
+            f"got n={n}"
         )
-    quotient = build_q(m, n)
-    phi, xi = golden_pair(m)
+    coeffs = _char_poly(build_q(m, n).entries)
     checks = []
     for i in range(1, n):
-        value = phi**i * xi ** (n - i)
-        shifted = [
-            [
-                QuadraticNumber(Fraction(quotient.entries[r][c]))
-                + (value if r == c else 0)
-                for c in range(n - 1)
-            ]
-            for r in range(n - 1)
-        ]
-        det = _det_quadratic(shifted)
+        value = pair_power(m, i, n - i)
+        det = zphi_to_quadratic(m, _det_shifted(m, coeffs, value))
         checks.append(
             CheckResult(
                 f"pair power i={i} annihilates the bipartite quotient",
                 det.is_zero,
                 abs(float(det)),
-                f"det(Q + ({value}) I) = {det}",
+                f"det(Q + ({zphi_to_quadratic(m, value)}) I) = {det}",
             )
         )
     return VerificationReport(

@@ -11,6 +11,9 @@ from zdspectra.fib import (
     fib,
     gamma,
     golden_pair,
+    pair_power,
+    zphi_mul,
+    zphi_to_quadratic,
 )
 
 from oracles import fib_loop
@@ -225,6 +228,28 @@ def test_pair_rational_collapse():
     assert phi.is_rational and xi.is_rational
     assert phi == 2
     assert xi == -1
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_pair_power_matches_quadratic_powers(m):
+    # m = 3 and m = 7 have perfect-square radicands (9 and 25), where phi
+    # is an integer and the pair (a, b) is not unique.
+    phi, xi = golden_pair(m)
+    for i in range(8):
+        for j in range(8):
+            assert zphi_to_quadratic(m, pair_power(m, i, j)) == phi**i * xi**j, (i, j)
+
+
+def test_zphi_arithmetic():
+    assert zphi_mul(2, (0, 1), (0, 1)) == (1, 1)  # phi**2 = 1 + phi
+    assert zphi_mul(4, (0, 1), (1, -1)) == (-3, 0)  # phi * xi = -(m-1)
+    assert pair_power(5, 0, 0) == (1, 0)
+    assert zphi_to_quadratic(3, (2, -1)).is_zero  # 2 - phi, phi = 2
+    assert not zphi_to_quadratic(2, (2, -1)).is_zero
+    with pytest.raises(ValueError):
+        pair_power(1, 1, 1)
+    with pytest.raises(ValueError):
+        pair_power(2, -1, 1)
 
 
 def test_ratio_limit_approaches_phi():

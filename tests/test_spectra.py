@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zdspectra.fib import QuadraticNumber, golden_pair
+from zdspectra.fib import QuadraticNumber, golden_pair, pair_power, zphi_to_quadratic
 from zdspectra.graph import SizeCapExceeded, ZeroDivisorGraph, adjacency_matrix
 from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
 from zdspectra.spectra import (
     DEFAULT_DENSE_CAP,
     DEFAULT_TOLERANCES,
+    EXACT_ANNIHILATION_MAX_N,
     AmbiguousClassification,
     CheckResult,
     GraphSource,
@@ -29,9 +30,10 @@ from zdspectra.spectra import (
     verify_main_correspondences,
     verify_spectrum_theorem,
 )
+from zdspectra.spectra import _char_poly, _det_shifted
 
 from conftest import dense_grid
-from oracles import brute_adjacency
+from oracles import brute_adjacency, det_cofactor
 
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -387,34 +389,118 @@ def test_annihilation_irrational_case():
 
 def test_annihilation_order_guard():
     with pytest.raises(ValueError):
-        q_eigen_exact_check(2, 11)
+        q_eigen_exact_check(2, EXACT_ANNIHILATION_MAX_N + 1)
+
+
+def _det_quadratic(rows):
+    """Reference route: determinant over the quadratic field by Gaussian
+    elimination in QuadraticNumber arithmetic."""
+    order = len(rows)
+    rows = [list(row) for row in rows]
+    det = QuadraticNumber(Fraction(1))
+    negate = False
+    for col in range(order):
+        pivot_row = next(
+            (r for r in range(col, order) if not rows[r][col].is_zero), None
+        )
+        if pivot_row is None:
+            return QuadraticNumber(Fraction(0))
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            negate = not negate
+        pivot = rows[col][col]
+        det = det * pivot
+        inv = pivot.inverse()
+        for r in range(col + 1, order):
+            factor = rows[r][col] * inv
+            if factor.is_zero:
+                continue
+            for c in range(col, order):
+                rows[r][c] = rows[r][c] - factor * rows[col][c]
+    return -det if negate else det
+
+
+def _reference_annihilation(entries, m, n):
+    """The checks q_eigen_exact_check makes, by elimination per pair power."""
+    phi, xi = golden_pair(m)
+    checks = []
+    for i in range(1, n):
+        value = phi**i * xi ** (n - i)
+        shifted = [
+            [
+                QuadraticNumber(Fraction(entries[r][c])) + (value if r == c else 0)
+                for c in range(n - 1)
+            ]
+            for r in range(n - 1)
+        ]
+        det = _det_quadratic(shifted)
+        checks.append(
+            CheckResult(
+                f"pair power i={i} annihilates the bipartite quotient",
+                det.is_zero,
+                abs(float(det)),
+                f"det(Q + ({value}) I) = {det}",
+            )
+        )
+    return tuple(checks)
+
+
+def test_annihilation_matches_quadratic_elimination():
+    # Name, pass flag, residual and detail, on the whole exact-sweep grid.
+    for m in range(2, 10):
+        for n in range(2, EXACT_ANNIHILATION_MAX_N + 1):
+            assert q_eigen_exact_check(m, n).checks == _reference_annihilation(
+                build_q(m, n).entries, m, n
+            ), (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (3, 6)])
+def test_annihilation_failure_carries_exact_determinant(monkeypatch, m, n):
+    genuine = build_q(m, n)
+    entries = [list(row) for row in genuine.entries]
+    entries[0][0] += 1
+    doctored = replace(genuine, entries=tuple(tuple(row) for row in entries))
+    monkeypatch.setattr("zdspectra.spectra.build_q", lambda *_: doctored)
+    report = q_eigen_exact_check(m, n)
+    assert not report.passed
+    assert len(report.failures) == n - 1
+    assert report.checks == _reference_annihilation(doctored.entries, m, n)
+    for check in report.checks:
+        assert check.residual > 0
+        assert not check.detail.endswith("= 0")
+    with pytest.raises(NonzeroDeterminant) as info:
+        report.raise_if_failed()
+    assert report.checks[0].detail in str(info.value)
+
+
+def test_characteristic_polynomial_against_determinants():
+    rng = np.random.default_rng(7)
+    for order in range(1, 6):
+        rows = tuple(
+            tuple(int(x) for x in row)
+            for row in rng.integers(-9, 10, size=(order, order))
+        )
+        coeffs = _char_poly(rows)
+        for x in range(-3, 4):
+            shifted = [
+                [(x if r == c else 0) - rows[r][c] for c in range(order)]
+                for r in range(order)
+            ]
+            assert sum(c * x**k for k, c in enumerate(coeffs)) == det_cofactor(shifted)
 
 
 def test_annihilation_is_exact_not_numeric():
-    # The shifted quotient must be singular in field arithmetic; a tiny
-    # perturbation of the eigenvalue must break singularity.
-    from zdspectra.spectra import _det_quadratic
-
-    phi, xi = golden_pair(2)
-    q = build_q(2, 4)
-    value = phi**2 * xi**2
-    shifted = [
-        [
-            QuadraticNumber(Fraction(q.entry(i, j)))
-            + (value if i == j else QuadraticNumber(Fraction(0)))
-            for j in range(1, 4)
-        ]
-        for i in range(1, 4)
-    ]
-    assert _det_quadratic(shifted).is_zero
-    nudged = [
-        [
-            entry + (QuadraticNumber(Fraction(1, 10**6)) if r == c else 0)
-            for c, entry in enumerate(row)
-        ]
-        for r, row in enumerate(shifted)
-    ]
-    assert not _det_quadratic(nudged).is_zero
+    # The shifted quotient is singular in exact Z[phi] arithmetic, while
+    # moving the shift by 1e-6 (scaled to integers: det(10**6 Q +
+    # (10**6 v + 1) I)) must leave a nonzero determinant.
+    m, n, scale = 2, 4, 10**6
+    q = build_q(m, n).entries
+    value = pair_power(m, 2, 2)
+    assert zphi_to_quadratic(m, _det_shifted(m, _char_poly(q), value)).is_zero
+    scaled = tuple(tuple(scale * x for x in row) for row in q)
+    nudged = (scale * value[0] + 1, scale * value[1])
+    det = zphi_to_quadratic(m, _det_shifted(m, _char_poly(scaled), nudged))
+    assert not det.is_zero
 
 
 # === bundles ===
