@@ -1,6 +1,11 @@
 """Command line: quotient rendering, spectral reports, verification
 sweeps, and graph exports.
 
+`report` and `verify` run one check battery per (m, n) cell: each
+quotient is built and its spectrum taken once, and every check is filed
+under the graph it describes ("full" or "bipartite"), the correspondence
+checks by the tag they carry.
+
 Exit statuses: 0 success, 1 check failure, 2 usage error, 3 resource cap
 exceeded.  Identical invocations produce byte-identical output.  The
 default size caps can be overridden with the ZDSPECTRA_SIZE_CAP and
@@ -15,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fib import docagne_residual
 from .graph import (
@@ -32,6 +38,8 @@ from .graph import (
 )
 from .quotient import (
     QuotientKind,
+    QuotientMatrix,
+    WalkMatrix,
     build_p,
     build_q,
     det_walk_formula,
@@ -54,14 +62,13 @@ from .spectra import (
     EigenBundle,
     PredictedSpectrum,
     Tolerances,
-    _match_sorted,
+    _correspondence_checks,
+    _theorem_checks,
     eigen_bundle,
     krylov_rank,
     predicted_spectrum,
     q_eigen_exact_check,
     quotient_eigenvalues,
-    verify_main_correspondences,
-    verify_spectrum_theorem,
 )
 
 SIZE_CAP_ENV = "ZDSPECTRA_SIZE_CAP"
@@ -182,65 +189,93 @@ def _emit(text: str, output: str | None) -> None:
 
 # -- check batteries --------------------------------------------------------
 
+# The two graphs of a cell, in report order.
+ROLES = ("full", "bipartite")
+# Per role: the check-name tag and the subject of the size-cap skip note.
+_ROLE_NAMES = {
+    "full": ("full graph", "all graph-level checks"),
+    "bipartite": ("bipartite subgraph", "all subgraph-level checks"),
+}
 
-def _quotient_checks(m: int, n: int, kind: QuotientKind, gap: float) -> list[CheckResult]:
-    """Exact-arithmetic checks for one quotient kind."""
-    quotient = build_p(m, n) if kind is QuotientKind.P else build_q(m, n)
-    tag = kind.value
-    checks = []
 
-    if kind is QuotientKind.P:
+@dataclass(frozen=True)
+class WalkRoutes:
+    """A quotient's walk matrix by iteration and by closed form, its exact
+    rank, and its determinant by elimination and by factorization."""
+
+    walk: WalkMatrix
+    closed: WalkMatrix
+    rank: int
+    det_elimination: Fraction | int
+    det_factorization: Fraction
+
+    @property
+    def walk_match(self) -> bool:
+        return self.closed.entries == self.walk.entries
+
+    @property
+    def det_match(self) -> bool:
+        return self.det_elimination == self.det_factorization
+
+
+def _walk_routes(quotient: QuotientMatrix) -> WalkRoutes:
+    m, n, kind = quotient.m, quotient.n, quotient.kind
+    walk = walk_matrix_iterative(quotient)
+    closed_of = walk_matrix_closed_p if kind is QuotientKind.P else walk_matrix_closed_q
+    return WalkRoutes(
+        walk, closed_of(m, n), exact_rank(walk), exact_det(walk),
+        det_walk_formula(m, n, kind),
+    )
+
+
+def _quotient_checks(
+    quotient: QuotientMatrix, values: tuple[float, ...], gap: float
+) -> list[CheckResult]:
+    """Exact-arithmetic checks for one quotient, given its eigenvalues."""
+    m, n, tag = quotient.m, quotient.n, quotient.kind.value
+    if quotient.kind is QuotientKind.P:
         law = tuple(m**i - 1 for i in range(1, n))
     else:
         law = tuple((m - 1) * m ** (i - 1) for i in range(1, n))
     sums = quotient.row_sums()
-    checks.append(
+    routes = _walk_routes(quotient)
+    spacing = min(
+        (b - a for a, b in zip(values, values[1:])),
+        default=math.inf,
+    )
+    return [
         CheckResult(
             f"row sums follow the degree law ({tag})",
             sums == law,
             None,
             f"row sums {sums}",
-        )
-    )
-
-    walk = walk_matrix_iterative(quotient)
-    closed_of = walk_matrix_closed_p if kind is QuotientKind.P else walk_matrix_closed_q
-    routes_agree = closed_of(m, n).entries == walk.entries
-    detail = "" if routes_agree else "closed and iterative walk matrices differ"
-    checks.append(CheckResult(f"walk routes agree ({tag})", routes_agree, None, detail))
-
-    rank = exact_rank(walk)
-    checks.append(
+        ),
         CheckResult(
-            f"walk rank equals n-1 ({tag})", rank == n - 1, None, f"rank {rank}"
-        )
-    )
-
-    det_elimination = exact_det(walk)
-    det_factorization = det_walk_formula(m, n, kind)
-    checks.append(
+            f"walk routes agree ({tag})",
+            routes.walk_match,
+            None,
+            "" if routes.walk_match else "closed and iterative walk matrices differ",
+        ),
+        CheckResult(
+            f"walk rank equals n-1 ({tag})",
+            routes.rank == n - 1,
+            None,
+            f"rank {routes.rank}",
+        ),
         CheckResult(
             f"determinant routes agree ({tag})",
-            det_elimination == det_factorization,
+            routes.det_match,
             None,
-            f"elimination {det_elimination}, factorization {det_factorization}",
-        )
-    )
-
-    values = quotient_eigenvalues(quotient)
-    spacing = min(
-        (b - a for a, b in zip(values, values[1:])),
-        default=math.inf,
-    )
-    checks.append(
+            f"elimination {routes.det_elimination}, "
+            f"factorization {routes.det_factorization}",
+        ),
         CheckResult(
             f"quotient eigenvalues pairwise separated ({tag})",
             spacing > gap,
             None,
             f"min spacing {spacing:.6g} vs grouping gap {gap:.6g}",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def _recurrence_checks(m: int) -> list[CheckResult]:
@@ -284,211 +319,135 @@ def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
     return checks
 
 
-def _krylov_check(graph_obj, tag: str) -> CheckResult:
-    rank = krylov_rank(graph_obj)
-    want = graph_obj.n - 1
-    return CheckResult(
-        f"exact Krylov rank equals n-1 ({tag})",
-        rank == want,
-        None,
-        f"rank {rank} vs {want}",
+def _graph_checks(
+    role: str,
+    quotient: QuotientMatrix,
+    config: RunConfig,
+    checks: list[CheckResult],
+    skipped: list[str],
+) -> EigenBundle | None:
+    """Graph-level work for one role, appended to `checks` and `skipped`:
+    nothing above the size cap; else the structure checks, then the dense
+    eigen bundle (returned), or the exact Krylov rank above the dense cap.
+    """
+    m, n = quotient.m, quotient.n
+    tag, everything = _ROLE_NAMES[role]
+    # looked up at call time, so a rebinding of the module name takes effect
+    build = build_graph if role == "full" else build_bipartite
+    count = vertex_count(m, n, role)
+    if count > config.size_cap:
+        skipped.append(
+            f"{everything}: vertex count {count} exceeds size cap {config.size_cap}"
+        )
+        return None
+    graph_obj = build(m, n, size_cap=config.size_cap)
+    checks += _structure_checks(graph_obj, quotient, tag)
+    if count <= config.dense_cap:
+        return eigen_bundle(graph_obj, config.tolerances)
+    skipped.append(
+        f"dense spectrum checks: vertex count {count} "
+        f"exceeds dense cap {config.dense_cap}"
     )
-
-
-def _partial_bipartite_checks(
-    bundle: EigenBundle, m: int, n: int, tolerance: float
-) -> list[CheckResult]:
-    """Subgraph-side correspondences when the full graph is too dense."""
-    q_spectrum = list(quotient_eigenvalues(build_q(m, n)))
-    main_values = list(bundle.report.main_values())
-    ok, residual = _match_sorted(q_spectrum, main_values, tolerance)
-    rank = krylov_rank(bundle.graph, max_cols=len(bundle.report.groups) + 1)
-    return [
+    rank = krylov_rank(graph_obj)
+    checks.append(
         CheckResult(
-            "subgraph main eigenvalues equal the bipartite quotient spectrum",
-            ok,
-            residual,
-            f"{len(main_values)} main vs {len(q_spectrum)} predicted",
-        ),
-        CheckResult(
-            "subgraph main count equals n-1",
-            len(main_values) == n - 1,
+            f"exact Krylov rank equals n-1 ({tag})",
+            rank == n - 1,
             None,
-            f"{len(main_values)} vs {n - 1}",
-        ),
-        CheckResult(
-            "exact Krylov rank of the subgraph equals its main count",
-            rank == len(main_values),
-            None,
-            f"rank {rank}",
-        ),
-    ]
+            f"rank {rank} vs {n - 1}",
+        )
+    )
+    return None
 
 
 @dataclass
 class Battery:
-    """All checks for one (m, n), split by the graph they describe."""
+    """All checks for one (m, n), keyed by the role of the graph they
+    describe ("full" or "bipartite")."""
 
     m: int
     n: int
     prediction: PredictedSpectrum
     q_spectrum: tuple[float, ...]
-    full_checks: list[CheckResult]
-    bip_checks: list[CheckResult]
-    full_skipped: list[str]
-    bip_skipped: list[str]
-    full_bundle: EigenBundle | None
-    bip_bundle: EigenBundle | None
+    checks: dict[str, list[CheckResult]]
+    skipped: dict[str, list[str]]
+    bundles: dict[str, EigenBundle | None]
     capped: bool
 
     @property
     def failures(self) -> list[tuple[str, CheckResult]]:
-        bad = [("full", c) for c in self.full_checks if not c.passed]
-        bad += [("bipartite", c) for c in self.bip_checks if not c.passed]
-        return bad
+        return [
+            (role, c) for role in ROLES for c in self.checks[role] if not c.passed
+        ]
 
 
 def run_battery(m: int, n: int, config: RunConfig) -> Battery:
-    """Run every check that fits under the caps for one parameter cell."""
-    tol = config.tolerances
-    prediction = predicted_spectrum(m, n)
-    q_spectrum = quotient_eigenvalues(build_q(m, n))
-    count_full = vertex_count(m, n, "full")
-    count_bip = vertex_count(m, n, "bipartite")
+    """Run every check that fits under the caps for one parameter cell.
 
-    full_checks = _quotient_checks(m, n, QuotientKind.P, tol.grouping_gap)
-    bip_checks = _quotient_checks(m, n, QuotientKind.Q, tol.grouping_gap)
-    full_skipped: list[str] = []
-    bip_skipped: list[str] = []
+    Each quotient is built once and its spectrum computed once (P's is the
+    prediction's); the checks that compare graphs with quotients reuse them.
+    """
+    prediction = predicted_spectrum(m, n)
+    quotients = {"full": build_p(m, n), "bipartite": build_q(m, n)}
+    q_spectrum = quotient_eigenvalues(quotients["bipartite"])
+    values = {"full": prediction.p_eigenvalues, "bipartite": q_spectrum}
+    gap = config.tolerances.grouping_gap
+    checks = {
+        role: _quotient_checks(quotients[role], values[role], gap) for role in ROLES
+    }
+    skipped: dict[str, list[str]] = {role: [] for role in ROLES}
 
     if n <= EXACT_ANNIHILATION_MAX_N:
-        bip_checks += list(q_eigen_exact_check(m, n).checks)
+        checks["bipartite"] += q_eigen_exact_check(m, n).checks
     else:
-        bip_skipped.append(
+        skipped["bipartite"].append(
             f"exact annihilation: n={n} beyond the exact bound {EXACT_ANNIHILATION_MAX_N}"
         )
 
-    capped = count_full > config.size_cap
-    full_bundle = bip_bundle = None
-
-    if capped:
-        full_skipped.append(
-            f"all graph-level checks: vertex count {count_full} "
-            f"exceeds size cap {config.size_cap}"
-        )
-    else:
-        graph_full = build_graph(m, n, size_cap=config.size_cap)
-        full_checks += _structure_checks(graph_full, build_p(m, n), "full graph")
-        if count_full > config.dense_cap:
-            full_skipped.append(
-                f"dense spectrum checks: vertex count {count_full} "
-                f"exceeds dense cap {config.dense_cap}"
-            )
-            full_checks.append(_krylov_check(graph_full, "full graph"))
-        else:
-            full_bundle = eigen_bundle(graph_full, tol)
-            theorem = verify_spectrum_theorem(
-                m, n, config.tolerance, tolerances=tol, bundle=full_bundle
-            )
-            full_checks += list(theorem.checks)
-
-    if count_bip > config.size_cap:
-        bip_skipped.append(
-            f"all subgraph-level checks: vertex count {count_bip} "
-            f"exceeds size cap {config.size_cap}"
-        )
-    else:
-        graph_bip = build_bipartite(m, n, size_cap=config.size_cap)
-        bip_checks += _structure_checks(graph_bip, build_q(m, n), "bipartite subgraph")
-        if count_bip > config.dense_cap:
-            bip_skipped.append(
-                f"dense spectrum checks: vertex count {count_bip} "
-                f"exceeds dense cap {config.dense_cap}"
-            )
-            bip_checks.append(_krylov_check(graph_bip, "bipartite subgraph"))
-        else:
-            bip_bundle = eigen_bundle(graph_bip, tol)
-
-    if full_bundle is not None and bip_bundle is not None:
-        correspondences = verify_main_correspondences(
-            m,
-            n,
+    bundles = {
+        role: _graph_checks(role, quotients[role], config, checks[role], skipped[role])
+        for role in ROLES
+    }
+    if bundles["full"] is not None:
+        checks["full"] += _theorem_checks(prediction, bundles["full"], config.tolerance)
+    if bundles["bipartite"] is not None:
+        for role, check in _correspondence_checks(
+            prediction, q_spectrum, bundles["full"], bundles["bipartite"],
             config.tolerance,
-            tolerances=tol,
-            full_bundle=full_bundle,
-            bipartite_bundle=bip_bundle,
-        )
-        # fixed order: P match, Q match, negation, counts, two Krylov ranks
-        cc = correspondences.checks
-        full_checks += [cc[0], cc[4]]
-        bip_checks += [cc[1], cc[2], cc[3], cc[5]]
-    elif bip_bundle is not None:
-        bip_checks += _partial_bipartite_checks(bip_bundle, m, n, config.tolerance)
+        ):
+            checks[role].append(check)
 
-    return Battery(
-        m,
-        n,
-        prediction,
-        q_spectrum,
-        full_checks,
-        bip_checks,
-        full_skipped,
-        bip_skipped,
-        full_bundle,
-        bip_bundle,
-        capped,
-    )
+    capped = vertex_count(m, n, "full") > config.size_cap
+    return Battery(m, n, prediction, q_spectrum, checks, skipped, bundles, capped)
 
 
 # -- report assembly --------------------------------------------------------
 
 
-def _graph_entry(
-    battery: Battery,
-    role: str,
-    vertex_count: int,
-    predicted: dict,
-    checks: list[CheckResult],
-    skipped: list[str],
-    bundle: EigenBundle | None,
-) -> dict:
+def _graph_entry(battery: Battery, role: str, predicted: dict) -> dict:
+    bundle = battery.bundles[role]
     entry = {
         "m": battery.m,
         "n": battery.n,
         "graph": role,
-        "vertices": json_safe_int(vertex_count),
+        "vertices": json_safe_int(vertex_count(battery.m, battery.n, role)),
         "eigenvalues": bundle.report.eigenvalue_json_entries() if bundle else [],
         "predicted": predicted,
-        "checks": [c.json_entry() for c in checks],
+        "checks": [c.json_entry() for c in battery.checks[role]],
     }
-    if skipped:
-        entry["skipped"] = list(skipped)
+    if battery.skipped[role]:
+        entry["skipped"] = list(battery.skipped[role])
     return entry
 
 
 def assemble_report(m: int, n: int, config: RunConfig) -> tuple[list[dict], Battery]:
     battery = run_battery(m, n, config)
-    count_full = vertex_count(m, n, "full")
-    count_bip = vertex_count(m, n, "bipartite")
-    full_entry = _graph_entry(
-        battery,
-        "full",
-        count_full,
-        battery.prediction.json_entries(),
-        battery.full_checks,
-        battery.full_skipped,
-        battery.full_bundle,
-    )
-    bip_entry = _graph_entry(
-        battery,
-        "bipartite",
-        count_bip,
-        {"main_eigenvalues": list(battery.q_spectrum), "main_count": n - 1},
-        battery.bip_checks,
-        battery.bip_skipped,
-        battery.bip_bundle,
-    )
-    return [full_entry, bip_entry], battery
+    predicted = {
+        "full": battery.prediction.json_entries(),
+        "bipartite": {"main_eigenvalues": list(battery.q_spectrum), "main_count": n - 1},
+    }
+    entries = [_graph_entry(battery, role, predicted[role]) for role in ROLES]
+    return entries, battery
 
 
 def _report_text(entries: list[dict]) -> str:
@@ -520,14 +479,7 @@ def _cmd_quotient(args, parser) -> int:
     kind = QuotientKind.P if args.kind == "p" else QuotientKind.Q
     m, n = args.m, args.n
     quotient = build_p(m, n) if kind is QuotientKind.P else build_q(m, n)
-    walk = walk_matrix_iterative(quotient)
-    closed_of = walk_matrix_closed_p if kind is QuotientKind.P else walk_matrix_closed_q
-    closed = closed_of(m, n)
-    walk_match = closed.entries == walk.entries
-    rank = exact_rank(walk)
-    det_elimination = exact_det(walk)
-    det_factorization = det_walk_formula(m, n, kind)
-    det_match = det_elimination == det_factorization
+    routes = _walk_routes(quotient)
 
     if args.format == "csv":
         text = matrix_to_csv(quotient)
@@ -538,13 +490,13 @@ def _cmd_quotient(args, parser) -> int:
             "n": n,
             "matrix": matrix_json_entries(quotient),
             "row_sums": [str(x) for x in quotient.row_sums()],
-            "walk_iterative": matrix_json_entries(walk),
-            "walk_closed": matrix_json_entries(closed),
-            "walk_match": walk_match,
-            "rank": rank,
-            "det_elimination": str(det_elimination),
-            "det_factorization": str(det_factorization),
-            "det_match": det_match,
+            "walk_iterative": matrix_json_entries(routes.walk),
+            "walk_closed": matrix_json_entries(routes.closed),
+            "walk_match": routes.walk_match,
+            "rank": routes.rank,
+            "det_elimination": str(routes.det_elimination),
+            "det_factorization": str(routes.det_factorization),
+            "det_match": routes.det_match,
         }
         if kind is QuotientKind.P:
             payload["h_coefficients"] = [str(h) for h in h_coefficients(m, n)]
@@ -559,29 +511,29 @@ def _cmd_quotient(args, parser) -> int:
         lines = [f"quotient {kind.value} (m={m}, n={n})"]
         lines += block("matrix", quotient.entries)
         lines.append(f"row sums: {' '.join(str(x) for x in quotient.row_sums())}")
-        lines += block("walk matrix (iterative)", walk.entries)
-        if walk_match:
+        lines += block("walk matrix (iterative)", routes.walk.entries)
+        if routes.walk_match:
             lines.append("walk matrix (closed form): identical")
         else:
-            lines += block("walk matrix (closed form)", closed.entries)
+            lines += block("walk matrix (closed form)", routes.closed.entries)
         if kind is QuotientKind.P:
             lines.append(
                 "h coefficients: "
                 + " ".join(str(h) for h in h_coefficients(m, n))
             )
-        lines.append(f"rank: {rank}")
-        lines.append(f"determinant (elimination): {det_elimination}")
-        lines.append(f"determinant (factorization): {det_factorization}")
+        lines.append(f"rank: {routes.rank}")
+        lines.append(f"determinant (elimination): {routes.det_elimination}")
+        lines.append(f"determinant (factorization): {routes.det_factorization}")
         lines.append(
             "cross-checks: "
-            + ("walk routes match" if walk_match else "WALK ROUTES DIFFER")
+            + ("walk routes match" if routes.walk_match else "WALK ROUTES DIFFER")
             + ", "
-            + ("determinants match" if det_match else "DETERMINANTS DIFFER")
+            + ("determinants match" if routes.det_match else "DETERMINANTS DIFFER")
         )
         text = "\n".join(lines) + "\n"
 
     _emit(text, args.output)
-    return 0 if walk_match and det_match else 1
+    return 0 if routes.walk_match and routes.det_match else 1
 
 
 def _cmd_report(args, parser) -> int:
@@ -618,11 +570,11 @@ def _cmd_verify(args, parser) -> int:
     for m in range(m_lo, m_hi + 1):
         for n in range(n_lo, n_hi + 1):
             battery = run_battery(m, n, config)
-            checks = (
-                _recurrence_checks(m) + battery.full_checks + battery.bip_checks
-            )
+            checks = _recurrence_checks(m) + [
+                c for role in ROLES for c in battery.checks[role]
+            ]
             failed = [c for c in checks if not c.passed]
-            skipped = battery.full_skipped + battery.bip_skipped
+            skipped = [note for role in ROLES for note in battery.skipped[role]]
             total += len(checks)
             rows.append(
                 (m, n, len(checks), len(failed), len(skipped),

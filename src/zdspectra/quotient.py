@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .fib import FibSequence, check_params
 
 __all__ = [
@@ -293,13 +295,8 @@ def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
 def _extract_rows(matrix: object) -> list[list[Fraction | int]]:
     if hasattr(matrix, "entries"):
         matrix = matrix.entries  # QuotientMatrix / WalkMatrix convenience
-    try:
-        import numpy as np
-
-        if isinstance(matrix, np.ndarray):
-            matrix = matrix.tolist()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(matrix, np.ndarray):
+        matrix = matrix.tolist()
     rows = [list(row) for row in matrix]
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix must be non-empty and rectangular")
@@ -319,16 +316,22 @@ def _extract_rows(matrix: object) -> list[list[Fraction | int]]:
     return out
 
 
-def _integer_rows(rows: list[list[Fraction | int]]) -> list[list[int]]:
-    """Clear denominators row by row (rank is unchanged by row scaling)."""
+def _clear_denominators(
+    rows: list[list[Fraction | int]],
+) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators.  Returns the integer
+    rows and the product of the row scales (rank is unchanged by row
+    scaling; a determinant is multiplied by that product)."""
     cleared = []
+    total = 1
     for row in rows:
         scale = 1
         for x in row:
             if isinstance(x, Fraction):
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
+                scale = math.lcm(scale, x.denominator)
+        total *= scale
         cleared.append([int(x * scale) for x in row])
-    return cleared
+    return cleared, total
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, bool]:
@@ -384,7 +387,7 @@ def exact_rank(matrix: object) -> int:
     Accepts any rectangular matrix of integers or fractions (or an
     object carrying `.entries`).
     """
-    rows = _integer_rows(_extract_rows(matrix))
+    rows, _ = _clear_denominators(_extract_rows(matrix))
     rank, _, _ = _bareiss(rows)
     return rank
 
@@ -394,19 +397,11 @@ def exact_det(matrix: object) -> Fraction | int:
     rows = _extract_rows(matrix)
     if len(rows) != len(rows[0]):
         raise ValueError("determinant requires a square matrix")
-    scale = Fraction(1)
-    cleared = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale *= lcm
-        cleared.append([int(x * lcm) for x in row])
+    cleared, scale = _clear_denominators(rows)
     rank, signed_pivot, _ = _bareiss(cleared)
     if rank < len(cleared):
         return 0
-    det = Fraction(signed_pivot) / scale
+    det = Fraction(signed_pivot, scale)
     return int(det) if det.denominator == 1 else det
 
 

@@ -14,6 +14,11 @@ in integer Z[phi] arithmetic on the quotient's integer characteristic
 polynomial.  A graph's Krylov rank is computed on its support
 lattice (one entry per support, see graph.disjoint_sums), so it never
 forms the adjacency matrix; only the dense eigensolve does.
+
+The spectrum-theorem and correspondence checks each live in one helper
+that takes precomputed predictions and bundles (the command-line battery
+calls them directly); the verify_* functions wrap them for callers that
+start from (m, n).
 """
 
 from __future__ import annotations
@@ -459,42 +464,27 @@ def eigen_bundle(graph: object, tolerances: Tolerances | None = None) -> EigenBu
 def _dense_graph_bundle(
     m: int,
     n: int,
-    count: int,
-    what: str,
-    build,
+    role: str,
     tolerances: Tolerances | None,
     size_cap: int,
     dense_cap: int,
 ) -> EigenBundle:
+    build, what = (
+        (build_graph, "graph") if role == "full"
+        else (build_bipartite, "two-sided subgraph")
+    )
+    count = vertex_count(m, n, role)
     if count > dense_cap:
-        raise SizeCapExceeded(f"dense spectrum of the {what}", count, dense_cap)
+        raise SizeCapExceeded(
+            f"dense spectrum of the {what} for m={m}, n={n}", count, dense_cap
+        )
     return eigen_bundle(build(m, n, size_cap=size_cap), tolerances)
 
 
-def verify_spectrum_theorem(
-    m: int,
-    n: int,
-    tolerance: float = 1e-8,
-    *,
-    tolerances: Tolerances | None = None,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    bundle: EigenBundle | None = None,
-) -> VerificationReport:
-    """Compare the computed full-graph spectrum with its prediction.
-
-    Every predicted eigenvalue must match a computed group within
-    `tolerance`, with exactly the predicted multiplicity.  Returns a
-    report with one check per eigenvalue; `raise_if_failed` raises
-    SpectrumMismatch.
-    """
-    prediction = predicted_spectrum(m, n)
-    if bundle is None:
-        count = vertex_count(m, n, "full")
-        bundle = _dense_graph_bundle(
-            m, n, count, f"graph for m={m}, n={n}",
-            build_graph, tolerances, size_cap, dense_cap,
-        )
+def _theorem_checks(
+    prediction: PredictedSpectrum, bundle: EigenBundle, tolerance: float
+) -> list[CheckResult]:
+    """One check on the distinct count, then one per predicted eigenvalue."""
     predicted_items = prediction.multiset()
     spacing = min(
         (b - a for (a, _), (b, _) in zip(predicted_items, predicted_items[1:])),
@@ -525,8 +515,33 @@ def verify_spectrum_theorem(
                     f"computed {cv:.12g} x{cm}",
                 )
             )
+    return checks
+
+
+def verify_spectrum_theorem(
+    m: int,
+    n: int,
+    tolerance: float = 1e-8,
+    *,
+    tolerances: Tolerances | None = None,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    dense_cap: int = DEFAULT_DENSE_CAP,
+    bundle: EigenBundle | None = None,
+) -> VerificationReport:
+    """Compare the computed full-graph spectrum with its prediction.
+
+    Every predicted eigenvalue must match a computed group within
+    `tolerance`, with exactly the predicted multiplicity.  Returns a
+    report with one check per eigenvalue; `raise_if_failed` raises
+    SpectrumMismatch.
+    """
+    prediction = predicted_spectrum(m, n)
+    if bundle is None:
+        bundle = _dense_graph_bundle(m, n, "full", tolerances, size_cap, dense_cap)
     return VerificationReport(
-        f"spectrum of the full graph (m={m}, n={n})", tuple(checks), SpectrumMismatch
+        f"spectrum of the full graph (m={m}, n={n})",
+        tuple(_theorem_checks(prediction, bundle, tolerance)),
+        SpectrumMismatch,
     )
 
 
@@ -542,6 +557,89 @@ def _match_sorted(
         default=0.0,
     )
     return residual <= tolerance, residual
+
+
+def _krylov_main_check(bundle: EigenBundle, what: str) -> CheckResult:
+    main = len(bundle.report.main_values())
+    rank = krylov_rank(bundle.graph, max_cols=len(bundle.report.groups) + 1)
+    return CheckResult(
+        f"exact Krylov rank of the {what} equals its main count",
+        rank == main,
+        None,
+        f"rank {rank} vs {main} main",
+    )
+
+
+def _correspondence_checks(
+    prediction: PredictedSpectrum,
+    q_spectrum: tuple[float, ...],
+    full_bundle: EigenBundle | None,
+    bipartite_bundle: EigenBundle,
+    tolerance: float,
+) -> list[tuple[str, CheckResult]]:
+    """The main-eigenvalue correspondences, each tagged with the graph
+    ("full" or "bipartite") whose report carries it.
+
+    With both bundles: P match (full), Q match, negation, main counts
+    (bipartite), then the Krylov ranks of the graph (full) and of the
+    subgraph (bipartite).  Without the full-graph bundle only the
+    subgraph's three checks remain: Q match, its main count, its rank.
+    """
+    n = prediction.n
+    main_bip = list(bipartite_bundle.report.main_values())
+    ok, res = _match_sorted(list(q_spectrum), main_bip, tolerance)
+    q_match = CheckResult(
+        "subgraph main eigenvalues equal the bipartite quotient spectrum",
+        ok,
+        res,
+        f"{len(main_bip)} main vs {len(q_spectrum)} predicted",
+    )
+    rank_bip = _krylov_main_check(bipartite_bundle, "subgraph")
+    if full_bundle is None:
+        count_bip = CheckResult(
+            "subgraph main count equals n-1",
+            len(main_bip) == n - 1,
+            None,
+            f"{len(main_bip)} vs {n - 1}",
+        )
+        return [("bipartite", q_match), ("bipartite", count_bip), ("bipartite", rank_bip)]
+
+    main_full = list(full_bundle.report.main_values())
+    p_spectrum = list(prediction.p_eigenvalues)
+    ok, res = _match_sorted(p_spectrum, main_full, tolerance)
+    p_match = CheckResult(
+        "main eigenvalues equal the full quotient spectrum",
+        ok,
+        res,
+        f"{len(main_full)} main vs {len(p_spectrum)} predicted",
+    )
+    nonmain = [g for g in full_bundle.report.groups if not g.is_main]
+    if prediction.zero_multiplicity and nonmain:
+        zero_group = min(nonmain, key=lambda g: abs(g.value))
+        nonmain = [g for g in nonmain if g is not zero_group]
+    ok, res = _match_sorted(
+        [-v for v in main_bip], [g.value for g in nonmain], tolerance
+    )
+    negation = CheckResult(
+        "nonzero non-main values equal the negated subgraph mains",
+        ok,
+        res,
+        f"{len(nonmain)} non-main vs {len(main_bip)} negated mains",
+    )
+    counts = CheckResult(
+        "main counts equal n-1 on both graphs",
+        len(main_full) == n - 1 == len(main_bip),
+        None,
+        f"full {len(main_full)}, subgraph {len(main_bip)}, n-1 = {n - 1}",
+    )
+    return [
+        ("full", p_match),
+        ("bipartite", q_match),
+        ("bipartite", negation),
+        ("bipartite", counts),
+        ("full", _krylov_main_check(full_bundle, "graph")),
+        ("bipartite", rank_bip),
+    ]
 
 
 def verify_main_correspondences(
@@ -563,90 +661,21 @@ def verify_main_correspondences(
     and both main counts equal n-1 and the exact Krylov ranks.
     """
     if full_bundle is None:
-        count = vertex_count(m, n, "full")
-        full_bundle = _dense_graph_bundle(
-            m, n, count, f"graph for m={m}, n={n}",
-            build_graph, tolerances, size_cap, dense_cap,
-        )
+        full_bundle = _dense_graph_bundle(m, n, "full", tolerances, size_cap, dense_cap)
     if bipartite_bundle is None:
-        count = vertex_count(m, n, "bipartite")
         bipartite_bundle = _dense_graph_bundle(
-            m, n, count, f"two-sided subgraph for m={m}, n={n}",
-            build_bipartite, tolerances, size_cap, dense_cap,
+            m, n, "bipartite", tolerances, size_cap, dense_cap
         )
-    prediction = predicted_spectrum(m, n)
-    p_spectrum = list(quotient_eigenvalues(build_p(m, n)))
-    q_spectrum = list(quotient_eigenvalues(build_q(m, n)))
-    main_full = list(full_bundle.report.main_values())
-    main_bip = list(bipartite_bundle.report.main_values())
-
-    checks = []
-    ok, res = _match_sorted(p_spectrum, main_full, tolerance)
-    checks.append(
-        CheckResult(
-            "main eigenvalues equal the full quotient spectrum",
-            ok,
-            res,
-            f"{len(main_full)} main vs {len(p_spectrum)} predicted",
-        )
-    )
-    ok, res = _match_sorted(q_spectrum, main_bip, tolerance)
-    checks.append(
-        CheckResult(
-            "subgraph main eigenvalues equal the bipartite quotient spectrum",
-            ok,
-            res,
-            f"{len(main_bip)} main vs {len(q_spectrum)} predicted",
-        )
-    )
-    nonmain = [
-        g for g in full_bundle.report.groups if not g.is_main
-    ]
-    if prediction.zero_multiplicity and nonmain:
-        zero_group = min(nonmain, key=lambda g: abs(g.value))
-        nonmain = [g for g in nonmain if g is not zero_group]
-    ok, res = _match_sorted(
-        [-v for v in main_bip], [g.value for g in nonmain], tolerance
-    )
-    checks.append(
-        CheckResult(
-            "nonzero non-main values equal the negated subgraph mains",
-            ok,
-            res,
-            f"{len(nonmain)} non-main vs {len(main_bip)} negated mains",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "main counts equal n-1 on both graphs",
-            len(main_full) == n - 1 == len(main_bip),
-            None,
-            f"full {len(main_full)}, subgraph {len(main_bip)}, n-1 = {n - 1}",
-        )
-    )
-    distinct_full = len(full_bundle.report.groups)
-    rank_full = krylov_rank(full_bundle.graph, max_cols=distinct_full + 1)
-    checks.append(
-        CheckResult(
-            "exact Krylov rank of the graph equals its main count",
-            rank_full == len(main_full),
-            None,
-            f"rank {rank_full} vs {len(main_full)} main",
-        )
-    )
-    distinct_bip = len(bipartite_bundle.report.groups)
-    rank_bip = krylov_rank(bipartite_bundle.graph, max_cols=distinct_bip + 1)
-    checks.append(
-        CheckResult(
-            "exact Krylov rank of the subgraph equals its main count",
-            rank_bip == len(main_bip),
-            None,
-            f"rank {rank_bip} vs {len(main_bip)} main",
-        )
+    checks = _correspondence_checks(
+        predicted_spectrum(m, n),
+        quotient_eigenvalues(build_q(m, n)),
+        full_bundle,
+        bipartite_bundle,
+        tolerance,
     )
     return VerificationReport(
         f"main-eigenvalue correspondences (m={m}, n={n})",
-        tuple(checks),
+        tuple(check for _, check in checks),
         SpectrumMismatch,
     )
 

@@ -141,6 +141,84 @@ def test_report_dense_cap_skips_eigen_work(capsys):
     assert any("Krylov" in c["name"] for c in full["checks"])
 
 
+_QUOTIENT_CHECKS = [
+    "row sums follow the degree law ({})",
+    "walk routes agree ({})",
+    "walk rank equals n-1 ({})",
+    "determinant routes agree ({})",
+    "quotient eigenvalues pairwise separated ({})",
+]
+_STRUCTURE_CHECKS = [
+    "cell sizes follow the closed form ({})",
+    "empirical quotient equals the closed form ({})",
+]
+_ANNIHILATION_M2_N5 = [
+    f"pair power i={i} annihilates the bipartite quotient" for i in (1, 2, 3, 4)
+]
+_FULL_PREFIX = [s.format("P") for s in _QUOTIENT_CHECKS] + [
+    s.format("full graph") for s in _STRUCTURE_CHECKS
+]
+_BIP_PREFIX = (
+    [s.format("Q") for s in _QUOTIENT_CHECKS]
+    + _ANNIHILATION_M2_N5
+    + [s.format("bipartite subgraph") for s in _STRUCTURE_CHECKS]
+)
+_FULL_SPECTRUM_M2_N5 = ["distinct eigenvalue count"] + [
+    f"eigenvalue {value} x{mult}"
+    for value, mult in (
+        ("-4.2360679775", 4), ("-2.09972762926", 1), ("-0.61803398875", 9),
+        ("-0.114443723705", 1), ("0.2360679775", 4), ("0.476252246276", 1),
+        ("1.61803398875", 9), ("8.73791910668", 1),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "dense_cap, full_names, bip_names",
+    [
+        pytest.param(
+            None,
+            _FULL_PREFIX + _FULL_SPECTRUM_M2_N5 + [
+                "main eigenvalues equal the full quotient spectrum",
+                "exact Krylov rank of the graph equals its main count",
+            ],
+            _BIP_PREFIX + [
+                "subgraph main eigenvalues equal the bipartite quotient spectrum",
+                "nonzero non-main values equal the negated subgraph mains",
+                "main counts equal n-1 on both graphs",
+                "exact Krylov rank of the subgraph equals its main count",
+            ],
+            id="both-dense",
+        ),
+        pytest.param(
+            "20",  # 30 full-graph vertices, 16 subgraph vertices
+            _FULL_PREFIX + ["exact Krylov rank equals n-1 (full graph)"],
+            _BIP_PREFIX + [
+                "subgraph main eigenvalues equal the bipartite quotient spectrum",
+                "subgraph main count equals n-1",
+                "exact Krylov rank of the subgraph equals its main count",
+            ],
+            id="subgraph-dense",
+        ),
+        pytest.param(
+            "1",
+            _FULL_PREFIX + ["exact Krylov rank equals n-1 (full graph)"],
+            _BIP_PREFIX + ["exact Krylov rank equals n-1 (bipartite subgraph)"],
+            id="neither-dense",
+        ),
+    ],
+)
+def test_report_places_each_check_in_its_graph(capsys, dense_cap, full_names, bip_names):
+    argv = ["report", "--m", "2", "--n", "5"]
+    if dense_cap is not None:
+        argv += ["--dense-cap", dense_cap]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    full, bip = json.loads(out)
+    assert [c["name"] for c in full["checks"]] == full_names
+    assert [c["name"] for c in bip["checks"]] == bip_names
+
+
 def test_report_bad_env_value_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("ZDSPECTRA_DENSE_CAP", "many")
     with pytest.raises(SystemExit) as info:

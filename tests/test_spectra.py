@@ -326,8 +326,8 @@ def test_spectrum_theorem_respects_caps():
 
 
 def test_correspondence_check_names_are_stable(bundles):
-    # The CLI distributes these checks by position, so the order is a
-    # contract, not an accident.
+    # The names and their order are the contract of this report, which
+    # callers read check by check.
     report = verify_main_correspondences(
         2, 4,
         full_bundle=bundles(2, 4),
