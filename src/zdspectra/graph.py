@@ -10,6 +10,14 @@ of either graph by zero-coordinate count, and empirical quotients of
 that partition.  Supports are stored as single machine words, so n is
 capped at 63.
 
+A graph stores its vertex set as arrays: an (N, n) coordinate array in
+vertex order and the uint64 support bitmask of each row.  It is built
+one support class at a time, since the (m-1)**|S| tuples with support S
+spell the numbers below (m-1)**|S| in base m-1 on the positions of S,
+and sorted once; the m**n tuples that are not vertices are never
+visited.  `vertices` makes a VertexTuple only for the index it is asked
+for.
+
 Vertices with the same support have the same neighbours, so sums over
 neighbourhoods run on the lattice of the 2**n supports instead of the
 vertex set: `disjoint_sums` adds up a per-support table over every
@@ -22,11 +30,9 @@ pairs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
 from math import comb
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,31 +121,69 @@ class VertexTuple:
         return sep.join(str(c) for c in self.coords)
 
 
-def _make_vertex(coords: tuple[int, ...]) -> VertexTuple:
-    support = 0
-    for i, c in enumerate(coords):
-        if c != 0:
-            support |= 1 << i
-    return VertexTuple(coords, support)
+def _support_bits(coords: np.ndarray) -> np.ndarray:
+    """Support bitmask of each row of an (N, n) coordinate array, as uint64."""
+    weights = np.left_shift(np.uint64(1), np.arange(coords.shape[1], dtype=np.uint64))
+    return ((coords != 0) * weights).sum(axis=1, dtype=np.uint64)
 
 
-@dataclass(frozen=True)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _VertexView(Sequence[VertexTuple]):
+    """The rows of a coordinate array, each made a VertexTuple when read."""
+
+    def __init__(self, coords: np.ndarray, supports: np.ndarray) -> None:
+        self._coords = coords
+        self._supports = supports
+
+    def __len__(self) -> int:
+        return len(self._coords)
+
+    def __getitem__(self, index: int | slice) -> VertexTuple | tuple[VertexTuple, ...]:
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return VertexTuple(tuple(self._coords[index].tolist()), int(self._supports[index]))
+
+    def __iter__(self) -> Iterator[VertexTuple]:
+        for coords, support in zip(self._coords.tolist(), self._supports.tolist()):
+            yield VertexTuple(tuple(coords), support)
+
+
 class _SupportGraph:
-    """Shared structure: lexicographic vertices plus the zero-count cells."""
+    """Shared structure: an (N, n) coordinate array in vertex order, each
+    row's support bitmask, and the zero-count cells.
 
-    m: int
-    n: int
-    vertices: tuple[VertexTuple, ...]
-    # cells[i-1] holds indices of vertices with exactly i zero coordinates
-    cells: tuple[tuple[int, ...], ...]
+    `vertices` may be an (N, n) integer array or a sequence of
+    VertexTuple; either is stored as the coordinate array, and
+    `vertices` reads it back one VertexTuple per index.
+    """
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        vertices: np.ndarray | Sequence[VertexTuple],
+        cells: Sequence[Sequence[int]],
+    ) -> None:
+        if not isinstance(vertices, np.ndarray):
+            vertices = [v.coords for v in vertices]
+        self.m = m
+        self.n = n
+        self.coords = _frozen(np.array(vertices, dtype=np.int64).reshape(-1, n))
+        self.support_array = _frozen(_support_bits(self.coords))
+        # cells[i-1] holds indices of vertices with exactly i zero coordinates
+        self.cells = tuple(_frozen(np.array(cell, dtype=np.int64)) for cell in cells)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.coords)
 
-    @cached_property
-    def support_array(self) -> np.ndarray:
-        return np.array([v.support for v in self.vertices], dtype=np.uint64)
+    @property
+    def vertices(self) -> Sequence[VertexTuple]:
+        return _VertexView(self.coords, self.support_array)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(v.label(self.m) for v in self.vertices)
@@ -153,32 +197,64 @@ class _SupportGraph:
                 yield i, i + 1 + int(off)
 
     def edge_count(self) -> int:
-        sup = self.support_array
-        total = 0
-        for i in range(len(sup) - 1):
-            total += int(((sup[i] & sup[i + 1 :]) == 0).sum())
-        return total
+        """Half the sum over supports S of size(S) * (vertices disjoint from S)."""
+        sizes = np.bincount(
+            self.support_array.astype(np.int64), minlength=1 << self.n
+        )
+        return int(sizes @ disjoint_sums(sizes, self.n)) // 2
 
 
-@dataclass(frozen=True)
 class ZeroDivisorGraph(_SupportGraph):
     role = "full"
 
 
-@dataclass(frozen=True)
 class BipartiteSubgraph(_SupportGraph):
     """Induced subgraph on tuples with exactly one zero among the last two
     coordinates; `sides` splits the vertex indices by which one it is."""
 
-    sides: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
     role = "bipartite"
 
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        vertices: np.ndarray | Sequence[VertexTuple],
+        cells: Sequence[Sequence[int]],
+        sides: tuple[Sequence[int], Sequence[int]] = ((), ()),
+    ) -> None:
+        super().__init__(m, n, vertices, cells)
+        self.sides = tuple(_frozen(np.array(side, dtype=np.int64)) for side in sides)
 
-def _group_cells(vertices: Sequence[VertexTuple], n: int) -> tuple[tuple[int, ...], ...]:
-    cells: list[list[int]] = [[] for _ in range(n - 1)]
-    for idx, v in enumerate(vertices):
-        cells[v.zero_count - 1].append(idx)
-    return tuple(tuple(cell) for cell in cells)
+
+def _enumerate(m: int, n: int, count: int, supports: np.ndarray, first_key=None) -> np.ndarray:
+    """Coordinates of every tuple whose support is one of `supports`, in
+    lexicographic order (after `first_key`, if given, which maps the
+    coordinate array to a primary sort key).
+
+    A support S holds (m-1)**|S| tuples; the k-th of them spells k in
+    base m-1 over the positions of S, each digit plus one.
+    """
+    bits = (supports[:, None] >> np.arange(n)) & 1
+    sizes = [(m - 1) ** int(k) for k in bits.sum(axis=1)]
+    if sum(sizes) != count:
+        raise ArithmeticError("vertex enumeration disagrees with the count law")
+    starts = np.cumsum([0] + sizes[:-1])
+    rank = np.arange(count, dtype=np.int64) - np.repeat(starts, sizes)
+    on = np.repeat(bits.astype(bool), sizes, axis=0)
+    coords = np.zeros((count, n), dtype=np.int64)
+    for i in range(n):
+        rows = on[:, i]
+        coords[rows, i] = rank[rows] % (m - 1) + 1
+        rank[rows] //= m - 1
+    keys = list(coords.T[::-1])
+    if first_key is not None:
+        keys.append(first_key(coords))
+    return coords[np.lexsort(keys)]
+
+
+def _zero_count_cells(coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    zeros = (coords == 0).sum(axis=1)
+    return tuple(np.flatnonzero(zeros == i) for i in range(1, coords.shape[1]))
 
 
 def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivisorGraph:
@@ -187,14 +263,9 @@ def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivi
     count = vertex_count(m, n, "full")
     if count > size_cap:
         raise SizeCapExceeded(f"zero-divisor graph for m={m}, n={n}", count, size_cap)
-    vertices = tuple(
-        _make_vertex(coords)
-        for coords in product(range(m), repeat=n)
-        if 0 < sum(1 for c in coords if c != 0) < n
-    )
-    if len(vertices) != count:
-        raise ArithmeticError("vertex enumeration disagrees with the count law")
-    return ZeroDivisorGraph(m, n, vertices, _group_cells(vertices, n))
+    # every support except the empty one and the full one
+    coords = _enumerate(m, n, count, np.arange(1, (1 << n) - 1, dtype=np.int64))
+    return ZeroDivisorGraph(m, n, coords, _zero_count_cells(coords))
 
 
 def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> BipartiteSubgraph:
@@ -205,21 +276,13 @@ def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Bipa
     count = vertex_count(m, n, "bipartite")
     if count > size_cap:
         raise SizeCapExceeded(f"two-sided subgraph for m={m}, n={n}", count, size_cap)
-    side_a = []
-    side_b = []
-    for coords in product(range(m), repeat=n):
-        if coords[n - 2] != 0 and coords[n - 1] == 0:
-            side_a.append(_make_vertex(coords))
-        elif coords[n - 2] == 0 and coords[n - 1] != 0:
-            side_b.append(_make_vertex(coords))
-    vertices = tuple(side_a + side_b)
-    if len(vertices) != count:
-        raise ArithmeticError("side enumeration disagrees with the count law")
-    sides = (
-        tuple(range(len(side_a))),
-        tuple(range(len(side_a), len(vertices))),
-    )
-    return BipartiteSubgraph(m, n, vertices, _group_cells(vertices, n), sides)
+    lattice = np.arange(1 << n, dtype=np.int64)
+    # supports with exactly one of positions n-2 and n-1
+    supports = lattice[((lattice >> (n - 2)) ^ (lattice >> (n - 1))) & 1 == 1]
+    coords = _enumerate(m, n, count, supports, lambda c: c[:, n - 1] != 0)
+    side_a = int((coords[:, n - 1] == 0).sum())
+    sides = (np.arange(side_a), np.arange(side_a, count))
+    return BipartiteSubgraph(m, n, coords, _zero_count_cells(coords), sides)
 
 
 def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
@@ -254,13 +317,15 @@ def empirical_quotient(
     """
     if cells is None:
         cells = graph.cells
-    cells = [tuple(int(i) for i in cell) for cell in cells]
-    flat = sorted(i for cell in cells for i in cell)
-    if flat != list(range(graph.vertex_count)) or any(not cell for cell in cells):
+    cells = [np.asarray(cell, dtype=np.int64) for cell in cells]
+    flat = np.sort(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
+    if not np.array_equal(flat, np.arange(graph.vertex_count)) or any(
+        not cell.size for cell in cells
+    ):
         raise ValueError("cells must be non-empty and partition the vertex set")
     cell_of = np.empty(graph.vertex_count, dtype=np.int64)
     for j, cell in enumerate(cells):
-        cell_of[list(cell)] = j
+        cell_of[cell] = j
     sup = graph.support_array.astype(np.int64)
     lattice = 1 << graph.n
     per_support = np.bincount(
@@ -270,7 +335,7 @@ def empirical_quotient(
     counts = disjoint_sums(per_support, graph.n)[sup]
     quotient = []
     for i, cell in enumerate(cells):
-        sub = counts[np.asarray(cell, dtype=np.int64)]
+        sub = counts[cell]
         first = sub[0]
         mismatch = np.flatnonzero((sub != first).any(axis=1))
         if mismatch.size:
@@ -303,11 +368,14 @@ def adjacency_matrix(graph: _SupportGraph) -> np.ndarray:
 def adjacency_to_csv(graph: _SupportGraph) -> str:
     """Adjacency rows as comma-separated 0/1 lines, streamed row by row."""
     sup = graph.support_array
-    lines = []
-    for i in range(len(sup)):
-        row = ((sup[i] & sup) == 0).astype(np.int8)
-        lines.append(",".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    # one ASCII row: a digit at every even offset, commas between, newline last
+    line = np.full(2 * len(sup), ord(","), dtype=np.uint8)
+    line[-1:] = ord("\n")
+    rows = []
+    for support in sup:
+        line[0::2] = ord("0") + ((support & sup) == 0)
+        rows.append(line.tobytes())
+    return b"".join(rows).decode("ascii")
 
 
 def to_dot(graph: _SupportGraph, name: str | None = None) -> str:

@@ -159,10 +159,11 @@ def walk_matrix_closed_p(m: int, n: int) -> WalkMatrix:
     """
     check_params(m, n)
     f = FibSequence(m)
+    fs = [f.value(k) for k in range(n + 1)]
     hs = h_coefficients(m, n)
 
     def power_term(idx: int, i: int) -> int:
-        return f.value(idx) ** (n - i) * f.value(idx + 1) ** i
+        return fs[idx] ** (n - i) * fs[idx + 1] ** i
 
     rows = []
     for i in range(1, n):

@@ -28,6 +28,16 @@ def brute_vertices(m: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def brute_sides(m: int, n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Tuples with exactly one zero among the last two coordinates, split
+    by whether it is the last one (first list) or the one before it."""
+    tuples = list(itertools.product(range(m), repeat=n))
+    return (
+        [c for c in tuples if c[-2] != 0 and c[-1] == 0],
+        [c for c in tuples if c[-2] == 0 and c[-1] != 0],
+    )
+
+
 def annihilating(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     """Coordinatewise product is the zero tuple."""
     return all(a * b == 0 for a, b in zip(u, v))

@@ -1,12 +1,17 @@
 """Explicit graph construction, partitions, adjacency, exports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zdspectra.graph import (
     DEFAULT_SIZE_CAP,
+    BipartiteSubgraph,
     NotEquitableError,
     SizeCapExceeded,
+    VertexTuple,
+    ZeroDivisorGraph,
     adjacency_matrix,
     adjacency_to_csv,
     build_bipartite,
@@ -23,6 +28,7 @@ from zdspectra.quotient import build_p, build_q
 from oracles import (
     brute_adjacency,
     brute_edges,
+    brute_sides,
     brute_vertices,
     neighbor_counts,
     quotient_by_counting,
@@ -39,10 +45,61 @@ def test_vertex_count_closed_form(graphs):
             assert vertex_count(m, n, "full") == g.vertex_count
 
 
-def test_vertices_match_brute_enumeration(graphs):
-    for m, n in [(2, 3), (2, 4), (3, 3), (4, 2)]:
-        g = graphs(m, n)
-        assert [v.coords for v in g.vertices] == brute_vertices(m, n)
+def _zero_count_cells(tuples, n):
+    return [
+        [i for i, c in enumerate(tuples) if c.count(0) == zeros]
+        for zeros in range(1, n)
+    ]
+
+
+def test_vertices_match_brute_enumeration():
+    for m, n in [(2, 3), (2, 4), (3, 3), (4, 2), (11, 2), (7, 3), (2, 12)]:
+        side_a, side_b = brute_sides(m, n)
+        b = build_bipartite(m, n)
+        for g, tuples in [(build_graph(m, n), brute_vertices(m, n)), (b, side_a + side_b)]:
+            assert [v.coords for v in g.vertices] == tuples
+            assert g.coords.tolist() == [list(c) for c in tuples]
+            supports = [sum(1 << i for i, c in enumerate(t) if c) for t in tuples]
+            assert g.support_array.tolist() == supports
+            assert [v.support for v in g.vertices] == supports
+            assert [c.tolist() for c in g.cells] == _zero_count_cells(tuples, n)
+        assert [b.vertices[i].coords for i in b.sides[0]] == side_a
+        assert [b.vertices[i].coords for i in b.sides[1]] == side_b
+
+
+def test_large_field_enumeration_is_linear_in_vertices():
+    # m=3000, n=2: 5,998 vertices among 9,000,000 tuples; the enumeration
+    # must follow the vertices, not the tuples.
+    tracemalloc.start()
+    try:
+        sizes = (build_graph(3000, 2).vertex_count, build_bipartite(3000, 2).vertex_count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == (vertex_count(3000, 2, "full"), vertex_count(3000, 2, "bipartite"))
+    assert peak < 16 * 2**20
+
+
+def test_graph_from_vertex_tuples_matches_build():
+    for m, n in [(3, 4), (11, 2)]:
+        g = build_graph(m, n)
+        b = build_bipartite(m, n)
+        copies = [
+            (g, ZeroDivisorGraph(m, n, tuple(g.vertices), g.cells)),
+            (b, BipartiteSubgraph(m, n, tuple(b.vertices), b.cells, b.sides)),
+        ]
+        for built, copy in copies:
+            assert np.array_equal(copy.coords, built.coords)
+            assert np.array_equal(copy.support_array, built.support_array)
+            assert copy.support_array.dtype == np.uint64
+            assert copy.labels() == built.labels()
+            assert empirical_quotient(copy) == empirical_quotient(built)
+            # classes of m-1 > 1 vertices: the lattice count weighs by size
+            assert copy.edge_count() == built.edge_count() == len(list(built.edges()))
+    assert g.vertices[-1] == VertexTuple((10, 0), 1)
+    assert g.vertices[1:3] == (g.vertices[1], g.vertices[2])
+    with pytest.raises(IndexError):
+        g.vertices[g.vertex_count]
 
 
 def test_vertex_labels():
