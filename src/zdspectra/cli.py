@@ -222,10 +222,11 @@ def _walk_routes(quotient: QuotientMatrix) -> WalkRoutes:
     m, n, kind = quotient.m, quotient.n, quotient.kind
     walk = walk_matrix_iterative(quotient)
     closed_of = walk_matrix_closed_p if kind is QuotientKind.P else walk_matrix_closed_q
-    return WalkRoutes(
-        walk, closed_of(m, n), exact_rank(walk), exact_det(walk),
-        det_walk_formula(m, n, kind),
-    )
+    det = exact_det(walk)
+    # A square matrix with a nonzero determinant has full rank, so the
+    # rank needs its own elimination only when the determinant is 0.
+    rank = walk.order if det != 0 else exact_rank(walk)
+    return WalkRoutes(walk, closed_of(m, n), rank, det, det_walk_formula(m, n, kind))
 
 
 def _quotient_checks(

@@ -7,7 +7,9 @@ Q kind does the same inside the two-sided induced subgraph.  Their walk
 matrices [e, Be, B**2 e, ...] admit closed forms in the weighted
 Fibonacci family, a Vandermonde-diagonal-unitriangular factorization,
 and a product formula for the determinant.  All arithmetic in this
-module is exact (integers and fractions); floats never appear.
+module is exact, in Python integers and fractions; floats never appear.
+Matrix products run on object-dtype numpy arrays of Python ints, which
+keeps the arbitrary-precision arithmetic and moves the loops into C.
 """
 
 from __future__ import annotations
@@ -120,16 +122,22 @@ class WalkMatrix:
 
 
 def walk_matrix_iterative(quotient: QuotientMatrix) -> WalkMatrix:
-    """Walk matrix by repeated exact matrix-vector products."""
+    """Walk matrix by repeated exact matrix-vector products, on an
+    object-dtype array of Python ints."""
     r = quotient.order
-    cols = [[1] * r]
-    for _ in range(r - 1):
-        prev = cols[-1]
-        cols.append(
-            [sum(quotient.entries[i][j] * prev[j] for j in range(r)) for i in range(r)]
-        )
-    entries = tuple(tuple(cols[k][i] for k in range(r)) for i in range(r))
+    matrix = np.array(quotient.entries, dtype=object)
+    walk = np.empty((r, r), dtype=object)
+    walk[:, 0] = 1
+    for k in range(1, r):
+        walk[:, k] = matrix.dot(walk[:, k - 1])
+    entries = tuple(map(tuple, walk.tolist()))
     return WalkMatrix(quotient.kind, quotient.m, quotient.n, entries)
+
+
+def _fib_values(m: int, n: int) -> list[int]:
+    """F[0..n] for weight m, read from one FibSequence."""
+    f = FibSequence(m)
+    return [f.value(k) for k in range(n + 1)]
 
 
 def h_coefficients(m: int, n: int) -> tuple[int, ...]:
@@ -139,12 +147,10 @@ def h_coefficients(m: int, n: int) -> tuple[int, ...]:
     result always contains h_0, so its length is max(1, n-2).
     """
     check_params(m, n)
-    f = FibSequence(m)
+    powers = [x**n for x in _fib_values(m, n)]
     hs = [1]
     for j in range(1, max(1, n - 2)):
-        hs.append(
-            f.value(j + 1) ** n - sum(hs[r] * f.value(j - r) ** n for r in range(j))
-        )
+        hs.append(powers[j + 1] - sum(hs[r] * powers[j - r] for r in range(j)))
     return tuple(hs)
 
 
@@ -155,25 +161,21 @@ def walk_matrix_closed_p(m: int, n: int) -> WalkMatrix:
 
     with g[k] = F[k+1]/F[k].  Since i < n, each term F[k]**n * g[k]**i is
     the integer F[k]**(n-i) * F[k+1]**i, so the form is evaluated in that
-    integer shape, like walk_matrix_closed_q.
+    integer shape, like walk_matrix_closed_q; row i needs only n-1 of
+    them, so each is computed once per row.
     """
     check_params(m, n)
-    f = FibSequence(m)
-    fs = [f.value(k) for k in range(n + 1)]
+    fs = _fib_values(m, n)
     hs = h_coefficients(m, n)
-
-    def power_term(idx: int, i: int) -> int:
-        return fs[idx] ** (n - i) * fs[idx + 1] ** i
-
     rows = []
     for i in range(1, n):
-        row = []
-        for k in range(n - 1):
-            value = power_term(k, i)
-            for j in range(k):
-                value -= hs[j] * power_term(k - j - 1, i)
-            row.append(value)
-        rows.append(tuple(row))
+        terms = [fs[k] ** (n - i) * fs[k + 1] ** i for k in range(n - 1)]
+        rows.append(
+            tuple(
+                terms[k] - sum(hs[j] * terms[k - j - 1] for j in range(k))
+                for k in range(n - 1)
+            )
+        )
     return WalkMatrix(QuotientKind.P, m, n, tuple(rows))
 
 
@@ -183,10 +185,10 @@ def walk_matrix_closed_q(m: int, n: int) -> WalkMatrix:
         entry(i, k) = (m-1)**k * F[k]**(n-i-1) * F[k+1]**(i-1)
     """
     check_params(m, n)
-    f = FibSequence(m)
+    fs = _fib_values(m, n)
     entries = tuple(
         tuple(
-            (m - 1) ** k * f.value(k) ** (n - i - 1) * f.value(k + 1) ** (i - 1)
+            (m - 1) ** k * fs[k] ** (n - i - 1) * fs[k + 1] ** (i - 1)
             for k in range(n - 1)
         )
         for i in range(1, n)
@@ -284,10 +286,30 @@ def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
 
         det = prod_{r<l} (g[l] - g[r]) * prod_k D[k]
 
-    The result is a nonzero rational that always reduces to an integer.
+    evaluated in integers.  With g[k] = F[k+1]/F[k], each node difference
+    is (F[l+1]*F[r] - F[r+1]*F[l]) / (F[l]*F[r]); every F[k], k < n-1,
+    appears in n-2 of those denominators.  The diagonal is the integer
+    F[k]**(n-1) * F[k+1] for the P kind and (m-1)**k * F[k]**(n-2) for
+    the Q kind.  Numerator and denominator meet in one Fraction, a
+    nonzero rational that always reduces to an integer.  factorize_walk
+    reaches the same value through the factors themselves.
     """
-    fact = factorize_walk(m, n, kind)
-    return fact.vandermonde_det() * fact.diagonal_det()
+    check_params(m, n)
+    if not isinstance(kind, QuotientKind):
+        raise ValueError(f"kind must be a QuotientKind, got {kind!r}")
+    fs = _fib_values(m, n)
+    r = n - 1
+    num = 1
+    for right in range(r):
+        for left in range(right + 1, r):
+            num *= fs[left + 1] * fs[right] - fs[right + 1] * fs[left]
+    den = math.prod(fs[:r]) ** (r - 1)
+    for k in range(r):
+        if kind is QuotientKind.P:
+            num *= fs[k] ** (n - 1) * fs[k + 1]
+        else:
+            num *= (m - 1) ** k * fs[k] ** (n - 2)
+    return Fraction(num, den)
 
 
 # -- exact linear algebra -------------------------------------------------

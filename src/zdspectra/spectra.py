@@ -688,21 +688,20 @@ def _char_poly(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     integer matrix M of order r, by Faddeev-LeVerrier.
 
     With N_1 = I, c[r-k] = -trace(M N_k) / k and N_{k+1} = M N_k + c[r-k] I;
-    each division is exact, and a remainder raises ArithmeticError.
+    each division is exact, and a remainder raises ArithmeticError.  The
+    products run on object-dtype arrays of Python ints: exact at any size,
+    with the loops in C.  A fixed-width dtype would overflow silently.
     """
     order = len(rows)
+    matrix = np.array(rows, dtype=object)
     coeffs = [0] * (order + 1)
     coeffs[order] = 1
-    product = [[0] * order for _ in range(order)]  # M N_k, with N_0 = 0
+    product = np.zeros((order, order), dtype=object)  # M N_k, with N_0 = 0
+    diagonal = np.arange(order)
     for k in range(1, order + 1):
-        shift = coeffs[order - k + 1]
-        for i in range(order):
-            product[i][i] += shift  # now N_k
-        nk_cols = list(zip(*product))
-        product = [
-            [sum(a * b for a, b in zip(row, col)) for col in nk_cols] for row in rows
-        ]
-        coeff, rem = divmod(-sum(product[i][i] for i in range(order)), k)
+        product[diagonal, diagonal] += coeffs[order - k + 1]  # now N_k
+        product = matrix.dot(product)
+        coeff, rem = divmod(-product.trace(), k)
         if rem:
             raise ArithmeticError(
                 f"Faddeev-LeVerrier step {k} left remainder {rem}"

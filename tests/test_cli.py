@@ -5,6 +5,7 @@ import json
 import pytest
 
 from zdspectra import cli
+from zdspectra.quotient import WalkMatrix, build_p, build_q, exact_rank
 
 
 def run(capsys, *argv):
@@ -224,6 +225,38 @@ def test_report_bad_env_value_is_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as info:
         cli.main(["report", "--m", "2", "--n", "3"])
     assert info.value.code == 2
+
+
+def _walk_with_repeated_column(monkeypatch):
+    """Make cli's iterative walk matrix repeat its first column."""
+    real = cli.walk_matrix_iterative
+
+    def doctored(quotient):
+        walk = real(quotient)
+        rows = tuple((row[0], row[0]) + row[2:] for row in walk.entries)
+        return WalkMatrix(walk.kind, walk.m, walk.n, rows)
+
+    monkeypatch.setattr(cli, "walk_matrix_iterative", doctored)
+
+
+def test_rank_falls_back_to_elimination_on_a_singular_walk(capsys, monkeypatch):
+    # A zero determinant must send the rank through its own elimination.
+    _walk_with_repeated_column(monkeypatch)
+    m, n = 3, 5
+    for quotient in (build_p(m, n), build_q(m, n)):
+        routes = cli._walk_routes(quotient)
+        assert routes.det_elimination == 0
+        assert routes.rank == exact_rank(routes.walk) == n - 2
+    _, out, _ = run(capsys, "report", "--m", str(m), "--n", str(n),
+                    "--size-cap", "1")
+    checks = {c["name"]: c["pass"] for e in json.loads(out) for c in e["checks"]}
+    for tag in ("P", "Q"):
+        assert checks[f"walk rank equals n-1 ({tag})"] is False
+        assert checks[f"determinant routes agree ({tag})"] is False
+    code, out, _ = run(capsys, "verify", "--m", str(m), "--n", str(n),
+                       "--size-cap", "1")
+    assert code == 1
+    assert "FAIL" in out
 
 
 # === verify ===

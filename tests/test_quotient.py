@@ -246,6 +246,30 @@ def test_determinant_splits_into_named_factors():
         assert det == fact.vandermonde_det() * fact.diagonal_det()
 
 
+def test_integer_determinant_formula_against_elimination_and_factors():
+    # det_walk_formula multiplies integer numerators and denominators;
+    # elimination and the Fraction-valued factorization are two
+    # independent routes to the same value.
+    for kind in KINDS:
+        for m in range(2, 10):
+            for n in range(2, 13):
+                formula = det_walk_formula(m, n, kind)
+                assert isinstance(formula, Fraction)
+                assert formula == exact_det(walk_matrix_iterative(build(kind, m, n)))
+                fact = factorize_walk(m, n, kind)
+                assert formula == fact.vandermonde_det() * fact.diagonal_det()
+
+
+def test_iterative_walk_entries_are_python_ints():
+    # The matvec runs on object arrays; its entries must come back as
+    # plain ints, because walk routes compare tuples and JSON str()s them.
+    for kind in KINDS:
+        for m, n in ((2, 2), (3, 5), (9, 12)):
+            walk = walk_matrix_iterative(build(kind, m, n))
+            assert all(type(x) is int for row in walk.entries for x in row)
+            assert walk.entries == closed_walk(kind, m, n).entries
+
+
 # === exact rank and determinant ===
 
 def test_walk_rank_is_order_minus_one_tick():

@@ -489,6 +489,25 @@ def test_characteristic_polynomial_against_determinants():
             assert sum(c * x**k for k, c in enumerate(coeffs)) == det_cofactor(shifted)
 
 
+def test_characteristic_polynomial_of_big_integer_matrices():
+    # Entries near +-2**70 overflow int64 and lose digits in float64, so
+    # this holds only if the recurrence stays in Python ints.
+    rng = np.random.default_rng(70)
+    for order in range(1, 7):
+        rows = tuple(
+            tuple((1 if x >= 0 else -1) * 2**70 + int(x) for x in row)
+            for row in rng.integers(-1000, 1000, size=(order, order))
+        )
+        coeffs = _char_poly(rows)
+        assert all(type(c) is int for c in coeffs)
+        for x in (-2, 0, 1, 3):
+            shifted = [
+                [(x if r == c else 0) - rows[r][c] for c in range(order)]
+                for r in range(order)
+            ]
+            assert sum(c * x**k for k, c in enumerate(coeffs)) == det_cofactor(shifted)
+
+
 def test_annihilation_is_exact_not_numeric():
     # The shifted quotient is singular in exact Z[phi] arithmetic, while
     # moving the shift by 1e-6 (scaled to integers: det(10**6 Q +
