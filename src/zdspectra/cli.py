@@ -101,6 +101,19 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive_float(text: str) -> float:
+    """A finite number above zero, for the numeric-policy flags."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, dense: bool) -> None:
     parser.add_argument(
         "--size-cap",
@@ -119,19 +132,19 @@ def _add_common(parser: argparse.ArgumentParser, *, dense: bool) -> None:
         )
         parser.add_argument(
             "--tolerance",
-            type=float,
+            type=_positive_float,
             default=1e-8,
             help="absolute tolerance for matching predicted eigenvalues",
         )
         parser.add_argument(
             "--grouping-gap",
-            type=float,
+            type=_positive_float,
             default=DEFAULT_TOLERANCES.grouping_gap,
             help="absolute gap under which computed eigenvalues merge",
         )
         parser.add_argument(
             "--projection-threshold",
-            type=float,
+            type=_positive_float,
             default=DEFAULT_TOLERANCES.projection_threshold,
             help="all-ones projection norm above which a group is main",
         )
@@ -206,7 +219,7 @@ class WalkRoutes:
     walk: WalkMatrix
     closed: WalkMatrix
     rank: int
-    det_elimination: Fraction | int
+    det_elimination: int
     det_factorization: Fraction
 
     @property

@@ -10,6 +10,8 @@ and a product formula for the determinant.  All arithmetic in this
 module is exact, in Python integers and fractions; floats never appear.
 Matrix products run on object-dtype numpy arrays of Python ints, which
 keeps the arbitrary-precision arithmetic and moves the loops into C.
+The exact rank, determinant and serializers take integer matrices only,
+under one entry check (`_integer_rows`).
 """
 
 from __future__ import annotations
@@ -315,7 +317,10 @@ def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
 # -- exact linear algebra -------------------------------------------------
 
 
-def _extract_rows(matrix: object) -> list[list[Fraction | int]]:
+def _integer_rows(matrix: object, *, square: bool = False) -> list[list[int]]:
+    """Fresh row lists of a non-empty rectangular (with `square`, square)
+    matrix given as nested sequences, an integer ndarray or an object with
+    `.entries`.  Any entry that is not a Python int raises ValueError."""
     if hasattr(matrix, "entries"):
         matrix = matrix.entries  # QuotientMatrix / WalkMatrix convenience
     if isinstance(matrix, np.ndarray):
@@ -323,45 +328,18 @@ def _extract_rows(matrix: object) -> list[list[Fraction | int]]:
     rows = [list(row) for row in matrix]
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix must be non-empty and rectangular")
-    out: list[list[Fraction | int]] = []
-    for row in rows:
-        conv: list[Fraction | int] = []
-        for x in row:
-            if isinstance(x, Fraction):
-                conv.append(x)
-            elif isinstance(x, int) and not isinstance(x, bool):
-                conv.append(x)
-            elif hasattr(x, "item") and isinstance(x.item(), int):
-                conv.append(x.item())
-            else:
-                raise ValueError(f"matrix entries must be exact, got {x!r}")
-        out.append(conv)
-    return out
+    if square and len(rows) != len(rows[0]):
+        raise ValueError("matrix must be square")
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError("matrix entries must be integers")
+    return rows
 
 
-def _clear_denominators(
-    rows: list[list[Fraction | int]],
-) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators.  Returns the integer
-    rows and the product of the row scales (rank is unchanged by row
-    scaling; a determinant is multiplied by that product)."""
-    cleared = []
-    total = 1
-    for row in rows:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                scale = math.lcm(scale, x.denominator)
-        total *= scale
-        cleared.append([int(x * scale) for x in row])
-    return cleared, total
-
-
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, bool]:
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     """Fraction-free elimination in place.
 
-    Returns (rank, signed last pivot, skipped) where `skipped` records
-    whether any candidate column held no pivot.  Pivoting is the first
+    Returns (rank, signed last pivot); for a square matrix of full rank
+    the signed last pivot is its determinant.  Pivoting is the first
     nonzero entry in column order, so the procedure is deterministic.
     """
     n_rows = len(rows)
@@ -369,8 +347,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, bool]:
     prev = 1
     sign = 1
     pivot_row = 0
-    last_pivot = 1
-    skipped = False
     for col in range(n_cols):
         if pivot_row >= n_rows:
             break
@@ -378,7 +354,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, bool]:
             (r for r in range(pivot_row, n_rows) if rows[r][col] != 0), None
         )
         if pivot is None:
-            skipped = True
             continue
         if pivot != pivot_row:
             rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
@@ -399,33 +374,24 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, bool]:
                 row_r[c] = q
             row_r[col] = 0
         prev = p
-        last_pivot = p
         pivot_row += 1
-    return pivot_row, sign * last_pivot, skipped
+    return pivot_row, sign * prev
 
 
 def exact_rank(matrix: object) -> int:
-    """Rank over the rationals via fraction-free elimination.
-
-    Accepts any rectangular matrix of integers or fractions (or an
-    object carrying `.entries`).
-    """
-    rows, _ = _clear_denominators(_extract_rows(matrix))
-    rank, _, _ = _bareiss(rows)
+    """Rank over the rationals of a rectangular integer matrix, by
+    fraction-free elimination in Python integers.  Non-integer entries
+    raise ValueError."""
+    rank, _ = _bareiss(_integer_rows(matrix))
     return rank
 
 
-def exact_det(matrix: object) -> Fraction | int:
-    """Exact determinant of a square matrix of integers or fractions."""
-    rows = _extract_rows(matrix)
-    if len(rows) != len(rows[0]):
-        raise ValueError("determinant requires a square matrix")
-    cleared, scale = _clear_denominators(rows)
-    rank, signed_pivot, _ = _bareiss(cleared)
-    if rank < len(cleared):
-        return 0
-    det = Fraction(signed_pivot, scale)
-    return int(det) if det.denominator == 1 else det
+def exact_det(matrix: object) -> int:
+    """Exact determinant of a square integer matrix, as an int.
+    Non-integer entries raise ValueError."""
+    rows = _integer_rows(matrix, square=True)
+    rank, signed_pivot = _bareiss(rows)
+    return signed_pivot if rank == len(rows) else 0
 
 
 # -- serialization ----------------------------------------------------------
@@ -433,13 +399,13 @@ def exact_det(matrix: object) -> Fraction | int:
 
 def matrix_to_csv(matrix: object) -> str:
     """Comma-separated decimal integers, one row per line."""
-    rows = _extract_rows(matrix)
+    rows = _integer_rows(matrix)
     return "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
 
 
 def matrix_json_entries(matrix: object) -> list[list[str]]:
     """Array-of-arrays of decimal strings (safe for arbitrary precision)."""
-    rows = _extract_rows(matrix)
+    rows = _integer_rows(matrix)
     return [[str(x) for x in row] for row in rows]
 
 

@@ -13,7 +13,9 @@ The pair powers are algebraic integers a + b*phi, so annihilation runs
 in integer Z[phi] arithmetic on the quotient's integer characteristic
 polynomial.  A graph's Krylov rank is computed on its support
 lattice (one entry per support, see graph.disjoint_sums), so it never
-forms the adjacency matrix; only the dense eigensolve does.
+forms the adjacency matrix; only the dense eigensolve does.  The rank
+is taken of the small Gram matrix of the Krylov vectors, not of the
+vectors themselves.
 
 The spectrum-theorem and correspondence checks each live in one helper
 that takes precomputed predictions and bundles (the command-line battery
@@ -38,7 +40,14 @@ from .graph import (
     disjoint_sums,
     vertex_count,
 )
-from .quotient import QuotientMatrix, build_p, build_q, exact_rank, json_safe_int
+from .quotient import (
+    QuotientMatrix,
+    _integer_rows,
+    build_p,
+    build_q,
+    exact_rank,
+    json_safe_int,
+)
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -245,16 +254,8 @@ def classify_main(
 
 def _matrix_operator(matrix: object):
     """(order, matvec) for a square integer matrix, in exact integers."""
-    M = np.asarray(matrix)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValueError("matrix must be square and non-empty")
-    if M.dtype == object:
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in M.flat):
-            raise ValueError("matrix entries must be integers")
-    elif not np.issubdtype(M.dtype, np.integer):
-        raise ValueError("matrix entries must be integers")
-    M = M.astype(object)
-    return M.shape[0], lambda vec: M @ vec
+    M = np.array(_integer_rows(matrix, square=True), dtype=object)
+    return len(M), lambda vec: M @ vec
 
 
 def _lattice_operator(graph: object):
@@ -263,8 +264,6 @@ def _lattice_operator(graph: object):
 
     Vertex u is adjacent to v exactly when their supports are disjoint,
     so (A x)[u] is the sum over disjoint supports t of size(t) * x[t].
-    Every vertex carries its class's entry, so ranks of such vectors equal
-    ranks of the vertex-indexed vectors they stand for.
     """
     sizes = np.bincount(
         graph.support_array.astype(np.int64), minlength=1 << graph.n
@@ -287,6 +286,15 @@ def krylov_rank(operand: object, max_cols: int | None = None) -> int:
     is the same as for the graph's adjacency matrix.  Columns extend
     until two consecutive ranks agree (the rank can never grow again
     after that), capped at max_cols (default: order + 1).
+
+    Each step ranks the Gram matrix G[i][j] = v_i . v_j of the Krylov
+    vectors v_0..v_k built so far, one (k+1) x (k+1) exact_rank call,
+    instead of the k+1 vectors themselves.  A real matrix V has the rank
+    of V V^T.  A lattice vector x stands for the vertex vector E x, where
+    E maps each support to its vertices; every support present has a
+    vertex, so E has full column rank and E X has the rank of X.  The
+    plain dot products of the lattice vectors therefore suffice, without
+    class-size weights.
     """
     if hasattr(operand, "support_array"):
         order, matvec = _lattice_operator(operand)
@@ -296,12 +304,17 @@ def krylov_rank(operand: object, max_cols: int | None = None) -> int:
     if cap < 1:
         raise ValueError(f"max_cols must be at least 1, got {max_cols!r}")
     vec = np.ones(order, dtype=object)
-    krylov_rows = [vec.tolist()]
+    vectors = [vec]
+    gram = [[order]]
     rank = 1
-    while len(krylov_rows) < cap:
+    while len(vectors) < cap:
         vec = matvec(vec)
-        krylov_rows.append(vec.tolist())
-        new_rank = exact_rank(krylov_rows)
+        vectors.append(vec)
+        dots = [v.dot(vec) for v in vectors]
+        for row, dot in zip(gram, dots):
+            row.append(dot)
+        gram.append(dots)
+        new_rank = exact_rank(gram)
         if new_rank == rank:
             return rank
         rank = new_rank

@@ -353,6 +353,13 @@ def test_usage_errors_exit_two(capsys):
         ["report", "--m", "2"],
         ["report", "--m", "2", "--n", "4", "--eigen-convergence", "1e-12"],
         ["unknown"],
+        # numeric policy must be positive and finite
+        ["report", "--m", "2", "--n", "3", "--tolerance", "-1"],
+        ["report", "--m", "2", "--n", "3", "--tolerance", "nan"],
+        ["verify", "--m", "2", "--n", "3", "--projection-threshold", "0"],
+        ["report", "--m", "2", "--n", "3", "--projection-threshold", "-1"],
+        ["report", "--m", "2", "--n", "3", "--projection-threshold", "inf"],
+        ["verify", "--m", "2", "--n", "3", "--grouping-gap", "-1"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)

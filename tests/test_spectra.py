@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from zdspectra.fib import QuadraticNumber, golden_pair, pair_power, zphi_to_quadratic
-from zdspectra.graph import SizeCapExceeded, ZeroDivisorGraph, adjacency_matrix
+from zdspectra import spectra
+from zdspectra.graph import (
+    SizeCapExceeded,
+    ZeroDivisorGraph,
+    adjacency_matrix,
+    build_graph,
+)
 from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
 from zdspectra.spectra import (
     DEFAULT_DENSE_CAP,
@@ -33,7 +39,7 @@ from zdspectra.spectra import (
 from zdspectra.spectra import _char_poly, _det_shifted
 
 from conftest import dense_grid
-from oracles import brute_adjacency, det_cofactor
+from oracles import brute_adjacency, det_cofactor, krylov_rank_rows
 
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -183,14 +189,19 @@ def test_krylov_rank_small_cases():
     cycle4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
     assert krylov_rank(cycle4) == 1
     assert krylov_rank([[0, 1, 1], [1, 0, 0], [1, 0, 0]]) == 2
+    zero = [[0] * 3 for _ in range(3)]
+    for cap in [None, 1, 2, 3, 4]:
+        assert krylov_rank(zero, max_cols=cap) == krylov_rank_rows(zero, cap) == 1
 
 
 def test_krylov_rank_on_quotients_uses_exact_arithmetic():
+    # P and Q are nonsymmetric, so their Gram matrices are not Hankel.
     for m, n in [(2, 6), (3, 5), (5, 7)]:
-        p = np.array(build_p(m, n).entries, dtype=object)
-        q = np.array(build_q(m, n).entries, dtype=object)
-        assert krylov_rank(p) == n - 1
-        assert krylov_rank(q) == n - 1
+        for quotient in (build_p(m, n), build_q(m, n)):
+            rows = quotient.entries
+            assert krylov_rank(np.array(rows, dtype=object)) == n - 1
+            for cap in [None, *range(1, n + 1)]:
+                assert krylov_rank(rows, max_cols=cap) == krylov_rank_rows(rows, cap)
 
 
 def test_krylov_rank_big_integer_entries():
@@ -216,11 +227,17 @@ def test_krylov_rank_validation():
 
 @pytest.mark.parametrize("role", ["full", "bipartite"])
 def test_krylov_rank_of_graph_matches_its_adjacency(graphs, role):
+    # The reference row-reduces the vertex-space Krylov vectors of the
+    # brute-force adjacency at every step; the package ranks Gram
+    # matrices, of support-lattice vectors when given the graph.
     for m, n in dense_grid():
         g = graphs(m, n, role)
         adjacency = adjacency_matrix(g)
+        rows = brute_adjacency([v.coords for v in g.vertices])
         for cap in [None, *range(1, n + 2)]:
-            assert krylov_rank(g, max_cols=cap) == krylov_rank(adjacency, max_cols=cap)
+            expected = krylov_rank_rows(rows, cap)
+            assert krylov_rank(g, max_cols=cap) == expected
+            assert krylov_rank(adjacency, max_cols=cap) == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -231,8 +248,22 @@ def test_krylov_rank_on_irregular_vertex_subsets(graphs, seed):
     rng = np.random.default_rng(seed)
     keep = sorted(rng.choice(g.vertex_count, size=25, replace=False).tolist())
     sub = ZeroDivisorGraph(g.m, g.n, tuple(g.vertices[i] for i in keep), ())
-    adjacency = np.array(brute_adjacency([v.coords for v in sub.vertices]))
-    assert krylov_rank(sub) == krylov_rank(adjacency)
+    rows = brute_adjacency([v.coords for v in sub.vertices])
+    assert krylov_rank(sub) == krylov_rank(np.array(rows)) == krylov_rank_rows(rows)
+
+
+def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
+    # 1022 vertices with one support each: the exact ranks must see at
+    # most (n-1)+1 = 10 Krylov vectors' Gram matrix, never rows of 1022.
+    shapes = []
+
+    def recording_rank(matrix):
+        shapes.append((len(matrix), len(matrix[0])))
+        return exact_rank(matrix)
+
+    monkeypatch.setattr(spectra, "exact_rank", recording_rank)
+    assert krylov_rank(build_graph(2, 10)) == 9
+    assert shapes and all(r <= 10 and c <= 10 for r, c in shapes)
 
 
 def test_krylov_rank_matches_walk_rank(graphs):
