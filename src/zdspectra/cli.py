@@ -9,7 +9,8 @@ checks by the tag they carry.
 Exit statuses: 0 success, 1 check failure, 2 usage error, 3 resource cap
 exceeded.  Identical invocations produce byte-identical output.  The
 default size caps can be overridden with the ZDSPECTRA_SIZE_CAP and
-ZDSPECTRA_DENSE_CAP environment variables (flags win over both).
+ZDSPECTRA_DENSE_CAP environment variables (flags win over both).  The
+numeric policy is spectra.DEFAULT_TOLERANCES; no flag or variable sets it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .spectra import (
     CheckResult,
     EigenBundle,
     PredictedSpectrum,
-    Tolerances,
     _correspondence_checks,
     _theorem_checks,
     eigen_bundle,
@@ -77,12 +77,10 @@ DENSE_CAP_ENV = "ZDSPECTRA_DENSE_CAP"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved knobs shared by the check-running subcommands."""
+    """Resolved caps shared by the check-running subcommands."""
 
     size_cap: int
     dense_cap: int
-    tolerance: float
-    tolerances: Tolerances
 
 
 # -- argument plumbing ------------------------------------------------------
@@ -101,19 +99,6 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _positive_float(text: str) -> float:
-    """A finite number above zero, for the numeric-policy flags."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive finite number, got {text!r}"
-        )
-    return value
-
-
 def _add_common(parser: argparse.ArgumentParser, *, dense: bool) -> None:
     parser.add_argument(
         "--size-cap",
@@ -129,24 +114,6 @@ def _add_common(parser: argparse.ArgumentParser, *, dense: bool) -> None:
             default=None,
             help=f"skip dense spectrum checks above this vertex count "
             f"(default {DEFAULT_DENSE_CAP}, env {DENSE_CAP_ENV})",
-        )
-        parser.add_argument(
-            "--tolerance",
-            type=_positive_float,
-            default=1e-8,
-            help="absolute tolerance for matching predicted eigenvalues",
-        )
-        parser.add_argument(
-            "--grouping-gap",
-            type=_positive_float,
-            default=DEFAULT_TOLERANCES.grouping_gap,
-            help="absolute gap under which computed eigenvalues merge",
-        )
-        parser.add_argument(
-            "--projection-threshold",
-            type=_positive_float,
-            default=DEFAULT_TOLERANCES.projection_threshold,
-            help="all-ones projection norm above which a group is main",
         )
     parser.add_argument(
         "--output", metavar="PATH", default=None, help="write to PATH instead of stdout"
@@ -170,26 +137,10 @@ def _resolve_cap(flag_value: int | None, env_name: str, default: int, parser) ->
 
 
 def _make_config(args, parser) -> RunConfig:
-    size_cap = _resolve_cap(
-        getattr(args, "size_cap", None), SIZE_CAP_ENV, DEFAULT_SIZE_CAP, parser
-    )
-    dense_cap = _resolve_cap(
-        getattr(args, "dense_cap", None), DENSE_CAP_ENV, DEFAULT_DENSE_CAP, parser
-    )
+    size_cap = _resolve_cap(args.size_cap, SIZE_CAP_ENV, DEFAULT_SIZE_CAP, parser)
+    dense_cap = _resolve_cap(args.dense_cap, DENSE_CAP_ENV, DEFAULT_DENSE_CAP, parser)
     # dense work never exceeds what may be enumerated at all
-    dense_cap = min(dense_cap, size_cap)
-    tolerances = Tolerances(
-        grouping_gap=getattr(args, "grouping_gap", DEFAULT_TOLERANCES.grouping_gap),
-        projection_threshold=getattr(
-            args, "projection_threshold", DEFAULT_TOLERANCES.projection_threshold
-        ),
-    )
-    return RunConfig(
-        size_cap=size_cap,
-        dense_cap=dense_cap,
-        tolerance=getattr(args, "tolerance", 1e-8),
-        tolerances=tolerances,
-    )
+    return RunConfig(size_cap=size_cap, dense_cap=min(dense_cap, size_cap))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -357,7 +308,7 @@ def _graph_checks(
     graph_obj = build(m, n, size_cap=config.size_cap)
     checks += _structure_checks(graph_obj, quotient, tag)
     if count <= config.dense_cap:
-        return eigen_bundle(graph_obj, config.tolerances)
+        return eigen_bundle(graph_obj)
     skipped.append(
         f"dense spectrum checks: vertex count {count} "
         f"exceeds dense cap {config.dense_cap}"
@@ -405,7 +356,7 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
     quotients = {"full": build_p(m, n), "bipartite": build_q(m, n)}
     q_spectrum = quotient_eigenvalues(quotients["bipartite"])
     values = {"full": prediction.p_eigenvalues, "bipartite": q_spectrum}
-    gap = config.tolerances.grouping_gap
+    gap = DEFAULT_TOLERANCES.grouping_gap
     checks = {
         role: _quotient_checks(quotients[role], values[role], gap) for role in ROLES
     }
@@ -423,11 +374,13 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
         for role in ROLES
     }
     if bundles["full"] is not None:
-        checks["full"] += _theorem_checks(prediction, bundles["full"], config.tolerance)
+        checks["full"] += _theorem_checks(
+            prediction, bundles["full"], DEFAULT_TOLERANCES
+        )
     if bundles["bipartite"] is not None:
         for role, check in _correspondence_checks(
             prediction, q_spectrum, bundles["full"], bundles["bipartite"],
-            config.tolerance,
+            DEFAULT_TOLERANCES,
         ):
             checks[role].append(check)
 
@@ -624,9 +577,10 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_export(args, parser) -> int:
-    config = _make_config(args, parser)
+    # export never runs a dense check, so only the size cap is resolved
+    size_cap = _resolve_cap(args.size_cap, SIZE_CAP_ENV, DEFAULT_SIZE_CAP, parser)
     build = build_graph if args.what == "graph" else build_bipartite
-    graph_obj = build(args.m, args.n, size_cap=config.size_cap)
+    graph_obj = build(args.m, args.n, size_cap=size_cap)
     if args.format == "dot":
         text = to_dot(graph_obj)
     elif args.format == "csv":

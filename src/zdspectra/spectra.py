@@ -20,7 +20,9 @@ vectors themselves.
 The spectrum-theorem and correspondence checks each live in one helper
 that takes precomputed predictions and bundles (the command-line battery
 calls them directly); the verify_* functions wrap them for callers that
-start from (m, n).
+start from (m, n).  Every threshold of a floating-point verdict (value
+matching, grouping, main classification) is a field of one Tolerances
+object, which each of these functions takes whole.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "AmbiguousClassification",
     "SpectrumMismatch",
     "NonzeroDeterminant",
-    "GraphSource",
     "EigenvalueGroup",
     "SpectralReport",
     "CheckResult",
@@ -83,8 +84,12 @@ EXACT_ANNIHILATION_MAX_N = 10
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric policy for the floating-point spectral pipeline."""
+    """Numeric policy for the floating-point spectral pipeline: the one
+    place each threshold of a floating-point verdict is set."""
 
+    # A computed eigenvalue matches its prediction when they differ by at
+    # most match.
+    match: float = 1e-8
     # Computed eigenvalues closer than max(grouping_gap,
     # grouping_gap_rel * ||A||_F) are merged into one group.
     grouping_gap: float = 1e-8
@@ -128,29 +133,18 @@ def symmetric_eigen(matrix: object) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w, V) with eigenvalues w ascending and orthonormal
     eigenvectors in the columns of V, from LAPACK's symmetric solver
-    through numpy.linalg.eigh.  Deterministic for fixed input; ties sort
-    stably.
+    through numpy.linalg.eigh, which already sorts w ascending.
+    Deterministic for fixed input.
     """
     A = np.asarray(matrix, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("matrix must be square and non-empty")
     if not np.array_equal(A, A.T):
         raise ValueError("matrix must be exactly symmetric")
-    w, V = np.linalg.eigh(A)
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return np.linalg.eigh(A)
 
 
 # -- classification ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphSource:
-    """Identity of the graph a spectral report describes."""
-
-    m: int
-    n: int
-    graph: str  # "full" or "bipartite"
 
 
 @dataclass(frozen=True)
@@ -165,10 +159,7 @@ class EigenvalueGroup:
 class SpectralReport:
     """Grouped eigenvalues of one graph with main flags."""
 
-    source: GraphSource | None
     groups: tuple[EigenvalueGroup, ...]
-    grouping_gap: float
-    projection_threshold: float
 
     def main_values(self) -> tuple[float, ...]:
         return tuple(g.value for g in self.groups if g.is_main)
@@ -199,11 +190,7 @@ def _group_bounds(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
 
 
 def _classify(
-    w: np.ndarray,
-    V: np.ndarray,
-    frobenius: float,
-    tol: Tolerances,
-    source: GraphSource | None,
+    w: np.ndarray, V: np.ndarray, frobenius: float, tol: Tolerances
 ) -> SpectralReport:
     n = len(w)
     gap = max(tol.grouping_gap, tol.grouping_gap_rel * frobenius)
@@ -221,7 +208,7 @@ def _classify(
         groups.append(
             EigenvalueGroup(value, b - a, projection, projection > tol.projection_threshold)
         )
-    report = SpectralReport(source, tuple(groups), gap, tol.projection_threshold)
+    report = SpectralReport(tuple(groups))
     if report.total_multiplicity != n:
         raise ArithmeticError(
             f"group multiplicities total {report.total_multiplicity}, order is {n}"
@@ -232,10 +219,7 @@ def _classify(
 
 
 def classify_main(
-    matrix: object,
-    *,
-    tolerances: Tolerances | None = None,
-    source: GraphSource | None = None,
+    matrix: object, *, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> SpectralReport:
     """Group the spectrum of a symmetric matrix and flag main eigenvalues.
 
@@ -243,10 +227,9 @@ def classify_main(
     norm above the threshold on its eigenspace; norms inside the dead
     band raise AmbiguousClassification.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     w, V = symmetric_eigen(matrix)
     frobenius = float(np.linalg.norm(np.asarray(matrix, dtype=np.float64)))
-    return _classify(w, V, frobenius, tol, source)
+    return _classify(w, V, frobenius, tolerances)
 
 
 # -- exact Krylov rank ------------------------------------------------------
@@ -456,29 +439,29 @@ class VerificationReport:
 
 @dataclass
 class EigenBundle:
-    """One graph with its dense eigensystem and classification."""
+    """One graph with its dense eigenvalues and classification."""
 
     graph: object
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     report: SpectralReport
 
 
-def eigen_bundle(graph: object, tolerances: Tolerances | None = None) -> EigenBundle:
+def eigen_bundle(
+    graph: object, tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> EigenBundle:
     """Decompose a graph's adjacency matrix once, for reuse across checks."""
-    tol = tolerances or DEFAULT_TOLERANCES
     dense = adjacency_matrix(graph).astype(np.float64)
     w, V = symmetric_eigen(dense)
-    source = GraphSource(graph.m, graph.n, graph.role)
-    report = _classify(w, V, float(np.linalg.norm(dense)), tol, source)
-    return EigenBundle(graph, w, V, report)
+    return EigenBundle(
+        graph, w, _classify(w, V, float(np.linalg.norm(dense)), tolerances)
+    )
 
 
 def _dense_graph_bundle(
     m: int,
     n: int,
     role: str,
-    tolerances: Tolerances | None,
+    tolerances: Tolerances,
     size_cap: int,
     dense_cap: int,
 ) -> EigenBundle:
@@ -495,9 +478,11 @@ def _dense_graph_bundle(
 
 
 def _theorem_checks(
-    prediction: PredictedSpectrum, bundle: EigenBundle, tolerance: float
+    prediction: PredictedSpectrum, bundle: EigenBundle, tolerances: Tolerances
 ) -> list[CheckResult]:
-    """One check on the distinct count, then one per predicted eigenvalue."""
+    """One check on the distinct count, then one per predicted eigenvalue,
+    matched within tolerances.match."""
+    tolerance = tolerances.match
     predicted_items = prediction.multiset()
     spacing = min(
         (b - a for (a, _), (b, _) in zip(predicted_items, predicted_items[1:])),
@@ -534,9 +519,8 @@ def _theorem_checks(
 def verify_spectrum_theorem(
     m: int,
     n: int,
-    tolerance: float = 1e-8,
     *,
-    tolerances: Tolerances | None = None,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
     size_cap: int = DEFAULT_SIZE_CAP,
     dense_cap: int = DEFAULT_DENSE_CAP,
     bundle: EigenBundle | None = None,
@@ -544,8 +528,8 @@ def verify_spectrum_theorem(
     """Compare the computed full-graph spectrum with its prediction.
 
     Every predicted eigenvalue must match a computed group within
-    `tolerance`, with exactly the predicted multiplicity.  Returns a
-    report with one check per eigenvalue; `raise_if_failed` raises
+    `tolerances.match`, with exactly the predicted multiplicity.  Returns
+    a report with one check per eigenvalue; `raise_if_failed` raises
     SpectrumMismatch.
     """
     prediction = predicted_spectrum(m, n)
@@ -553,7 +537,7 @@ def verify_spectrum_theorem(
         bundle = _dense_graph_bundle(m, n, "full", tolerances, size_cap, dense_cap)
     return VerificationReport(
         f"spectrum of the full graph (m={m}, n={n})",
-        tuple(_theorem_checks(prediction, bundle, tolerance)),
+        tuple(_theorem_checks(prediction, bundle, tolerances)),
         SpectrumMismatch,
     )
 
@@ -588,17 +572,18 @@ def _correspondence_checks(
     q_spectrum: tuple[float, ...],
     full_bundle: EigenBundle | None,
     bipartite_bundle: EigenBundle,
-    tolerance: float,
+    tolerances: Tolerances,
 ) -> list[tuple[str, CheckResult]]:
     """The main-eigenvalue correspondences, each tagged with the graph
-    ("full" or "bipartite") whose report carries it.
+    ("full" or "bipartite") whose report carries it; values match within
+    tolerances.match.
 
     With both bundles: P match (full), Q match, negation, main counts
     (bipartite), then the Krylov ranks of the graph (full) and of the
     subgraph (bipartite).  Without the full-graph bundle only the
     subgraph's three checks remain: Q match, its main count, its rank.
     """
-    n = prediction.n
+    n, tolerance = prediction.n, tolerances.match
     main_bip = list(bipartite_bundle.report.main_values())
     ok, res = _match_sorted(list(q_spectrum), main_bip, tolerance)
     q_match = CheckResult(
@@ -658,9 +643,8 @@ def _correspondence_checks(
 def verify_main_correspondences(
     m: int,
     n: int,
-    tolerance: float = 1e-8,
     *,
-    tolerances: Tolerances | None = None,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
     size_cap: int = DEFAULT_SIZE_CAP,
     dense_cap: int = DEFAULT_DENSE_CAP,
     full_bundle: EigenBundle | None = None,
@@ -671,7 +655,8 @@ def verify_main_correspondences(
     the full graph's main values are the full quotient's spectrum, the
     subgraph's main values are the bipartite quotient's spectrum, the
     full graph's nonzero non-main values are the negated subgraph mains,
-    and both main counts equal n-1 and the exact Krylov ranks.
+    and both main counts equal n-1 and the exact Krylov ranks.  Values
+    match within `tolerances.match`.
     """
     if full_bundle is None:
         full_bundle = _dense_graph_bundle(m, n, "full", tolerances, size_cap, dense_cap)
@@ -684,7 +669,7 @@ def verify_main_correspondences(
         quotient_eigenvalues(build_q(m, n)),
         full_bundle,
         bipartite_bundle,
-        tolerance,
+        tolerances,
     )
     return VerificationReport(
         f"main-eigenvalue correspondences (m={m}, n={n})",

@@ -115,9 +115,7 @@ def test_criterion_05_equitable_quotients(graphs):
 def test_criterion_06_spectrum_theorem(bundles):
     with criterion(6, "full spectra match predictions; zero block counted"):
         for m, n in dense_grid():
-            report = verify_spectrum_theorem(
-                m, n, 1e-8, bundle=bundles(m, n)
-            )
+            report = verify_spectrum_theorem(m, n, bundle=bundles(m, n))
             assert report.passed, (m, n, report.failures)
         for m, n in GRAPH_GRID:
             zero = predicted_spectrum(m, n).zero_multiplicity
@@ -142,7 +140,7 @@ def test_criterion_08_correspondence_corollaries(bundles):
     with criterion(8, "main sets equal quotient spectra; Krylov counts agree"):
         for m, n in dense_grid():
             report = verify_main_correspondences(
-                m, n, 1e-8,
+                m, n,
                 full_bundle=bundles(m, n),
                 bipartite_bundle=bundles(m, n, "bipartite"),
             )

@@ -327,6 +327,16 @@ def test_export_respects_size_cap(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_export_ignores_the_dense_cap_variable(capsys, monkeypatch):
+    # export runs no dense work, so a malformed dense-cap variable is
+    # never read.
+    argv = ("export", "--m", "2", "--n", "3")
+    clean = run(capsys, *argv)
+    monkeypatch.setenv("ZDSPECTRA_DENSE_CAP", "abc")
+    assert run(capsys, *argv) == clean
+    assert clean[0] == 0 and clean[2] == ""
+
+
 # === shared behavior ===
 
 def test_byte_determinism(capsys):
@@ -353,7 +363,8 @@ def test_usage_errors_exit_two(capsys):
         ["report", "--m", "2"],
         ["report", "--m", "2", "--n", "4", "--eigen-convergence", "1e-12"],
         ["unknown"],
-        # numeric policy must be positive and finite
+        # the numeric policy is fixed in spectra.Tolerances; these flags
+        # are gone and argparse refuses them
         ["report", "--m", "2", "--n", "3", "--tolerance", "-1"],
         ["report", "--m", "2", "--n", "3", "--tolerance", "nan"],
         ["verify", "--m", "2", "--n", "3", "--projection-threshold", "0"],

@@ -22,9 +22,9 @@ from zdspectra.spectra import (
     EXACT_ANNIHILATION_MAX_N,
     AmbiguousClassification,
     CheckResult,
-    GraphSource,
     NonzeroDeterminant,
     SpectrumMismatch,
+    Tolerances,
     VerificationReport,
     classify_main,
     eigen_bundle,
@@ -55,6 +55,7 @@ def random_symmetric(size, seed):
 
 def test_tolerance_defaults_are_pinned():
     t = DEFAULT_TOLERANCES
+    assert t.match == 1e-8
     assert t.grouping_gap == 1e-8
     assert t.grouping_gap_rel == 1e-9
     assert t.projection_threshold == 1e-7
@@ -132,11 +133,7 @@ def test_path_graph_has_two_main_values():
 
 
 def test_groups_carry_source_and_flags(graphs):
-    src = GraphSource(2, 4, "full")
-    report = classify_main(
-        adjacency_matrix(graphs(2, 4)).astype(float), source=src
-    )
-    assert report.source == src
+    report = classify_main(adjacency_matrix(graphs(2, 4)).astype(float))
     assert sum(g.multiplicity for g in report.groups) == 14
     values = [g.value for g in report.groups]
     assert values == sorted(values)
@@ -343,7 +340,9 @@ def test_spectrum_theorem_residuals_are_small(bundles):
 
 
 def test_spectrum_theorem_unreachable_tolerance_fails(bundles):
-    report = verify_spectrum_theorem(3, 3, 1e-300, bundle=bundles(3, 3))
+    report = verify_spectrum_theorem(
+        3, 3, tolerances=Tolerances(match=1e-300), bundle=bundles(3, 3)
+    )
     assert not report.passed
     with pytest.raises(SpectrumMismatch):
         report.raise_if_failed()
@@ -384,6 +383,31 @@ def test_correspondences_with_zero_block(bundles):
         bipartite_bundle=bundles(3, 4, "bipartite"),
     )
     assert report.passed
+
+
+def test_correspondences_fail_at_unreachable_match_tolerance(bundles):
+    # Rounding keeps every computed value off its prediction by more than
+    # 1e-300, so each value match fails; the counts and the exact Krylov
+    # ranks do not depend on the tolerance and still pass.
+    report = verify_main_correspondences(
+        3, 4,
+        tolerances=Tolerances(match=1e-300),
+        full_bundle=bundles(3, 4),
+        bipartite_bundle=bundles(3, 4, "bipartite"),
+    )
+    verdicts = {c.name: c.passed for c in report.checks}
+    assert verdicts == {
+        "main eigenvalues equal the full quotient spectrum": False,
+        "subgraph main eigenvalues equal the bipartite quotient spectrum": False,
+        "nonzero non-main values equal the negated subgraph mains": False,
+        "main counts equal n-1 on both graphs": True,
+        "exact Krylov rank of the graph equals its main count": True,
+        "exact Krylov rank of the subgraph equals its main count": True,
+    }
+    for check in report.failures:
+        assert check.residual is not None and check.residual > 1e-300
+    with pytest.raises(SpectrumMismatch):
+        report.raise_if_failed()
 
 
 def test_verification_report_mechanics():
