@@ -57,7 +57,6 @@ from .quotient import (
 from .spectra import (
     DEFAULT_DENSE_CAP,
     DEFAULT_TOLERANCES,
-    EXACT_ANNIHILATION_MAX_N,
     AmbiguousClassification,
     CheckResult,
     EigenBundle,
@@ -231,8 +230,10 @@ def _quotient_checks(
             f"determinant routes agree ({tag})",
             routes.det_match,
             None,
-            f"elimination {routes.det_elimination}, "
-            f"factorization {routes.det_factorization}",
+            "" if routes.det_match else (
+                f"elimination {routes.det_elimination}, "
+                f"factorization {routes.det_factorization}"
+            ),
         ),
         CheckResult(
             f"quotient eigenvalues pairwise separated ({tag})",
@@ -362,12 +363,7 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
     }
     skipped: dict[str, list[str]] = {role: [] for role in ROLES}
 
-    if n <= EXACT_ANNIHILATION_MAX_N:
-        checks["bipartite"] += q_eigen_exact_check(m, n).checks
-    else:
-        skipped["bipartite"].append(
-            f"exact annihilation: n={n} beyond the exact bound {EXACT_ANNIHILATION_MAX_N}"
-        )
+    checks["bipartite"] += q_eigen_exact_check(m, n).checks
 
     bundles = {
         role: _graph_checks(role, quotients[role], config, checks[role], skipped[role])

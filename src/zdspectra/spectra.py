@@ -2,7 +2,8 @@
 Krylov ranks, and comparison of graph spectra against their predictions.
 
 Dense symmetric matrices are decomposed by LAPACK through
-numpy.linalg.eigh.  Computed eigenvalues are merged into groups by a
+numpy.linalg.eigh, and an equitable quotient through the symmetric
+matrix it is similar to.  Computed eigenvalues are merged into groups by a
 gap rule, each group is flagged as main or not by projecting the
 normalized all-ones vector onto its eigenspace (a quantity that does
 not depend on the basis chosen inside the eigenspace), and a dead band
@@ -53,7 +54,6 @@ from .quotient import (
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
-    "EXACT_ANNIHILATION_MAX_N",
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "AmbiguousClassification",
@@ -78,8 +78,6 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 3_000
-# Largest n for which q_eigen_exact_check runs (and run_battery asks it to).
-EXACT_ANNIHILATION_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -308,15 +306,18 @@ def krylov_rank(operand: object, max_cols: int | None = None) -> int:
 
 
 def quotient_eigenvalues(quotient: QuotientMatrix) -> tuple[float, ...]:
-    """Sorted real eigenvalues of a (generally nonsymmetric) quotient."""
-    values = np.linalg.eigvals(np.array(quotient.entries, dtype=np.float64))
-    scale = 1.0 + float(np.max(np.abs(values), initial=0.0))
-    drift = float(np.max(np.abs(values.imag), initial=0.0))
-    if drift > 1e-9 * scale:
-        raise ArithmeticError(
-            f"quotient spectrum unexpectedly complex (imaginary drift {drift:.3e})"
-        )
-    return tuple(sorted(float(x) for x in values.real))
+    """Ascending eigenvalues of an equitable quotient B.
+
+    Precondition: B is balanced, c_i * B[i][j] == c_j * B[j][i] for the
+    cell sizes c, as every equitable quotient is.  Then D^1/2 B D^-1/2,
+    with D = diag(c), is symmetric with entries sqrt(B[i][j] * B[j][i])
+    and has B's spectrum, so one symmetric eigensolve gives it.  The
+    product of the entrywise roots is exactly symmetric (floating-point
+    multiplication commutes) and cannot overflow where B[i][j] * B[j][i]
+    would.
+    """
+    r = np.sqrt(np.array(quotient.entries, dtype=np.float64))
+    return tuple(np.linalg.eigvalsh(r * r.T).tolist())
 
 
 @dataclass(frozen=True)
@@ -728,16 +729,10 @@ def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
     The pair powers are algebraic integers a + b*phi, so the check runs in
     integer Z[phi] arithmetic: the integer characteristic polynomial of Q
     is computed once, then evaluated at each negated pair power; values
-    become QuadraticNumbers only for the report.  n is limited to
-    EXACT_ANNIHILATION_MAX_N.  Returns one check per index i;
-    `raise_if_failed` raises NonzeroDeterminant with the exact determinant
-    in the detail.
+    become QuadraticNumbers only for the report.  Returns one check per
+    index i; `raise_if_failed` raises NonzeroDeterminant with the exact
+    determinant in the detail.
     """
-    if n > EXACT_ANNIHILATION_MAX_N:
-        raise ValueError(
-            f"exact annihilation is supported for n <= {EXACT_ANNIHILATION_MAX_N}, "
-            f"got n={n}"
-        )
     coeffs = _char_poly(build_q(m, n).entries)
     checks = []
     for i in range(1, n):

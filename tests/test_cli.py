@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+import sys
 
 import pytest
 
@@ -257,6 +258,7 @@ def test_rank_falls_back_to_elimination_on_a_singular_walk(capsys, monkeypatch):
                        "--size-cap", "1")
     assert code == 1
     assert "FAIL" in out
+    assert "determinant routes agree (P) - elimination 0, factorization" in out
 
 
 # === verify ===
@@ -283,6 +285,33 @@ def test_verify_reports_skips_under_tight_caps(capsys):
     assert code == 0
     assert "skipped:" in out
     assert "dense" in out
+
+
+def test_verify_formats_no_passing_determinant(capsys):
+    # The walk determinant at (9, 16) has 834 digits; a passing check must
+    # not turn it into a string, so a lower int-to-str limit cannot fail it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "verify", "--m", "9", "--n", "16",
+                             "--size-cap", "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0, err
+    assert "0 failures" in out
+
+
+def test_battery_annihilates_past_n_ten():
+    battery = cli.run_battery(2, 11, cli.RunConfig(1, 1))
+    annihilation = [f"pair power i={i} annihilates the bipartite quotient"
+                    for i in range(1, 11)]
+    bipartite = [c.name for c in battery.checks["bipartite"]]
+    assert [name for name in bipartite if "annihilates" in name] == annihilation
+    assert all(c.passed for c in battery.checks["bipartite"])
+    assert not any("annihilat" in c.name for c in battery.checks["full"])
+    notes = battery.skipped["full"] + battery.skipped["bipartite"]
+    assert notes
+    assert not any("annihilation" in note for note in notes)
 
 
 def test_verify_range_validation(capsys):

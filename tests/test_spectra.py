@@ -14,12 +14,12 @@ from zdspectra.graph import (
     ZeroDivisorGraph,
     adjacency_matrix,
     build_graph,
+    expected_cell_sizes,
 )
 from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
 from zdspectra.spectra import (
     DEFAULT_DENSE_CAP,
     DEFAULT_TOLERANCES,
-    EXACT_ANNIHILATION_MAX_N,
     AmbiguousClassification,
     CheckResult,
     NonzeroDeterminant,
@@ -281,6 +281,28 @@ def test_quotient_eigenvalues_known_case():
     assert list(values) == sorted(values)
 
 
+@pytest.mark.parametrize("role,build", [("full", build_p), ("bipartite", build_q)])
+def test_quotient_eigenvalues_are_the_balanced_spectrum(role, build):
+    # Equitable quotients are balanced by their cell sizes, which makes
+    # them similar to a symmetric matrix; its spectrum is the general one.
+    for m in range(2, 10):
+        for n in range(2, 13):
+            entries = build(m, n).entries
+            sizes = expected_cell_sizes(m, n, role)
+            order = len(entries)
+            assert all(
+                sizes[i] * entries[i][j] == sizes[j] * entries[j][i]
+                for i in range(order)
+                for j in range(order)
+            ), (m, n)
+            general = np.sort(
+                np.linalg.eigvals(np.array(entries, dtype=np.float64)).real
+            )
+            values = np.array(quotient_eigenvalues(build(m, n)))
+            scale = np.maximum(1.0, np.abs(general))
+            assert np.all(np.abs(values - general) <= 1e-12 * scale), (m, n)
+
+
 def test_predicted_spectrum_structure():
     pred = predicted_spectrum(3, 4)
     assert [q.value for q in pred.q_derived] == [-2.0, 4.0, -8.0]
@@ -442,9 +464,12 @@ def test_annihilation_irrational_case():
     assert q_eigen_exact_check(5, 3).passed
 
 
-def test_annihilation_order_guard():
-    with pytest.raises(ValueError):
-        q_eigen_exact_check(2, EXACT_ANNIHILATION_MAX_N + 1)
+@pytest.mark.parametrize("m,n", [(2, 24), (3, 20), (7, 16), (9, 24)])
+def test_annihilation_at_large_n(m, n):
+    # m = 3 and m = 7 have perfect-square radicands 4m - 3.
+    report = q_eigen_exact_check(m, n)
+    assert report.passed
+    assert len(report.checks) == n - 1
 
 
 def _det_quadratic(rows):
@@ -503,7 +528,7 @@ def _reference_annihilation(entries, m, n):
 def test_annihilation_matches_quadratic_elimination():
     # Name, pass flag, residual and detail, on the whole exact-sweep grid.
     for m in range(2, 10):
-        for n in range(2, EXACT_ANNIHILATION_MAX_N + 1):
+        for n in range(2, 11):
             assert q_eigen_exact_check(m, n).checks == _reference_annihilation(
                 build_q(m, n).entries, m, n
             ), (m, n)
