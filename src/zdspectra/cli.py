@@ -6,16 +6,23 @@ quotient is built and its spectrum taken once, and every check is filed
 under the graph it describes ("full" or "bipartite"), the correspondence
 checks by the tag they carry.
 
+Each cap is decided once per graph, here: a graph above the size cap is
+never built (the builders refuse it too), and one above the dense cap
+gets its exact Krylov rank instead of a dense eigen bundle.  The spectra
+module only receives bundles ready-made.
+
 Exit statuses: 0 success, 1 check failure, 2 usage error, 3 resource cap
 exceeded.  Identical invocations produce byte-identical output.  The
 default size caps can be overridden with the ZDSPECTRA_SIZE_CAP and
 ZDSPECTRA_DENSE_CAP environment variables (flags win over both).  The
-numeric policy is spectra.DEFAULT_TOLERANCES; no flag or variable sets it.
+numeric policy is the set of constants in spectra (MATCH, GROUPING_GAP
+and the rest), read when each check runs; no flag or variable sets it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -23,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import spectra
 from .fib import docagne_residual
 from .graph import (
     DEFAULT_SIZE_CAP,
@@ -55,8 +63,6 @@ from .quotient import (
     walk_matrix_iterative,
 )
 from .spectra import (
-    DEFAULT_DENSE_CAP,
-    DEFAULT_TOLERANCES,
     AmbiguousClassification,
     CheckResult,
     EigenBundle,
@@ -70,6 +76,7 @@ from .spectra import (
     quotient_eigenvalues,
 )
 
+DEFAULT_DENSE_CAP = 3_000
 SIZE_CAP_ENV = "ZDSPECTRA_SIZE_CAP"
 DENSE_CAP_ENV = "ZDSPECTRA_DENSE_CAP"
 
@@ -193,10 +200,12 @@ def _walk_routes(quotient: QuotientMatrix) -> WalkRoutes:
 
 
 def _quotient_checks(
-    quotient: QuotientMatrix, values: tuple[float, ...], gap: float
+    quotient: QuotientMatrix, values: tuple[float, ...]
 ) -> list[CheckResult]:
-    """Exact-arithmetic checks for one quotient, given its eigenvalues."""
+    """Exact-arithmetic checks for one quotient, given its eigenvalues;
+    the eigenvalues must lie further apart than spectra.GROUPING_GAP."""
     m, n, tag = quotient.m, quotient.n, quotient.kind.value
+    gap = spectra.GROUPING_GAP
     if quotient.kind is QuotientKind.P:
         law = tuple(m**i - 1 for i in range(1, n))
     else:
@@ -357,10 +366,7 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
     quotients = {"full": build_p(m, n), "bipartite": build_q(m, n)}
     q_spectrum = quotient_eigenvalues(quotients["bipartite"])
     values = {"full": prediction.p_eigenvalues, "bipartite": q_spectrum}
-    gap = DEFAULT_TOLERANCES.grouping_gap
-    checks = {
-        role: _quotient_checks(quotients[role], values[role], gap) for role in ROLES
-    }
+    checks = {role: _quotient_checks(quotients[role], values[role]) for role in ROLES}
     skipped: dict[str, list[str]] = {role: [] for role in ROLES}
 
     checks["bipartite"] += q_eigen_exact_check(m, n).checks
@@ -370,13 +376,10 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
         for role in ROLES
     }
     if bundles["full"] is not None:
-        checks["full"] += _theorem_checks(
-            prediction, bundles["full"], DEFAULT_TOLERANCES
-        )
+        checks["full"] += _theorem_checks(prediction, bundles["full"])
     if bundles["bipartite"] is not None:
         for role, check in _correspondence_checks(
-            prediction, q_spectrum, bundles["full"], bundles["bipartite"],
-            DEFAULT_TOLERANCES,
+            prediction, q_spectrum, bundles["full"], bundles["bipartite"]
         ):
             checks[role].append(check)
 
@@ -438,15 +441,31 @@ def _report_text(entries: list[dict]) -> str:
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_quotient(args, parser) -> int:
-    kind = QuotientKind.P if args.kind == "p" else QuotientKind.Q
-    m, n = args.m, args.n
-    quotient = build_p(m, n) if kind is QuotientKind.P else build_q(m, n)
-    routes = _walk_routes(quotient)
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift Python's int-to-str digit limit (4300 by default) for the
+    duration, on interpreters that have one, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
-    if args.format == "csv":
-        text = matrix_to_csv(quotient)
-    elif args.format == "json":
+
+def _quotient_text(fmt: str, quotient: QuotientMatrix, routes: WalkRoutes) -> str:
+    """The quotient, its walk matrices and determinants, rendered in full.
+
+    Walk determinants have about n**2 digits (over 4300 at m=9, n=32), so
+    the caller lifts the int-to-str limit around this.
+    """
+    kind, m, n = quotient.kind, quotient.m, quotient.n
+    if fmt == "csv":
+        return matrix_to_csv(quotient)
+    if fmt == "json":
         payload = {
             "kind": kind.value,
             "m": m,
@@ -463,38 +482,45 @@ def _cmd_quotient(args, parser) -> int:
         }
         if kind is QuotientKind.P:
             payload["h_coefficients"] = [str(h) for h in h_coefficients(m, n)]
-        text = json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
+
+    def block(title: str, rows) -> list[str]:
+        width = max(len(str(x)) for row in rows for x in row)
+        out = [f"{title}:"]
+        out += ["  " + " ".join(f"{x:>{width}}" for x in row) for row in rows]
+        return out
+
+    lines = [f"quotient {kind.value} (m={m}, n={n})"]
+    lines += block("matrix", quotient.entries)
+    lines.append(f"row sums: {' '.join(str(x) for x in quotient.row_sums())}")
+    lines += block("walk matrix (iterative)", routes.walk.entries)
+    if routes.walk_match:
+        lines.append("walk matrix (closed form): identical")
     else:
-        def block(title: str, rows) -> list[str]:
-            width = max(len(str(x)) for row in rows for x in row)
-            out = [f"{title}:"]
-            out += ["  " + " ".join(f"{x:>{width}}" for x in row) for row in rows]
-            return out
-
-        lines = [f"quotient {kind.value} (m={m}, n={n})"]
-        lines += block("matrix", quotient.entries)
-        lines.append(f"row sums: {' '.join(str(x) for x in quotient.row_sums())}")
-        lines += block("walk matrix (iterative)", routes.walk.entries)
-        if routes.walk_match:
-            lines.append("walk matrix (closed form): identical")
-        else:
-            lines += block("walk matrix (closed form)", routes.closed.entries)
-        if kind is QuotientKind.P:
-            lines.append(
-                "h coefficients: "
-                + " ".join(str(h) for h in h_coefficients(m, n))
-            )
-        lines.append(f"rank: {routes.rank}")
-        lines.append(f"determinant (elimination): {routes.det_elimination}")
-        lines.append(f"determinant (factorization): {routes.det_factorization}")
+        lines += block("walk matrix (closed form)", routes.closed.entries)
+    if kind is QuotientKind.P:
         lines.append(
-            "cross-checks: "
-            + ("walk routes match" if routes.walk_match else "WALK ROUTES DIFFER")
-            + ", "
-            + ("determinants match" if routes.det_match else "DETERMINANTS DIFFER")
+            "h coefficients: "
+            + " ".join(str(h) for h in h_coefficients(m, n))
         )
-        text = "\n".join(lines) + "\n"
+    lines.append(f"rank: {routes.rank}")
+    lines.append(f"determinant (elimination): {routes.det_elimination}")
+    lines.append(f"determinant (factorization): {routes.det_factorization}")
+    lines.append(
+        "cross-checks: "
+        + ("walk routes match" if routes.walk_match else "WALK ROUTES DIFFER")
+        + ", "
+        + ("determinants match" if routes.det_match else "DETERMINANTS DIFFER")
+    )
+    return "\n".join(lines) + "\n"
 
+
+def _cmd_quotient(args, parser) -> int:
+    m, n = args.m, args.n
+    quotient = build_p(m, n) if args.kind == "p" else build_q(m, n)
+    routes = _walk_routes(quotient)
+    with _unlimited_int_str():
+        text = _quotient_text(args.format, quotient, routes)
     _emit(text, args.output)
     return 0 if routes.walk_match and routes.det_match else 1
 

@@ -220,7 +220,7 @@ class BipartiteSubgraph(_SupportGraph):
         n: int,
         vertices: np.ndarray | Sequence[VertexTuple],
         cells: Sequence[Sequence[int]],
-        sides: tuple[Sequence[int], Sequence[int]] = ((), ()),
+        sides: tuple[Sequence[int], Sequence[int]],
     ) -> None:
         super().__init__(m, n, vertices, cells)
         self.sides = tuple(_frozen(np.array(side, dtype=np.int64)) for side in sides)
@@ -378,12 +378,11 @@ def adjacency_to_csv(graph: _SupportGraph) -> str:
     return b"".join(rows).decode("ascii")
 
 
-def to_dot(graph: _SupportGraph, name: str | None = None) -> str:
-    """DOT text: labeled vertices, cells as same-rank groups, then edges."""
-    if name is None:
-        name = f"{graph.role}_m{graph.m}_n{graph.n}"
+def to_dot(graph: _SupportGraph) -> str:
+    """DOT text named role_mM_nN: labeled vertices, cells as same-rank
+    groups, then edges."""
     labels = graph.labels()
-    lines = [f"graph {name} {{"]
+    lines = [f"graph {graph.role}_m{graph.m}_n{graph.n} {{"]
     for cell in graph.cells:
         members = " ".join(f'"{labels[i]}";' for i in cell)
         lines.append(f"  {{ rank=same; {members} }}")

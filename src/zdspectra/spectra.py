@@ -20,10 +20,11 @@ vectors themselves.
 
 The spectrum-theorem and correspondence checks each live in one helper
 that takes precomputed predictions and bundles (the command-line battery
-calls them directly); the verify_* functions wrap them for callers that
-start from (m, n).  Every threshold of a floating-point verdict (value
-matching, grouping, main classification) is a field of one Tolerances
-object, which each of these functions takes whole.
+calls them directly); the verify_* functions wrap them in reports for
+callers that hold the bundles.  This module never builds a graph, so the
+size caps live with the builders and the command line.  Every threshold
+of a floating-point verdict (value matching, grouping, main
+classification) is one module constant below, read when a check runs.
 """
 
 from __future__ import annotations
@@ -34,15 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fib import QuadraticNumber, pair_power, zphi_mul, zphi_to_quadratic
-from .graph import (
-    DEFAULT_SIZE_CAP,
-    SizeCapExceeded,
-    adjacency_matrix,
-    build_bipartite,
-    build_graph,
-    disjoint_sums,
-    vertex_count,
-)
+from .graph import adjacency_matrix, disjoint_sums, vertex_count
 from .quotient import (
     QuotientMatrix,
     _integer_rows,
@@ -53,9 +46,11 @@ from .quotient import (
 )
 
 __all__ = [
-    "DEFAULT_DENSE_CAP",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "MATCH",
+    "GROUPING_GAP",
+    "GROUPING_GAP_REL",
+    "PROJECTION_THRESHOLD",
+    "DEAD_BAND_FACTOR",
     "AmbiguousClassification",
     "SpectrumMismatch",
     "NonzeroDeterminant",
@@ -77,29 +72,21 @@ __all__ = [
     "q_eigen_exact_check",
 ]
 
-DEFAULT_DENSE_CAP = 3_000
+# Numeric policy for the floating-point spectral pipeline: the one place
+# each threshold of a floating-point verdict is set.
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric policy for the floating-point spectral pipeline: the one
-    place each threshold of a floating-point verdict is set."""
-
-    # A computed eigenvalue matches its prediction when they differ by at
-    # most match.
-    match: float = 1e-8
-    # Computed eigenvalues closer than max(grouping_gap,
-    # grouping_gap_rel * ||A||_F) are merged into one group.
-    grouping_gap: float = 1e-8
-    grouping_gap_rel: float = 1e-9
-    # A group is main when the all-ones projection norm exceeds
-    # projection_threshold; norms inside
-    # [dead_band_factor * threshold, threshold] raise.
-    projection_threshold: float = 1e-7
-    dead_band_factor: float = 0.1
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# A computed eigenvalue matches its prediction when they differ by at
+# most MATCH.
+MATCH = 1e-8
+# Computed eigenvalues closer than max(GROUPING_GAP,
+# GROUPING_GAP_REL * ||A||_F) are merged into one group.
+GROUPING_GAP = 1e-8
+GROUPING_GAP_REL = 1e-9
+# A group is main when the all-ones projection norm exceeds
+# PROJECTION_THRESHOLD; norms inside
+# [DEAD_BAND_FACTOR * threshold, threshold] raise.
+PROJECTION_THRESHOLD = 1e-7
+DEAD_BAND_FACTOR = 0.1
 
 
 class AmbiguousClassification(Exception):
@@ -187,25 +174,20 @@ def _group_bounds(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
     return bounds
 
 
-def _classify(
-    w: np.ndarray, V: np.ndarray, frobenius: float, tol: Tolerances
-) -> SpectralReport:
+def _classify(w: np.ndarray, V: np.ndarray, frobenius: float) -> SpectralReport:
     n = len(w)
-    gap = max(tol.grouping_gap, tol.grouping_gap_rel * frobenius)
+    gap = max(GROUPING_GAP, GROUPING_GAP_REL * frobenius)
     ones = np.full(n, 1.0 / math.sqrt(n))
     coeff = V.T @ ones
-    low = tol.dead_band_factor * tol.projection_threshold
+    high = PROJECTION_THRESHOLD
+    low = DEAD_BAND_FACTOR * high
     groups = []
     for a, b in _group_bounds(w, gap):
         projection = float(math.sqrt(float(np.sum(coeff[a:b] ** 2))))
         value = float(np.mean(w[a:b]))
-        if low <= projection <= tol.projection_threshold:
-            raise AmbiguousClassification(
-                value, projection, low, tol.projection_threshold
-            )
-        groups.append(
-            EigenvalueGroup(value, b - a, projection, projection > tol.projection_threshold)
-        )
+        if low <= projection <= high:
+            raise AmbiguousClassification(value, projection, low, high)
+        groups.append(EigenvalueGroup(value, b - a, projection, projection > high))
     report = SpectralReport(tuple(groups))
     if report.total_multiplicity != n:
         raise ArithmeticError(
@@ -216,9 +198,7 @@ def _classify(
     return report
 
 
-def classify_main(
-    matrix: object, *, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> SpectralReport:
+def classify_main(matrix: object) -> SpectralReport:
     """Group the spectrum of a symmetric matrix and flag main eigenvalues.
 
     A group is main when the normalized all-ones vector has projection
@@ -227,7 +207,7 @@ def classify_main(
     """
     w, V = symmetric_eigen(matrix)
     frobenius = float(np.linalg.norm(np.asarray(matrix, dtype=np.float64)))
-    return _classify(w, V, frobenius, tolerances)
+    return _classify(w, V, frobenius)
 
 
 # -- exact Krylov rank ------------------------------------------------------
@@ -259,14 +239,15 @@ def _lattice_operator(graph: object):
     return len(present), matvec
 
 
-def krylov_rank(operand: object, max_cols: int | None = None) -> int:
+def krylov_rank(operand: object) -> int:
     """Rank of [e, Ae, A**2 e, ...] over the rationals, in exact arithmetic.
 
     `operand` is a square integer matrix A, or a graph, whose adjacency
     is then applied on its support lattice without forming A; the rank
     is the same as for the graph's adjacency matrix.  Columns extend
     until two consecutive ranks agree (the rank can never grow again
-    after that), capped at max_cols (default: order + 1).
+    after that).  The rank starts at 1, grows by at most 1 per column
+    and never exceeds the order, so that happens by column order + 1.
 
     Each step ranks the Gram matrix G[i][j] = v_i . v_j of the Krylov
     vectors v_0..v_k built so far, one (k+1) x (k+1) exact_rank call,
@@ -281,14 +262,11 @@ def krylov_rank(operand: object, max_cols: int | None = None) -> int:
         order, matvec = _lattice_operator(operand)
     else:
         order, matvec = _matrix_operator(operand)
-    cap = order + 1 if max_cols is None else max_cols
-    if cap < 1:
-        raise ValueError(f"max_cols must be at least 1, got {max_cols!r}")
     vec = np.ones(order, dtype=object)
     vectors = [vec]
     gram = [[order]]
     rank = 1
-    while len(vectors) < cap:
+    while True:
         vec = matvec(vec)
         vectors.append(vec)
         dots = [v.dot(vec) for v in vectors]
@@ -299,7 +277,6 @@ def krylov_rank(operand: object, max_cols: int | None = None) -> int:
         if new_rank == rank:
             return rank
         rank = new_rank
-    return rank
 
 
 # -- predictions ------------------------------------------------------------
@@ -447,43 +424,19 @@ class EigenBundle:
     report: SpectralReport
 
 
-def eigen_bundle(
-    graph: object, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> EigenBundle:
+def eigen_bundle(graph: object) -> EigenBundle:
     """Decompose a graph's adjacency matrix once, for reuse across checks."""
     dense = adjacency_matrix(graph).astype(np.float64)
     w, V = symmetric_eigen(dense)
-    return EigenBundle(
-        graph, w, _classify(w, V, float(np.linalg.norm(dense)), tolerances)
-    )
-
-
-def _dense_graph_bundle(
-    m: int,
-    n: int,
-    role: str,
-    tolerances: Tolerances,
-    size_cap: int,
-    dense_cap: int,
-) -> EigenBundle:
-    build, what = (
-        (build_graph, "graph") if role == "full"
-        else (build_bipartite, "two-sided subgraph")
-    )
-    count = vertex_count(m, n, role)
-    if count > dense_cap:
-        raise SizeCapExceeded(
-            f"dense spectrum of the {what} for m={m}, n={n}", count, dense_cap
-        )
-    return eigen_bundle(build(m, n, size_cap=size_cap), tolerances)
+    return EigenBundle(graph, w, _classify(w, V, float(np.linalg.norm(dense))))
 
 
 def _theorem_checks(
-    prediction: PredictedSpectrum, bundle: EigenBundle, tolerances: Tolerances
+    prediction: PredictedSpectrum, bundle: EigenBundle
 ) -> list[CheckResult]:
     """One check on the distinct count, then one per predicted eigenvalue,
-    matched within tolerances.match."""
-    tolerance = tolerances.match
+    matched within MATCH."""
+    tolerance = MATCH
     predicted_items = prediction.multiset()
     spacing = min(
         (b - a for (a, _), (b, _) in zip(predicted_items, predicted_items[1:])),
@@ -517,28 +470,17 @@ def _theorem_checks(
     return checks
 
 
-def verify_spectrum_theorem(
-    m: int,
-    n: int,
-    *,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    bundle: EigenBundle | None = None,
-) -> VerificationReport:
-    """Compare the computed full-graph spectrum with its prediction.
+def verify_spectrum_theorem(m: int, n: int, bundle: EigenBundle) -> VerificationReport:
+    """Compare the computed spectrum of the full graph (m, n), held in
+    `bundle`, with its prediction.
 
-    Every predicted eigenvalue must match a computed group within
-    `tolerances.match`, with exactly the predicted multiplicity.  Returns
-    a report with one check per eigenvalue; `raise_if_failed` raises
-    SpectrumMismatch.
+    Every predicted eigenvalue must match a computed group within MATCH,
+    with exactly the predicted multiplicity.  Returns a report with one
+    check per eigenvalue; `raise_if_failed` raises SpectrumMismatch.
     """
-    prediction = predicted_spectrum(m, n)
-    if bundle is None:
-        bundle = _dense_graph_bundle(m, n, "full", tolerances, size_cap, dense_cap)
     return VerificationReport(
         f"spectrum of the full graph (m={m}, n={n})",
-        tuple(_theorem_checks(prediction, bundle, tolerances)),
+        tuple(_theorem_checks(predicted_spectrum(m, n), bundle)),
         SpectrumMismatch,
     )
 
@@ -559,7 +501,7 @@ def _match_sorted(
 
 def _krylov_main_check(bundle: EigenBundle, what: str) -> CheckResult:
     main = len(bundle.report.main_values())
-    rank = krylov_rank(bundle.graph, max_cols=len(bundle.report.groups) + 1)
+    rank = krylov_rank(bundle.graph)
     return CheckResult(
         f"exact Krylov rank of the {what} equals its main count",
         rank == main,
@@ -573,18 +515,17 @@ def _correspondence_checks(
     q_spectrum: tuple[float, ...],
     full_bundle: EigenBundle | None,
     bipartite_bundle: EigenBundle,
-    tolerances: Tolerances,
 ) -> list[tuple[str, CheckResult]]:
     """The main-eigenvalue correspondences, each tagged with the graph
     ("full" or "bipartite") whose report carries it; values match within
-    tolerances.match.
+    MATCH.
 
     With both bundles: P match (full), Q match, negation, main counts
     (bipartite), then the Krylov ranks of the graph (full) and of the
     subgraph (bipartite).  Without the full-graph bundle only the
     subgraph's three checks remain: Q match, its main count, its rank.
     """
-    n, tolerance = prediction.n, tolerances.match
+    n, tolerance = prediction.n, MATCH
     main_bip = list(bipartite_bundle.report.main_values())
     ok, res = _match_sorted(list(q_spectrum), main_bip, tolerance)
     q_match = CheckResult(
@@ -642,35 +583,22 @@ def _correspondence_checks(
 
 
 def verify_main_correspondences(
-    m: int,
-    n: int,
-    *,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    full_bundle: EigenBundle | None = None,
-    bipartite_bundle: EigenBundle | None = None,
+    m: int, n: int, full_bundle: EigenBundle, bipartite_bundle: EigenBundle
 ) -> VerificationReport:
-    """Check the three main-eigenvalue correspondences for (m, n):
+    """Check the three main-eigenvalue correspondences for (m, n) on the
+    graph and the two-sided subgraph, held in the two bundles:
 
     the full graph's main values are the full quotient's spectrum, the
     subgraph's main values are the bipartite quotient's spectrum, the
     full graph's nonzero non-main values are the negated subgraph mains,
     and both main counts equal n-1 and the exact Krylov ranks.  Values
-    match within `tolerances.match`.
+    match within MATCH.
     """
-    if full_bundle is None:
-        full_bundle = _dense_graph_bundle(m, n, "full", tolerances, size_cap, dense_cap)
-    if bipartite_bundle is None:
-        bipartite_bundle = _dense_graph_bundle(
-            m, n, "bipartite", tolerances, size_cap, dense_cap
-        )
     checks = _correspondence_checks(
         predicted_spectrum(m, n),
         quotient_eigenvalues(build_q(m, n)),
         full_bundle,
         bipartite_bundle,
-        tolerances,
     )
     return VerificationReport(
         f"main-eigenvalue correspondences (m={m}, n={n})",

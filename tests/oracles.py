@@ -104,18 +104,17 @@ def rank_gauss(rows) -> int:
     return rank
 
 
-def krylov_rank_rows(rows, max_cols=None) -> int:
+def krylov_rank_rows(rows) -> int:
     """Rank of [e, Ae, A**2 e, ...] for a square integer matrix given as
-    rows, stopping when two consecutive ranks agree or after max_cols
-    vectors (default: order + 1).  The Krylov vectors themselves are
-    row-reduced at every step, in Python ints and rank_gauss."""
+    rows, stopping when two consecutive ranks agree or after order + 1
+    vectors.  The Krylov vectors themselves are row-reduced at every
+    step, in Python ints and rank_gauss."""
     order = len(rows)
-    cap = order + 1 if max_cols is None else max_cols
     nonzero = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
     vec = [1] * order
     krylov = [vec]
     rank = 1
-    while len(krylov) < cap:
+    while len(krylov) < order + 1:
         vec = [sum(a * vec[j] for j, a in terms) for terms in nonzero]
         krylov.append(vec)
         new_rank = rank_gauss(krylov)

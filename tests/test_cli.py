@@ -5,8 +5,15 @@ import sys
 
 import pytest
 
-from zdspectra import cli
-from zdspectra.quotient import WalkMatrix, build_p, build_q, exact_rank
+from zdspectra import cli, spectra
+from zdspectra.quotient import (
+    WalkMatrix,
+    build_p,
+    build_q,
+    exact_det,
+    exact_rank,
+    walk_matrix_iterative,
+)
 
 
 def run(capsys, *argv):
@@ -68,6 +75,30 @@ def test_quotient_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "0,0,1\n0,1,2\n1,3,3\n"
+
+
+def test_quotient_renders_determinants_past_the_int_str_limit(capsys):
+    # The walk determinant at (9, 16) has 834 digits.  Rendering lifts
+    # Python's int-to-str limit for itself only, and puts it back after.
+    det = exact_det(walk_matrix_iterative(build_p(9, 16)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        results = {
+            fmt: run(capsys, "quotient", "--kind", "p", "--m", "9", "--n", "16",
+                     "--format", fmt)
+            for fmt in ("json", "text")
+        }
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digits = str(det)
+    assert len(digits) > 640
+    for code, _, err in results.values():
+        assert code == 0, err
+        assert err == ""
+    assert json.loads(results["json"][1])["det_elimination"] == digits
+    assert f"determinant (elimination): {digits}\n" in results["text"][1]
 
 
 # === report ===
@@ -314,6 +345,30 @@ def test_battery_annihilates_past_n_ten():
     assert not any("annihilation" in note for note in notes)
 
 
+def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
+    # Rounding keeps every computed value off its prediction by more than
+    # 1e-300, so each value match fails; the counts and the exact ranks,
+    # which no tolerance enters, still pass.
+    monkeypatch.setattr(spectra, "MATCH", 1e-300)
+    battery = cli.run_battery(3, 4, cli.RunConfig(20000, 3000))
+    verdicts = {c.name: c.passed for role in cli.ROLES for c in battery.checks[role]}
+    value_matches = {name for name in verdicts if name.startswith("eigenvalue ")}
+    assert len(value_matches) == len(battery.prediction.multiset())
+    value_matches |= {
+        "main eigenvalues equal the full quotient spectrum",
+        "subgraph main eigenvalues equal the bipartite quotient spectrum",
+        "nonzero non-main values equal the negated subgraph mains",
+    }
+    assert {name for name, ok in verdicts.items() if not ok} == value_matches
+    for name in (
+        "distinct eigenvalue count",
+        "main counts equal n-1 on both graphs",
+        "exact Krylov rank of the graph equals its main count",
+        "exact Krylov rank of the subgraph equals its main count",
+    ):
+        assert verdicts[name] is True
+
+
 def test_verify_range_validation(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--m", "1..3", "--n", "2..3"])
@@ -392,8 +447,8 @@ def test_usage_errors_exit_two(capsys):
         ["report", "--m", "2"],
         ["report", "--m", "2", "--n", "4", "--eigen-convergence", "1e-12"],
         ["unknown"],
-        # the numeric policy is fixed in spectra.Tolerances; these flags
-        # are gone and argparse refuses them
+        # the numeric policy is fixed by the constants in spectra; these
+        # flags are gone and argparse refuses them
         ["report", "--m", "2", "--n", "3", "--tolerance", "-1"],
         ["report", "--m", "2", "--n", "3", "--tolerance", "nan"],
         ["verify", "--m", "2", "--n", "3", "--projection-threshold", "0"],

@@ -375,9 +375,8 @@ def test_dot_output_shape(graphs):
     assert text.count(" -- ") == graphs(2, 3).edge_count()
 
 
-def test_dot_name_override_and_role(graphs):
+def test_dot_name_follows_role(graphs):
     assert to_dot(graphs(2, 4, "bipartite")).startswith("graph bipartite_m2_n4 {")
-    assert to_dot(graphs(2, 3), name="custom").startswith("graph custom {")
 
 
 def test_adjacency_csv_round_trip(graphs):

@@ -9,22 +9,20 @@ import pytest
 
 from zdspectra.fib import QuadraticNumber, golden_pair, pair_power, zphi_to_quadratic
 from zdspectra import spectra
+from zdspectra.cli import DEFAULT_DENSE_CAP
 from zdspectra.graph import (
-    SizeCapExceeded,
     ZeroDivisorGraph,
     adjacency_matrix,
     build_graph,
     expected_cell_sizes,
+    vertex_count,
 )
 from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
 from zdspectra.spectra import (
-    DEFAULT_DENSE_CAP,
-    DEFAULT_TOLERANCES,
     AmbiguousClassification,
     CheckResult,
     NonzeroDeterminant,
     SpectrumMismatch,
-    Tolerances,
     VerificationReport,
     classify_main,
     eigen_bundle,
@@ -36,7 +34,7 @@ from zdspectra.spectra import (
     verify_main_correspondences,
     verify_spectrum_theorem,
 )
-from zdspectra.spectra import _char_poly, _det_shifted
+from zdspectra.spectra import _char_poly, _det_shifted, _krylov_main_check
 
 from conftest import dense_grid
 from oracles import brute_adjacency, det_cofactor, krylov_rank_rows
@@ -54,12 +52,11 @@ def random_symmetric(size, seed):
 # === eigensolver ===
 
 def test_tolerance_defaults_are_pinned():
-    t = DEFAULT_TOLERANCES
-    assert t.match == 1e-8
-    assert t.grouping_gap == 1e-8
-    assert t.grouping_gap_rel == 1e-9
-    assert t.projection_threshold == 1e-7
-    assert t.dead_band_factor == 0.1
+    assert spectra.MATCH == 1e-8
+    assert spectra.GROUPING_GAP == 1e-8
+    assert spectra.GROUPING_GAP_REL == 1e-9
+    assert spectra.PROJECTION_THRESHOLD == 1e-7
+    assert spectra.DEAD_BAND_FACTOR == 0.1
     assert DEFAULT_DENSE_CAP == 3_000
 
 
@@ -169,10 +166,10 @@ def test_illustration_main_sets(bundles):
     assert np.allclose(sorted(bip), expected_bip, atol=1e-8)
 
 
-def test_dead_band_raises():
-    wide = replace(DEFAULT_TOLERANCES, projection_threshold=2.0)
+def test_dead_band_raises(monkeypatch):
+    monkeypatch.setattr(spectra, "PROJECTION_THRESHOLD", 2.0)
     with pytest.raises(AmbiguousClassification) as info:
-        classify_main(K2, tolerances=wide)
+        classify_main(K2)
     low, high = info.value.band
     assert low == pytest.approx(0.2)
     assert high == pytest.approx(2.0)
@@ -187,8 +184,7 @@ def test_krylov_rank_small_cases():
     assert krylov_rank(cycle4) == 1
     assert krylov_rank([[0, 1, 1], [1, 0, 0], [1, 0, 0]]) == 2
     zero = [[0] * 3 for _ in range(3)]
-    for cap in [None, 1, 2, 3, 4]:
-        assert krylov_rank(zero, max_cols=cap) == krylov_rank_rows(zero, cap) == 1
+    assert krylov_rank(zero) == krylov_rank_rows(zero) == 1
 
 
 def test_krylov_rank_on_quotients_uses_exact_arithmetic():
@@ -197,20 +193,13 @@ def test_krylov_rank_on_quotients_uses_exact_arithmetic():
         for quotient in (build_p(m, n), build_q(m, n)):
             rows = quotient.entries
             assert krylov_rank(np.array(rows, dtype=object)) == n - 1
-            for cap in [None, *range(1, n + 1)]:
-                assert krylov_rank(rows, max_cols=cap) == krylov_rank_rows(rows, cap)
+            assert krylov_rank(rows) == krylov_rank_rows(rows)
 
 
 def test_krylov_rank_big_integer_entries():
     big = 10**25
     assert krylov_rank(np.array([[big, 0], [0, big]], dtype=object)) == 1
     assert krylov_rank(np.array([[big, 0], [0, -big]], dtype=object)) == 2
-
-
-def test_krylov_rank_respects_cap():
-    assert krylov_rank(PATH3.astype(int), max_cols=1) == 1
-    with pytest.raises(ValueError):
-        krylov_rank(PATH3.astype(int), max_cols=0)
 
 
 def test_krylov_rank_validation():
@@ -231,10 +220,9 @@ def test_krylov_rank_of_graph_matches_its_adjacency(graphs, role):
         g = graphs(m, n, role)
         adjacency = adjacency_matrix(g)
         rows = brute_adjacency([v.coords for v in g.vertices])
-        for cap in [None, *range(1, n + 2)]:
-            expected = krylov_rank_rows(rows, cap)
-            assert krylov_rank(g, max_cols=cap) == expected
-            assert krylov_rank(adjacency, max_cols=cap) == expected
+        expected = krylov_rank_rows(rows)
+        assert krylov_rank(g) == expected
+        assert krylov_rank(adjacency) == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -261,6 +249,33 @@ def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
     monkeypatch.setattr(spectra, "exact_rank", recording_rank)
     assert krylov_rank(build_graph(2, 10)) == 9
     assert shapes and all(r <= 10 and c <= 10 for r, c in shapes)
+
+
+def test_krylov_main_check_needs_no_column_cap(monkeypatch, bundles):
+    # The main check once capped its Krylov vectors at (groups + 1).  On
+    # every dense graph of the default verify grid the Gram matrices it
+    # ranks have order at most (main count + 1) <= (groups + 1), so that
+    # cap never bound and removing it changes no work.
+    orders = []
+
+    def recording_rank(matrix):
+        orders.append(len(matrix))
+        return exact_rank(matrix)
+
+    monkeypatch.setattr(spectra, "exact_rank", recording_rank)
+    cells = 0
+    for m in range(2, 5):
+        for n in range(2, 7):
+            for role in ("full", "bipartite"):
+                if vertex_count(m, n, role) > DEFAULT_DENSE_CAP:
+                    continue
+                bundle = bundles(m, n, role)
+                main = len(bundle.report.main_values())
+                orders.clear()
+                assert _krylov_main_check(bundle, role).passed, (m, n, role)
+                assert orders and max(orders) <= main + 1, (m, n, role, orders)
+                cells += 1
+    assert cells == 29
 
 
 def test_krylov_rank_matches_walk_rank(graphs):
@@ -361,20 +376,12 @@ def test_spectrum_theorem_residuals_are_small(bundles):
     assert residuals and max(residuals) < 1e-10
 
 
-def test_spectrum_theorem_unreachable_tolerance_fails(bundles):
-    report = verify_spectrum_theorem(
-        3, 3, tolerances=Tolerances(match=1e-300), bundle=bundles(3, 3)
-    )
+def test_spectrum_theorem_unreachable_tolerance_fails(monkeypatch, bundles):
+    monkeypatch.setattr(spectra, "MATCH", 1e-300)
+    report = verify_spectrum_theorem(3, 3, bundles(3, 3))
     assert not report.passed
     with pytest.raises(SpectrumMismatch):
         report.raise_if_failed()
-
-
-def test_spectrum_theorem_respects_caps():
-    with pytest.raises(SizeCapExceeded):
-        verify_spectrum_theorem(2, 5, size_cap=10)
-    with pytest.raises(SizeCapExceeded):
-        verify_spectrum_theorem(2, 5, dense_cap=10)
 
 
 def test_correspondence_check_names_are_stable(bundles):
@@ -407,13 +414,13 @@ def test_correspondences_with_zero_block(bundles):
     assert report.passed
 
 
-def test_correspondences_fail_at_unreachable_match_tolerance(bundles):
+def test_correspondences_fail_at_unreachable_match_tolerance(monkeypatch, bundles):
     # Rounding keeps every computed value off its prediction by more than
     # 1e-300, so each value match fails; the counts and the exact Krylov
     # ranks do not depend on the tolerance and still pass.
+    monkeypatch.setattr(spectra, "MATCH", 1e-300)
     report = verify_main_correspondences(
         3, 4,
-        tolerances=Tolerances(match=1e-300),
         full_bundle=bundles(3, 4),
         bipartite_bundle=bundles(3, 4, "bipartite"),
     )
@@ -608,7 +615,7 @@ def test_bundle_reuse_is_equivalent(graphs, bundles):
     bundle = bundles(3, 3)
     fresh = eigen_bundle(graphs(3, 3))
     assert np.array_equal(bundle.eigenvalues, fresh.eigenvalues)
-    report_a = verify_spectrum_theorem(3, 3, bundle=bundle)
-    report_b = verify_spectrum_theorem(3, 3)
+    report_a = verify_spectrum_theorem(3, 3, bundle)
+    report_b = verify_spectrum_theorem(3, 3, fresh)
     assert report_a.passed and report_b.passed
     assert [c.name for c in report_a.checks] == [c.name for c in report_b.checks]
