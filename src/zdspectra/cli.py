@@ -13,8 +13,9 @@ module only receives bundles ready-made.
 
 Exit statuses: 0 success, 1 check failure, 2 usage error, 3 resource cap
 exceeded.  Identical invocations produce byte-identical output.  The
-default size caps can be overridden with the ZDSPECTRA_SIZE_CAP and
-ZDSPECTRA_DENSE_CAP environment variables (flags win over both).  The
+caps are set only by --size-cap and --dense-cap.  Each (m, n) is
+checked once, by fib.check_params inside the quotient and graph
+builders, which every subcommand calls before it writes anything.  The
 numeric policy is the set of constants in spectra (MATCH, GROUPING_GAP
 and the rest), read when each check runs; no flag or variable sets it.
 """
@@ -25,7 +26,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,27 +77,16 @@ from .spectra import (
 )
 
 DEFAULT_DENSE_CAP = 3_000
-SIZE_CAP_ENV = "ZDSPECTRA_SIZE_CAP"
-DENSE_CAP_ENV = "ZDSPECTRA_DENSE_CAP"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved caps shared by the check-running subcommands."""
-
-    size_cap: int
-    dense_cap: int
 
 
 # -- argument plumbing ------------------------------------------------------
 
 
 def _range_arg(text: str) -> tuple[int, int]:
-    """Inclusive integer interval: '4' or '2..6'."""
-    lo_text, _, hi_text = text.partition("..")
-    hi_text = hi_text or lo_text
+    """Inclusive integer interval: '4' or '2..6', both bounds written."""
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected INT or LO..HI, got {text!r}")
     if lo > hi:
@@ -105,48 +94,35 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _cap_arg(text: str) -> int:
+    """A vertex-count cap: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"caps must be positive, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, dense: bool) -> None:
     parser.add_argument(
         "--size-cap",
-        type=int,
-        default=None,
-        help=f"refuse to enumerate graphs above this vertex count "
-        f"(default {DEFAULT_SIZE_CAP}, env {SIZE_CAP_ENV})",
+        type=_cap_arg,
+        default=DEFAULT_SIZE_CAP,
+        help="refuse to enumerate graphs above this vertex count (default %(default)s)",
     )
     if dense:
         parser.add_argument(
             "--dense-cap",
-            type=int,
-            default=None,
-            help=f"skip dense spectrum checks above this vertex count "
-            f"(default {DEFAULT_DENSE_CAP}, env {DENSE_CAP_ENV})",
+            type=_cap_arg,
+            default=DEFAULT_DENSE_CAP,
+            help="skip dense spectrum checks above this vertex count "
+            "(default %(default)s)",
         )
     parser.add_argument(
         "--output", metavar="PATH", default=None, help="write to PATH instead of stdout"
     )
-
-
-def _resolve_cap(flag_value: int | None, env_name: str, default: int, parser) -> int:
-    if flag_value is not None:
-        value = flag_value
-    else:
-        raw = os.environ.get(env_name)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            parser.error(f"{env_name} must be an integer, got {raw!r}")
-    if value < 1:
-        parser.error(f"caps must be positive, got {value}")
-    return value
-
-
-def _make_config(args, parser) -> RunConfig:
-    size_cap = _resolve_cap(args.size_cap, SIZE_CAP_ENV, DEFAULT_SIZE_CAP, parser)
-    dense_cap = _resolve_cap(args.dense_cap, DENSE_CAP_ENV, DEFAULT_DENSE_CAP, parser)
-    # dense work never exceeds what may be enumerated at all
-    return RunConfig(size_cap=size_cap, dense_cap=min(dense_cap, size_cap))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -297,7 +273,8 @@ def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
 def _graph_checks(
     role: str,
     quotient: QuotientMatrix,
-    config: RunConfig,
+    size_cap: int,
+    dense_cap: int,
     checks: list[CheckResult],
     skipped: list[str],
 ) -> EigenBundle | None:
@@ -310,18 +287,15 @@ def _graph_checks(
     # looked up at call time, so a rebinding of the module name takes effect
     build = build_graph if role == "full" else build_bipartite
     count = vertex_count(m, n, role)
-    if count > config.size_cap:
-        skipped.append(
-            f"{everything}: vertex count {count} exceeds size cap {config.size_cap}"
-        )
+    if count > size_cap:
+        skipped.append(f"{everything}: vertex count {count} exceeds size cap {size_cap}")
         return None
-    graph_obj = build(m, n, size_cap=config.size_cap)
+    graph_obj = build(m, n, size_cap=size_cap)
     checks += _structure_checks(graph_obj, quotient, tag)
-    if count <= config.dense_cap:
+    if count <= dense_cap:
         return eigen_bundle(graph_obj)
     skipped.append(
-        f"dense spectrum checks: vertex count {count} "
-        f"exceeds dense cap {config.dense_cap}"
+        f"dense spectrum checks: vertex count {count} exceeds dense cap {dense_cap}"
     )
     rank = krylov_rank(graph_obj)
     checks.append(
@@ -356,12 +330,14 @@ class Battery:
         ]
 
 
-def run_battery(m: int, n: int, config: RunConfig) -> Battery:
+def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
     """Run every check that fits under the caps for one parameter cell.
 
     Each quotient is built once and its spectrum computed once (P's is the
     prediction's); the checks that compare graphs with quotients reuse them.
     """
+    # dense work never exceeds what may be enumerated at all
+    dense_cap = min(dense_cap, size_cap)
     prediction = predicted_spectrum(m, n)
     quotients = {"full": build_p(m, n), "bipartite": build_q(m, n)}
     q_spectrum = quotient_eigenvalues(quotients["bipartite"])
@@ -372,7 +348,9 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
     checks["bipartite"] += q_eigen_exact_check(m, n).checks
 
     bundles = {
-        role: _graph_checks(role, quotients[role], config, checks[role], skipped[role])
+        role: _graph_checks(
+            role, quotients[role], size_cap, dense_cap, checks[role], skipped[role]
+        )
         for role in ROLES
     }
     if bundles["full"] is not None:
@@ -383,7 +361,7 @@ def run_battery(m: int, n: int, config: RunConfig) -> Battery:
         ):
             checks[role].append(check)
 
-    capped = vertex_count(m, n, "full") > config.size_cap
+    capped = vertex_count(m, n, "full") > size_cap
     return Battery(m, n, prediction, q_spectrum, checks, skipped, bundles, capped)
 
 
@@ -406,8 +384,10 @@ def _graph_entry(battery: Battery, role: str, predicted: dict) -> dict:
     return entry
 
 
-def assemble_report(m: int, n: int, config: RunConfig) -> tuple[list[dict], Battery]:
-    battery = run_battery(m, n, config)
+def assemble_report(
+    m: int, n: int, size_cap: int, dense_cap: int
+) -> tuple[list[dict], Battery]:
+    battery = run_battery(m, n, size_cap, dense_cap)
     predicted = {
         "full": battery.prediction.json_entries(),
         "bipartite": {"main_eigenvalues": list(battery.q_spectrum), "main_count": n - 1},
@@ -515,7 +495,7 @@ def _quotient_text(fmt: str, quotient: QuotientMatrix, routes: WalkRoutes) -> st
     return "\n".join(lines) + "\n"
 
 
-def _cmd_quotient(args, parser) -> int:
+def _cmd_quotient(args) -> int:
     m, n = args.m, args.n
     quotient = build_p(m, n) if args.kind == "p" else build_q(m, n)
     routes = _walk_routes(quotient)
@@ -525,9 +505,8 @@ def _cmd_quotient(args, parser) -> int:
     return 0 if routes.walk_match and routes.det_match else 1
 
 
-def _cmd_report(args, parser) -> int:
-    config = _make_config(args, parser)
-    entries, battery = assemble_report(args.m, args.n, config)
+def _cmd_report(args) -> int:
+    entries, battery = assemble_report(args.m, args.n, args.size_cap, args.dense_cap)
     if args.format == "text":
         text = _report_text(entries)
     else:
@@ -535,7 +514,7 @@ def _cmd_report(args, parser) -> int:
     _emit(text, args.output)
     if battery.capped:
         print(
-            f"error: vertex count exceeds size cap {config.size_cap}; "
+            f"error: vertex count exceeds size cap {args.size_cap}; "
             "quotient-level report only",
             file=sys.stderr,
         )
@@ -548,8 +527,7 @@ def _cmd_report(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    config = _make_config(args, parser)
+def _cmd_verify(args) -> int:
     m_lo, m_hi = args.m
     n_lo, n_hi = args.n
     rows = []
@@ -558,7 +536,7 @@ def _cmd_verify(args, parser) -> int:
     total = 0
     for m in range(m_lo, m_hi + 1):
         for n in range(n_lo, n_hi + 1):
-            battery = run_battery(m, n, config)
+            battery = run_battery(m, n, args.size_cap, args.dense_cap)
             checks = _recurrence_checks(m) + [
                 c for role in ROLES for c in battery.checks[role]
             ]
@@ -598,11 +576,9 @@ def _cmd_verify(args, parser) -> int:
     return 0 if not failures else 1
 
 
-def _cmd_export(args, parser) -> int:
-    # export never runs a dense check, so only the size cap is resolved
-    size_cap = _resolve_cap(args.size_cap, SIZE_CAP_ENV, DEFAULT_SIZE_CAP, parser)
+def _cmd_export(args) -> int:
     build = build_graph if args.what == "graph" else build_bipartite
-    graph_obj = build(args.m, args.n, size_cap=size_cap)
+    graph_obj = build(args.m, args.n, size_cap=args.size_cap)
     if args.format == "dot":
         text = to_dot(graph_obj)
     elif args.format == "csv":
@@ -667,22 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_bounds(args, parser) -> None:
-    for name in ("m", "n"):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        low = value[0] if isinstance(value, tuple) else value
-        if low < 2:
-            parser.error(f"{name} must be at least 2, got {low}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate_bounds(args, parser)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,11 +17,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact rationals are normalized fractions in lowest terms.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "FibSequence",
     "QuadraticNumber",
     "fib",

@@ -96,7 +96,7 @@ class NotEquitableError(Exception):
         self.witnesses = ((witness_a, count_a), (witness_b, count_b))
 
 
-def vertex_count(m: int, n: int, role: str = "full") -> int:
+def vertex_count(m: int, n: int, role: str) -> int:
     """Closed-form vertex count of the full graph or the two-sided subgraph."""
     if role == "full":
         return m**n - (m - 1) ** n - 1
@@ -154,27 +154,18 @@ class _VertexView(Sequence[VertexTuple]):
 
 class _SupportGraph:
     """Shared structure: an (N, n) coordinate array in vertex order, each
-    row's support bitmask, and the zero-count cells.
-
-    `vertices` may be an (N, n) integer array or a sequence of
-    VertexTuple; either is stored as the coordinate array, and
-    `vertices` reads it back one VertexTuple per index.
+    row's support bitmask, and the cells of a partition of the vertex
+    indices (the builders pass the zero-count cells).  `vertices` reads
+    the coordinates back one VertexTuple per index.
     """
 
     def __init__(
-        self,
-        m: int,
-        n: int,
-        vertices: np.ndarray | Sequence[VertexTuple],
-        cells: Sequence[Sequence[int]],
+        self, m: int, n: int, coords: np.ndarray, cells: Sequence[Sequence[int]]
     ) -> None:
-        if not isinstance(vertices, np.ndarray):
-            vertices = [v.coords for v in vertices]
         self.m = m
         self.n = n
-        self.coords = _frozen(np.array(vertices, dtype=np.int64).reshape(-1, n))
+        self.coords = _frozen(np.array(coords, dtype=np.int64).reshape(-1, n))
         self.support_array = _frozen(_support_bits(self.coords))
-        # cells[i-1] holds indices of vertices with exactly i zero coordinates
         self.cells = tuple(_frozen(np.array(cell, dtype=np.int64)) for cell in cells)
 
     @property
@@ -218,11 +209,11 @@ class BipartiteSubgraph(_SupportGraph):
         self,
         m: int,
         n: int,
-        vertices: np.ndarray | Sequence[VertexTuple],
+        coords: np.ndarray,
         cells: Sequence[Sequence[int]],
         sides: tuple[Sequence[int], Sequence[int]],
     ) -> None:
-        super().__init__(m, n, vertices, cells)
+        super().__init__(m, n, coords, cells)
         self.sides = tuple(_frozen(np.array(side, dtype=np.int64)) for side in sides)
 
 
@@ -303,21 +294,18 @@ def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
     return work.reshape(table.shape)[::-1]
 
 
-def empirical_quotient(
-    graph: _SupportGraph, cells: Sequence[Sequence[int]] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Count neighbors per cell and insist the count is constant on each cell.
+def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
+    """Count neighbors per cell of `graph.cells` and insist the count is
+    constant on each cell.
 
     Neighbour counts come from a support-by-cell histogram summed over
     disjoint supports, so any partition works, including one that splits
     the vertices of a support.  Returns the quotient matrix as nested
     tuples; raises NotEquitableError with two witness vertices when a
-    cell is not equitable.  The default partition is by zero-coordinate
-    count.
+    cell is not equitable, and ValueError when the cells do not partition
+    the vertex set (the graph constructors take any cells).
     """
-    if cells is None:
-        cells = graph.cells
-    cells = [np.asarray(cell, dtype=np.int64) for cell in cells]
+    cells = graph.cells
     flat = np.sort(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
     if not np.array_equal(flat, np.arange(graph.vertex_count)) or any(
         not cell.size for cell in cells
@@ -403,7 +391,7 @@ def to_json_descriptor(graph: _SupportGraph) -> dict:
     }
 
 
-def expected_cell_sizes(m: int, n: int, role: str = "full") -> tuple[int, ...]:
+def expected_cell_sizes(m: int, n: int, role: str) -> tuple[int, ...]:
     """Closed-form cell sizes of the zero-count partition, cells 1..n-1."""
     check_params(m, n, MAX_TUPLE_LENGTH)
     if role == "full":

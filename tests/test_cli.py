@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import hashlib
 import json
 import sys
 
@@ -144,9 +145,8 @@ def test_report_text_format(capsys):
     assert "pass" in out
 
 
-def test_report_size_cap_exit(capsys, monkeypatch):
-    monkeypatch.setenv("ZDSPECTRA_SIZE_CAP", "10")
-    code, out, err = run(capsys, "report", "--m", "2", "--n", "4")
+def test_report_size_cap_exit(capsys):
+    code, out, err = run(capsys, "report", "--m", "2", "--n", "4", "--size-cap", "10")
     assert code == 3
     assert "size cap" in err
     entries = json.loads(out)
@@ -155,13 +155,6 @@ def test_report_size_cap_exit(capsys, monkeypatch):
     assert full["skipped"]
     # Quotient-level checks still run.
     assert any("walk" in c["name"] for c in full["checks"])
-
-
-def test_report_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("ZDSPECTRA_SIZE_CAP", "10")
-    code, _, _ = run(capsys, "report", "--m", "2", "--n", "4",
-                     "--size-cap", "100")
-    assert code == 0
 
 
 def test_report_dense_cap_skips_eigen_work(capsys):
@@ -252,13 +245,6 @@ def test_report_places_each_check_in_its_graph(capsys, dense_cap, full_names, bi
     assert [c["name"] for c in bip["checks"]] == bip_names
 
 
-def test_report_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ZDSPECTRA_DENSE_CAP", "many")
-    with pytest.raises(SystemExit) as info:
-        cli.main(["report", "--m", "2", "--n", "3"])
-    assert info.value.code == 2
-
-
 def _walk_with_repeated_column(monkeypatch):
     """Make cli's iterative walk matrix repeat its first column."""
     real = cli.walk_matrix_iterative
@@ -333,7 +319,7 @@ def test_verify_formats_no_passing_determinant(capsys):
 
 
 def test_battery_annihilates_past_n_ten():
-    battery = cli.run_battery(2, 11, cli.RunConfig(1, 1))
+    battery = cli.run_battery(2, 11, 1, 1)
     annihilation = [f"pair power i={i} annihilates the bipartite quotient"
                     for i in range(1, 11)]
     bipartite = [c.name for c in battery.checks["bipartite"]]
@@ -350,7 +336,7 @@ def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
     # 1e-300, so each value match fails; the counts and the exact ranks,
     # which no tolerance enters, still pass.
     monkeypatch.setattr(spectra, "MATCH", 1e-300)
-    battery = cli.run_battery(3, 4, cli.RunConfig(20000, 3000))
+    battery = cli.run_battery(3, 4, 20000, 3000)
     verdicts = {c.name: c.passed for role in cli.ROLES for c in battery.checks[role]}
     value_matches = {name for name in verdicts if name.startswith("eigenvalue ")}
     assert len(value_matches) == len(battery.prediction.multiset())
@@ -370,11 +356,14 @@ def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
 
 
 def test_verify_range_validation(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "--m", "1..3", "--n", "2..3"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "--m", "3..x", "--n", "2..3"])
+    # a well-formed range below m = 2 reaches the builders' parameter check
+    assert cli.main(["verify", "--m", "1..3", "--n", "2..3"]) == 2
+    # a range needs both bounds: "2.." is not "2"
+    for text in ("3..x", "2..", "..3", "..", "3..2"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--m", "2", "--n", text])
+        assert info.value.code == 2, text
+        assert repr(text) in capsys.readouterr().err
 
 
 # === export ===
@@ -404,21 +393,11 @@ def test_export_json(capsys):
     assert len(desc["edges"]) == 6
 
 
-def test_export_respects_size_cap(capsys, monkeypatch):
-    monkeypatch.setenv("ZDSPECTRA_SIZE_CAP", "5")
-    code, _, err = run(capsys, "export", "--what", "graph", "--m", "2", "--n", "4")
+def test_export_respects_size_cap(capsys):
+    code, _, err = run(capsys, "export", "--what", "graph", "--m", "2", "--n", "4",
+                       "--size-cap", "5")
     assert code == 3
     assert "cap" in err
-
-
-def test_export_ignores_the_dense_cap_variable(capsys, monkeypatch):
-    # export runs no dense work, so a malformed dense-cap variable is
-    # never read.
-    argv = ("export", "--m", "2", "--n", "3")
-    clean = run(capsys, *argv)
-    monkeypatch.setenv("ZDSPECTRA_DENSE_CAP", "abc")
-    assert run(capsys, *argv) == clean
-    assert clean[0] == 0 and clean[2] == ""
 
 
 # === shared behavior ===
@@ -443,7 +422,6 @@ def test_usage_errors_exit_two(capsys):
         [],
         ["quotient"],
         ["quotient", "--kind", "r", "--m", "2", "--n", "4"],
-        ["quotient", "--kind", "p", "--m", "1", "--n", "4"],
         ["report", "--m", "2"],
         ["report", "--m", "2", "--n", "4", "--eigen-convergence", "1e-12"],
         ["unknown"],
@@ -455,10 +433,46 @@ def test_usage_errors_exit_two(capsys):
         ["report", "--m", "2", "--n", "3", "--projection-threshold", "-1"],
         ["report", "--m", "2", "--n", "3", "--projection-threshold", "inf"],
         ["verify", "--m", "2", "--n", "3", "--grouping-gap", "-1"],
+        # caps are positive integers
+        ["report", "--m", "2", "--n", "3", "--size-cap", "0"],
+        ["verify", "--dense-cap", "-5"],
+        ["export", "--m", "2", "--n", "3", "--size-cap", "x"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2, argv
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (3, 1)])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["quotient", "--kind", "p"],
+        ["quotient", "--kind", "q"],
+        ["report"],
+        ["verify"],
+        ["export"],
+        ["export", "--what", "subgraph"],
+    ],
+    ids=["quotient-p", "quotient-q", "report", "verify", "export-graph", "export-subgraph"],
+)
+def test_cells_below_two_exit_two_before_any_output(capsys, command, m, n):
+    code, out, err = run(capsys, *command, "--m", str(m), "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_quotient_entries_beyond_the_float_range_exit_two(capsys):
+    # P at m = 10**6, n = 60 has entries near 10**354; the quotient
+    # spectrum cannot be taken in floating point.
+    for command in (["report"], ["verify", "--size-cap", "1"]):
+        code, out, err = run(capsys, *command, "--m", "1000000", "--n", "60")
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error:") and "float range" in err
+    with pytest.raises(ValueError, match="float range"):
+        spectra.quotient_eigenvalues(build_p(10**6, 60))
 
 
 def test_domain_errors_exit_two(capsys):
@@ -479,3 +493,38 @@ def test_report_at_fourteen_thousand_vertices_passes(capsys):
     for entry in (full, bip):
         assert entry["checks"] and all(c["pass"] for c in entry["checks"])
         assert any("Krylov" in c["name"] for c in entry["checks"])
+
+
+# === golden stdout ===
+
+# SHA-256 of stdout, recorded before the caps lost their environment
+# variables and the command line its own parameter check.  None of these
+# commands prints eigenvalue text, so the digests do not depend on the
+# BLAS build.
+GOLDEN_STDOUT = {
+    "verify":
+        "d66089657f6324181696ed9247a2c6844b557483071e594f280c79ca9e951969",
+    "verify --m 2..9 --n 2..10 --size-cap 1":
+        "27564a6334f466d8659697ac30f931facc4a894f2dd2351869cd07e04dbc72b1",
+    "verify --m 2..5 --n 2..6 --dense-cap 200":
+        "d2384b5d809fad6014916c9a55b17da5d3f4699745fb183e4d013a0fb08b7e77",
+    "report --m 3 --n 4 --format text --dense-cap 1":
+        "b7bc9a0bd82f3414fe570cb51d24a617db916321470e427dabf21f3fbb8e91ed",
+    "quotient --kind p --m 3 --n 6 --format json":
+        "4e47cc80aa86562b639b5b0b7d9a3d8c9cef74e9033a0571c8170ee65a661e21",
+    "quotient --kind q --m 4 --n 5":
+        "f3e9b0f5868c3649dd2228864063d72e8addf681f26545e33039cdc019c15194",
+    "export --m 2 --n 4":
+        "bb87b00a77af82a81537ddc20f0bc20a27f0d5532146b8431a31f9cb582e9aa0",
+    "export --what subgraph --m 3 --n 3 --format json":
+        "5dd632fae28529081156a368355c7bcb08aea161166ae25775c947dd4d47b68f",
+}
+
+
+@pytest.mark.parametrize(
+    "command", sorted(GOLDEN_STDOUT), ids=lambda command: command.replace(" ", "_")
+)
+def test_golden_stdout(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[command]

@@ -80,15 +80,19 @@ def test_large_field_enumeration_is_linear_in_vertices():
     assert peak < 16 * 2**20
 
 
-def test_graph_from_vertex_tuples_matches_build():
+def _with_cells(g, cells):
+    """The graph g, rebuilt from its coordinate array with other cells."""
+    if g.role == "full":
+        return ZeroDivisorGraph(g.m, g.n, g.coords, cells)
+    return BipartiteSubgraph(g.m, g.n, g.coords, cells, g.sides)
+
+
+def test_graph_from_coordinates_matches_build():
     for m, n in [(3, 4), (11, 2)]:
         g = build_graph(m, n)
         b = build_bipartite(m, n)
-        copies = [
-            (g, ZeroDivisorGraph(m, n, tuple(g.vertices), g.cells)),
-            (b, BipartiteSubgraph(m, n, tuple(b.vertices), b.cells, b.sides)),
-        ]
-        for built, copy in copies:
+        for built in (g, b):
+            copy = _with_cells(built, built.cells)
             assert np.array_equal(copy.coords, built.coords)
             assert np.array_equal(copy.support_array, built.support_array)
             assert copy.support_array.dtype == np.uint64
@@ -216,17 +220,17 @@ def test_empirical_quotient_equals_closed_form(graphs):
 def test_empirical_quotient_with_explicit_cells(graphs):
     g = graphs(2, 4)
     cells = [list(cell) for cell in g.cells]
-    assert empirical_quotient(g, cells) == build_p(2, 4).entries
+    assert empirical_quotient(_with_cells(g, cells)) == build_p(2, 4).entries
 
 
 def test_empirical_quotient_partition_validation(graphs):
     g = graphs(2, 3)
     with pytest.raises(ValueError):
-        empirical_quotient(g, [[0, 1, 2]])
+        empirical_quotient(_with_cells(g, [[0, 1, 2]]))
     with pytest.raises(ValueError):
-        empirical_quotient(g, [[0, 1, 2, 3, 4, 5], []])
+        empirical_quotient(_with_cells(g, [[0, 1, 2, 3, 4, 5], []]))
     with pytest.raises(ValueError):
-        empirical_quotient(g, [[0, 0, 1, 2, 3, 4], [5]])
+        empirical_quotient(_with_cells(g, [[0, 0, 1, 2, 3, 4], [5]]))
 
 
 def test_disjoint_sums_against_direct_sum():
@@ -260,7 +264,9 @@ def test_empirical_quotient_on_partition_splitting_supports(graphs):
     cell_supports = [{g.vertices[i].support for i in cell} for cell in cells]
     assert any(a & b for a in cell_supports for b in cell_supports if a is not b)
     expected = quotient_by_counting([v.coords for v in g.vertices], cells)
-    assert empirical_quotient(g, cells) == tuple(tuple(row) for row in expected)
+    assert empirical_quotient(_with_cells(g, cells)) == tuple(
+        tuple(row) for row in expected
+    )
 
 
 def _brute_witnesses(g, cells):
@@ -291,7 +297,7 @@ def test_non_equitable_witnesses_match_brute_force(graphs, m, n, role):
     expected = _brute_witnesses(g, cells)
     assert expected is not None
     with pytest.raises(NotEquitableError) as info:
-        empirical_quotient(g, cells)
+        empirical_quotient(_with_cells(g, cells))
     err = info.value
     assert (err.cell_i, err.cell_j, err.witnesses) == expected
 
@@ -302,7 +308,7 @@ def test_non_equitable_partition_reports_witnesses(graphs):
     # not equitable toward the cell of everything else.
     bad = [[0, 2], [1, 3, 4, 5]]
     with pytest.raises(NotEquitableError) as info:
-        empirical_quotient(g, bad)
+        empirical_quotient(_with_cells(g, bad))
     assert info.value.cell_i == 1
     witnesses = info.value.witnesses
     assert {w[0] for w in witnesses} == {"001", "011"}
