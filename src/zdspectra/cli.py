@@ -535,9 +535,10 @@ def _cmd_verify(args) -> int:
     skip_notes = []
     total = 0
     for m in range(m_lo, m_hi + 1):
+        recurrence = _recurrence_checks(m)
         for n in range(n_lo, n_hi + 1):
             battery = run_battery(m, n, args.size_cap, args.dense_cap)
-            checks = _recurrence_checks(m) + [
+            checks = recurrence + [
                 c for role in ROLES for c in battery.checks[role]
             ]
             failed = [c for c in checks if not c.passed]

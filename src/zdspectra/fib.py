@@ -25,7 +25,9 @@ __all__ = [
     "docagne_residual",
     "golden_pair",
     "pair_power",
+    "zphi_is_zero",
     "zphi_mul",
+    "zphi_to_float",
     "zphi_to_quadratic",
 ]
 
@@ -285,8 +287,8 @@ def golden_pair(m: int) -> tuple[QuadraticNumber, QuadraticNumber]:
 # So every product of them is a + b*phi with integers a, b, held as the
 # pair (a, b); sums are componentwise and only products need the rule
 # below.  When 4m-3 is a perfect square phi is an integer and distinct
-# pairs can name the same number, so compare values through
-# zphi_to_quadratic, never pairs.
+# pairs can name the same number, so test values with zphi_is_zero (or
+# compare them through zphi_to_quadratic), never pairs.
 
 
 def zphi_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -308,6 +310,37 @@ def pair_power(m: int, i: int, j: int) -> tuple[int, int]:
     for _ in range(j):
         value = zphi_mul(m, value, (1, -1))
     return value
+
+
+def zphi_is_zero(m: int, x: tuple[int, int]) -> bool:
+    """Whether a + b*phi is zero, in integers.
+
+    2(a + b*phi) = 2a + b + b*sqrt(4m-3); when 4m-3 = r**2 that is the
+    integer 2a + b + b*r, otherwise sqrt(4m-3) is irrational and the
+    value vanishes only for a = b = 0.
+    """
+    a, b = x
+    d = 4 * m - 3
+    r = math.isqrt(d)
+    if r * r == d:
+        return 2 * a + b + b * r == 0
+    return a == 0 and b == 0
+
+
+def zphi_to_float(m: int, x: tuple[int, int]) -> float:
+    """float(zphi_to_quadratic(m, x)), bit for bit, without building it.
+
+    Both take the canonical a' + b'*sqrt(4m-3) with a' = (2a + b)/2 and
+    b' = b/2 (folded into a' when 4m-3 = r**2) and make the same
+    correctly rounded operations: int/int true division, one sqrt, one
+    product and one sum.
+    """
+    a, b = x
+    d = 4 * m - 3
+    r = math.isqrt(d)
+    if b == 0 or r * r == d:
+        return (2 * a + b + b * r) / 2
+    return (2 * a + b) / 2 + (b / 2) * math.sqrt(d)
 
 
 def zphi_to_quadratic(m: int, x: tuple[int, int]) -> QuadraticNumber:

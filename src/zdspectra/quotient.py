@@ -137,9 +137,12 @@ def walk_matrix_iterative(quotient: QuotientMatrix) -> WalkMatrix:
 
 
 def _fib_values(m: int, n: int) -> list[int]:
-    """F[0..n] for weight m, read from one FibSequence."""
-    f = FibSequence(m)
-    return [f.value(k) for k in range(n + 1)]
+    """F[0..n] for weight m, by the recurrence itself; callers have
+    checked (m, n) already."""
+    values = [1, 1]
+    for _ in range(n - 1):
+        values.append(values[-1] + (m - 1) * values[-2])
+    return values
 
 
 def h_coefficients(m: int, n: int) -> tuple[int, ...]:

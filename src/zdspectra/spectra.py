@@ -12,11 +12,14 @@ silently resolved.  Exact routes run beside the floating ones: Krylov
 ranks over the integers and annihilation of the quadratic pair powers.
 The pair powers are algebraic integers a + b*phi, so annihilation runs
 in integer Z[phi] arithmetic on the quotient's integer characteristic
-polynomial.  A graph's Krylov rank is computed on its support
-lattice (one entry per support, see graph.disjoint_sums), so it never
-forms the adjacency matrix; only the dense eigensolve does.  The rank
-is taken of the small Gram matrix of the Krylov vectors, not of the
-vectors themselves.
+polynomial (Berkowitz's division-free algorithm), and each determinant
+is tested for zero in integers.  Values become QuadraticNumbers only
+for the report: a failing check's detail or a printed exact eigenvalue;
+predicted floats are read straight off the integer pairs.  A graph's
+Krylov rank is computed on its support lattice (one entry per support,
+see graph.disjoint_sums), so it never forms the adjacency matrix; only
+the dense eigensolve does.  The rank is taken of the small Gram matrix
+of the Krylov vectors, not of the vectors themselves.
 
 The spectrum-theorem and correspondence checks each live in one helper
 that takes precomputed predictions and bundles (the command-line battery
@@ -31,10 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fib import QuadraticNumber, pair_power, zphi_mul, zphi_to_quadratic
+from .fib import (
+    QuadraticNumber,
+    pair_power,
+    zphi_is_zero,
+    zphi_mul,
+    zphi_to_float,
+    zphi_to_quadratic,
+)
 from .graph import adjacency_matrix, disjoint_sums, vertex_count
 from .quotient import (
     QuotientMatrix,
@@ -306,12 +317,20 @@ def quotient_eigenvalues(quotient: QuotientMatrix) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class QEigenvalue:
-    """One sign-flipped eigenvalue contributed by the bipartite quotient."""
+    """One sign-flipped eigenvalue contributed by the bipartite quotient:
+    the pair power phi**index * xi**(n-index), held as its Z[phi] pair
+    (a, b) meaning a + b*phi for weight m."""
 
     index: int
-    exact: QuadraticNumber
+    pair: tuple[int, int]
+    m: int
     value: float
     multiplicity: int
+
+    @cached_property
+    def exact(self) -> QuadraticNumber:
+        """The pair power in the quadratic field, built when first read."""
+        return zphi_to_quadratic(self.m, self.pair)
 
 
 @dataclass(frozen=True)
@@ -369,9 +388,9 @@ def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
     p_values = quotient_eigenvalues(build_p(m, n))
     q_values = []
     for i in range(1, n):
-        exact = zphi_to_quadratic(m, pair_power(m, i, n - i))
+        pair = pair_power(m, i, n - i)
         q_values.append(
-            QEigenvalue(i, exact, float(exact), math.comb(n, i) - 1)
+            QEigenvalue(i, pair, m, zphi_to_float(m, pair), math.comb(n, i) - 1)
         )
     zero = m**n - (m - 1) ** n - 2**n + 1
     prediction = PredictedSpectrum(m, n, p_values, tuple(q_values), zero)
@@ -619,29 +638,28 @@ def verify_main_correspondences(
 
 def _char_poly(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     """Coefficients c[0..r] of det(x I - M) = sum c[k] x**k for a square
-    integer matrix M of order r, by Faddeev-LeVerrier.
+    integer matrix M of order r, by Berkowitz's division-free algorithm
+    (S. J. Berkowitz, Inf. Process. Lett. 18 (1984)).
 
-    With N_1 = I, c[r-k] = -trace(M N_k) / k and N_{k+1} = M N_k + c[r-k] I;
-    each division is exact, and a remainder raises ArithmeticError.  The
-    products run on object-dtype arrays of Python ints: exact at any size,
-    with the loops in C.  A fixed-width dtype would overflow silently.
+    The polynomial grows one leading principal block at a time.  Bordering
+    the block B of order k by the row R, the column C and the corner a
+    multiplies its coefficient vector (highest degree first) by the lower
+    triangular Toeplitz matrix whose first column is
+    [1, -a, -R C, -R B C, ..., -R B**(k-1) C].  Only ring operations
+    occur, and each product is one dot on object-dtype arrays of Python
+    ints, so the result is exact at any size; a fixed-width dtype would
+    overflow silently.
     """
-    order = len(rows)
     matrix = np.array(rows, dtype=object)
-    coeffs = [0] * (order + 1)
-    coeffs[order] = 1
-    product = np.zeros((order, order), dtype=object)  # M N_k, with N_0 = 0
-    diagonal = np.arange(order)
-    for k in range(1, order + 1):
-        product[diagonal, diagonal] += coeffs[order - k + 1]  # now N_k
-        product = matrix.dot(product)
-        coeff, rem = divmod(-product.trace(), k)
-        if rem:
-            raise ArithmeticError(
-                f"Faddeev-LeVerrier step {k} left remainder {rem}"
-            )
-        coeffs[order - k] = coeff
-    return coeffs
+    poly = np.ones(1, dtype=object)
+    for k in range(len(matrix)):
+        block, row, col = matrix[:k, :k], matrix[k, :k], matrix[:k, k]
+        toeplitz = [1, -matrix[k, k]]
+        for _ in range(k):
+            toeplitz.append(-row.dot(col))
+            col = block.dot(col)
+        poly = np.convolve(np.array(toeplitz, dtype=object), poly)[: k + 2]
+    return poly[::-1].tolist()
 
 
 def _det_shifted(m: int, coeffs: list[int], value: tuple[int, int]) -> tuple[int, int]:
@@ -663,22 +681,29 @@ def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
 
     The pair powers are algebraic integers a + b*phi, so the check runs in
     integer Z[phi] arithmetic: the integer characteristic polynomial of Q
-    is computed once, then evaluated at each negated pair power; values
-    become QuadraticNumbers only for the report.  Returns one check per
-    index i; `raise_if_failed` raises NonzeroDeterminant with the exact
-    determinant in the detail.
+    is computed once, then evaluated at each negated pair power, and each
+    determinant is tested for zero in integers (fib.zphi_is_zero).  A
+    passing check carries residual 0.0 and no detail; values become
+    QuadraticNumbers only for the report of a failing one.  Returns one
+    check per index i; `raise_if_failed` raises NonzeroDeterminant with
+    the exact determinant in the detail.
     """
     coeffs = _char_poly(build_q(m, n).entries)
     checks = []
     for i in range(1, n):
+        name = f"pair power i={i} annihilates the bipartite quotient"
         value = pair_power(m, i, n - i)
-        det = zphi_to_quadratic(m, _det_shifted(m, coeffs, value))
+        det = _det_shifted(m, coeffs, value)
+        if zphi_is_zero(m, det):
+            checks.append(CheckResult(name, True, 0.0))
+            continue
+        exact = zphi_to_quadratic(m, det)
         checks.append(
             CheckResult(
-                f"pair power i={i} annihilates the bipartite quotient",
-                det.is_zero,
-                abs(float(det)),
-                f"det(Q + ({zphi_to_quadratic(m, value)}) I) = {det}",
+                name,
+                False,
+                abs(float(exact)),
+                f"det(Q + ({zphi_to_quadratic(m, value)}) I) = {exact}",
             )
         )
     return VerificationReport(

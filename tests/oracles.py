@@ -1,14 +1,17 @@
 """Independent brute-force references for the test suite.
 
 Everything here is deliberately naive: direct enumeration, cofactor
-expansion, textbook Gaussian elimination.  Nothing imports the package
-under test, so agreement is evidence rather than tautology.
+expansion, textbook Gaussian elimination, Faddeev-LeVerrier.  Nothing
+imports the package under test, so agreement is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def fib_loop(m: int, k: int) -> int:
@@ -78,6 +81,30 @@ def det_cofactor(rows):
         sign = -1 if col % 2 else 1
         total += sign * rows[0][col] * det_cofactor(minor)
     return total
+
+
+def char_poly_faddeev(rows) -> list[int]:
+    """Coefficients c[0..r] of det(x I - M) = sum c[k] x**k for a square
+    integer matrix M of order r, by Faddeev-LeVerrier.
+
+    With N_1 = I, c[r-k] = -trace(M N_k) / k and N_{k+1} = M N_k + c[r-k] I;
+    each division is exact, and a remainder raises ArithmeticError.  The
+    products run on object-dtype arrays of Python ints.
+    """
+    order = len(rows)
+    matrix = np.array(rows, dtype=object)
+    coeffs = [0] * (order + 1)
+    coeffs[order] = 1
+    product = np.zeros((order, order), dtype=object)  # M N_k, with N_0 = 0
+    diagonal = np.arange(order)
+    for k in range(1, order + 1):
+        product[diagonal, diagonal] += coeffs[order - k + 1]  # now N_k
+        product = matrix.dot(product)
+        coeff, rem = divmod(-product.trace(), k)
+        if rem:
+            raise ArithmeticError(f"Faddeev-LeVerrier step {k} left remainder {rem}")
+        coeffs[order - k] = coeff
+    return coeffs
 
 
 def rank_gauss(rows) -> int:

@@ -318,6 +318,24 @@ def test_verify_formats_no_passing_determinant(capsys):
     assert "0 failures" in out
 
 
+def test_verify_runs_the_recurrence_checks_once_per_m(capsys, monkeypatch):
+    # The cross-product identities depend on m alone; every cell of that m
+    # still counts them.
+    calls = []
+    real = cli._recurrence_checks
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cli, "_recurrence_checks", counted)
+    code, out, _ = run(capsys, "verify", "--m", "2..3", "--n", "2..4",
+                       "--size-cap", "1")
+    assert code == 0
+    assert calls == [2, 3]
+    assert "6 cells" in out
+
+
 def test_battery_annihilates_past_n_ten():
     battery = cli.run_battery(2, 11, 1, 1)
     annihilation = [f"pair power i={i} annihilates the bipartite quotient"

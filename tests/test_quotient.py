@@ -9,6 +9,7 @@ import pytest
 
 from zdspectra.quotient import (
     QuotientKind,
+    _fib_values,
     build_p,
     build_q,
     det_walk_formula,
@@ -25,7 +26,7 @@ from zdspectra.quotient import (
     walk_matrix_iterative,
 )
 
-from oracles import det_cofactor, rank_gauss
+from oracles import det_cofactor, fib_loop, rank_gauss
 
 KINDS = (QuotientKind.P, QuotientKind.Q)
 
@@ -358,3 +359,9 @@ def test_json_safe_int_threshold():
     assert json_safe_int(2**53 + 1) == str(2**53 + 1)
     assert json_safe_int(-(2**53) - 1) == str(-(2**53) - 1)
     assert json_safe_int(7) == 7
+
+
+def test_fib_values_follow_the_recurrence():
+    for m in range(2, 10):
+        for n in range(2, 33):
+            assert _fib_values(m, n) == [fib_loop(m, k) for k in range(n + 1)]

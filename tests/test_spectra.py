@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zdspectra.fib import QuadraticNumber, golden_pair, pair_power, zphi_to_quadratic
+from zdspectra.fib import (
+    QuadraticNumber,
+    golden_pair,
+    pair_power,
+    zphi_is_zero,
+    zphi_to_quadratic,
+)
 from zdspectra import spectra
 from zdspectra.cli import DEFAULT_DENSE_CAP
 from zdspectra.graph import (
@@ -37,7 +43,7 @@ from zdspectra.spectra import (
 from zdspectra.spectra import _char_poly, _det_shifted, _krylov_main_check
 
 from conftest import dense_grid
-from oracles import brute_adjacency, det_cofactor, krylov_rank_rows
+from oracles import brute_adjacency, char_poly_faddeev, det_cofactor, krylov_rank_rows
 
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -335,6 +341,21 @@ def test_predicted_exact_forms_match_floats():
         assert abs(float(exact) - q.value) < 1e-12
 
 
+def test_predicted_floats_are_those_of_the_exact_forms():
+    # Each value is read off the Z[phi] pair, bit-identical to converting
+    # the quadratic-field number; the exact strings are unchanged.
+    cells = [(m, n) for m in range(2, 14) for n in range(2, 41)]
+    for m, n in cells + [(10**6, 50)]:
+        pred = predicted_spectrum(m, n)
+        entries = pred.json_entries()["q_derived"]
+        for q, entry in zip(pred.q_derived, entries, strict=True):
+            exact = zphi_to_quadratic(m, pair_power(m, q.index, n - q.index))
+            assert q.value == float(exact), (m, n, q.index)
+            assert q.exact == exact
+            assert entry["exact"] == str(exact)
+            assert entry["value"] == q.value
+
+
 def test_zero_multiplicity_vanishes_only_for_binary_fields():
     for n in range(2, 9):
         assert predicted_spectrum(2, n).zero_multiplicity == 0
@@ -526,14 +547,15 @@ def _reference_annihilation(entries, m, n):
                 f"pair power i={i} annihilates the bipartite quotient",
                 det.is_zero,
                 abs(float(det)),
-                f"det(Q + ({value}) I) = {det}",
+                "" if det.is_zero else f"det(Q + ({value}) I) = {det}",
             )
         )
     return tuple(checks)
 
 
 def test_annihilation_matches_quadratic_elimination():
-    # Name, pass flag, residual and detail, on the whole exact-sweep grid.
+    # Name, pass flag, residual and detail, on the whole exact-sweep grid;
+    # a vanishing determinant carries no detail.
     for m in range(2, 10):
         for n in range(2, 11):
             assert q_eigen_exact_check(m, n).checks == _reference_annihilation(
@@ -558,6 +580,29 @@ def test_annihilation_failure_carries_exact_determinant(monkeypatch, m, n):
     with pytest.raises(NonzeroDeterminant) as info:
         report.raise_if_failed()
     assert report.checks[0].detail in str(info.value)
+
+
+@pytest.mark.parametrize("m", [3, 7, 13])
+def test_integer_zero_test_where_phi_is_an_integer(m):
+    # 4m - 3 = r**2 makes phi = (1 + r)/2 an integer, so (-phi, 1) names
+    # zero without being (0, 0); (-2, 1) at m = 3.
+    r = math.isqrt(4 * m - 3)
+    assert r * r == 4 * m - 3
+    phi = (1 + r) // 2
+    for pair in ((-phi, 1), (-2 * phi, 2), (3 * phi, -3)):
+        assert zphi_is_zero(m, pair), pair
+        assert zphi_to_quadratic(m, pair).is_zero
+    for pair in ((1, 0), (0, 1), (-phi, 2), (1 - phi, 1)):
+        assert not zphi_is_zero(m, pair), pair
+        assert not zphi_to_quadratic(m, pair).is_zero
+    assert zphi_is_zero(m, (0, 0))
+
+
+def test_integer_zero_test_where_phi_is_irrational():
+    for m in (2, 4, 5, 8, 10**6):
+        assert zphi_is_zero(m, (0, 0))
+        for pair in ((1, 0), (0, 1), (-2, 1), (m - 1, -1), (-(m - 1), 1)):
+            assert not zphi_is_zero(m, pair), (m, pair)
 
 
 def test_characteristic_polynomial_against_determinants():
@@ -593,6 +638,22 @@ def test_characteristic_polynomial_of_big_integer_matrices():
                 for r in range(order)
             ]
             assert sum(c * x**k for k, c in enumerate(coeffs)) == det_cofactor(shifted)
+
+
+def test_characteristic_polynomial_matches_faddeev_leverrier():
+    # Every P and Q of the exact-sweep grid, then Q at n = 24 and 32.
+    quotients = [
+        build(m, n) for m in range(2, 10) for n in range(2, 11)
+        for build in (build_p, build_q)
+    ]
+    quotients += [build_q(m, n) for m in (2, 9) for n in (24, 32)]
+    for quotient in quotients:
+        rows = quotient.entries
+        assert _char_poly(rows) == char_poly_faddeev(rows), (
+            quotient.kind, quotient.m, quotient.n
+        )
+    assert _char_poly(((7,),)) == char_poly_faddeev(((7,),)) == [-7, 1]
+    assert _char_poly(((-2**70,),)) == [2**70, 1]
 
 
 def test_annihilation_is_exact_not_numeric():
