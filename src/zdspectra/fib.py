@@ -25,6 +25,7 @@ __all__ = [
     "docagne_residual",
     "golden_pair",
     "pair_power",
+    "pair_powers",
     "zphi_is_zero",
     "zphi_mul",
     "zphi_to_float",
@@ -310,6 +311,18 @@ def pair_power(m: int, i: int, j: int) -> tuple[int, int]:
     for _ in range(j):
         value = zphi_mul(m, value, (1, -1))
     return value
+
+
+def pair_powers(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """pair_power(m, i, n - i) for i = 1..n-1, from the powers of phi and
+    xi up to n - 1: 3(n - 1) products in all instead of n per index."""
+    check_integer(m, "weight m", 2)
+    check_integer(n, "exponent", 0)
+    phi, xi = [(1, 0)], [(1, 0)]
+    for _ in range(n - 1):
+        phi.append(zphi_mul(m, phi[-1], (0, 1)))
+        xi.append(zphi_mul(m, xi[-1], (1, -1)))
+    return tuple(zphi_mul(m, phi[i], xi[n - i]) for i in range(1, n))
 
 
 def zphi_is_zero(m: int, x: tuple[int, int]) -> bool:

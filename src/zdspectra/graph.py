@@ -11,12 +11,11 @@ that partition.  Supports are stored as single machine words, so n is
 capped at 63.
 
 A graph stores its vertex set as arrays: an (N, n) coordinate array in
-vertex order and the uint64 support bitmask of each row.  It is built
-one support class at a time, since the (m-1)**|S| tuples with support S
-spell the numbers below (m-1)**|S| in base m-1 on the positions of S,
-and sorted once; the m**n tuples that are not vertices are never
-visited.  `vertices` makes a VertexTuple only for the index it is asked
-for.
+vertex order and the uint64 support bitmask of each row.  The builders
+write the tuples already in lexicographic order, from a leading-digit
+recursion (full graph) or product grids (two-sided subgraph), so nothing
+is sorted and the m**n tuples that are not vertices are never visited.
+`vertices` makes a VertexTuple only for the index it is asked for.
 
 Vertices with the same support have the same neighbours, so sums over
 neighbourhoods run on the lattice of the 2**n supports instead of the
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -124,7 +123,7 @@ class VertexTuple:
 def _support_bits(coords: np.ndarray) -> np.ndarray:
     """Support bitmask of each row of an (N, n) coordinate array, as uint64."""
     weights = np.left_shift(np.uint64(1), np.arange(coords.shape[1], dtype=np.uint64))
-    return ((coords != 0) * weights).sum(axis=1, dtype=np.uint64)
+    return (coords != 0).astype(np.uint64) @ weights
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -189,9 +188,7 @@ class _SupportGraph:
 
     def edge_count(self) -> int:
         """Half the sum over supports S of size(S) * (vertices disjoint from S)."""
-        sizes = np.bincount(
-            self.support_array.astype(np.int64), minlength=1 << self.n
-        )
+        sizes = np.bincount(self.support_array.astype(np.int64), minlength=1 << self.n)
         return int(sizes @ disjoint_sums(sizes, self.n)) // 2
 
 
@@ -217,30 +214,32 @@ class BipartiteSubgraph(_SupportGraph):
         self.sides = tuple(_frozen(np.array(side, dtype=np.int64)) for side in sides)
 
 
-def _enumerate(m: int, n: int, count: int, supports: np.ndarray, first_key=None) -> np.ndarray:
-    """Coordinates of every tuple whose support is one of `supports`, in
-    lexicographic order (after `first_key`, if given, which maps the
-    coordinate array to a primary sort key).
+def _grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Lexicographic product of the digit arrays in `axes`, one row per tuple."""
+    total = prod(len(axis) for axis in axes)
+    out = np.empty((total, len(axes)), dtype=np.int64)
+    inner = total
+    for j, axis in enumerate(axes):
+        inner //= len(axis)
+        out[:, j] = np.tile(np.repeat(axis, inner), total // (inner * len(axis)))
+    return out
 
-    A support S holds (m-1)**|S| tuples; the k-th of them spells k in
-    base m-1 over the positions of S, each digit plus one.
-    """
-    bits = (supports[:, None] >> np.arange(n)) & 1
-    sizes = [(m - 1) ** int(k) for k in bits.sum(axis=1)]
-    if sum(sizes) != count:
-        raise ArithmeticError("vertex enumeration disagrees with the count law")
-    starts = np.cumsum([0] + sizes[:-1])
-    rank = np.arange(count, dtype=np.int64) - np.repeat(starts, sizes)
-    on = np.repeat(bits.astype(bool), sizes, axis=0)
-    coords = np.zeros((count, n), dtype=np.int64)
-    for i in range(n):
-        rows = on[:, i]
-        coords[rows, i] = rank[rows] % (m - 1) + 1
-        rank[rows] //= m - 1
-    keys = list(coords.T[::-1])
-    if first_key is not None:
-        keys.append(first_key(coords))
-    return coords[np.lexsort(keys)]
+
+def _with_zero(m: int, n: int) -> np.ndarray:
+    """Every length-n tuple over 0..m-1 with a zero, in lexicographic order
+    (row 0 is the zero tuple).  Z(1) = [(0)], and Z(k) is [0 | every
+    (k-1)-tuple], the first m**(k-1) rows of the (n-1)-tuple grid, then
+    [d | Z(k-1)] for d = 1..m-1; no level outgrows Z(n)."""
+    every = _grid([np.arange(m)] * (n - 1))
+    zeroed = np.zeros((1, 1), dtype=np.int64)
+    for k in range(2, n + 1):
+        head, tail = m ** (k - 1), len(zeroed)
+        level = np.zeros((head + (m - 1) * tail, k), dtype=np.int64)
+        level[:head, 1:] = every[:head, n - k :]
+        level[head:, 0] = np.repeat(np.arange(1, m), tail)
+        level[head:, 1:].reshape(m - 1, tail, k - 1)[...] = zeroed
+        zeroed = level
+    return zeroed
 
 
 def _zero_count_cells(coords: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -254,25 +253,26 @@ def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivi
     count = vertex_count(m, n, "full")
     if count > size_cap:
         raise SizeCapExceeded(f"zero-divisor graph for m={m}, n={n}", count, size_cap)
-    # every support except the empty one and the full one
-    coords = _enumerate(m, n, count, np.arange(1, (1 << n) - 1, dtype=np.int64))
+    coords = _with_zero(m, n)[1:]
+    if len(coords) != count:
+        raise ArithmeticError("vertex enumeration disagrees with the count law")
     return ZeroDivisorGraph(m, n, coords, _zero_count_cells(coords))
 
 
 def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> BipartiteSubgraph:
     """Induced subgraph on the vertices whose last two coordinates contain
-    exactly one zero; the side with the zero in the last coordinate comes
-    first, each side in lexicographic order."""
+    exactly one zero.  Each side is a product grid in lexicographic order:
+    every (n-2)-prefix times (nonzero digit, 0) on the first side, times
+    (0, nonzero digit) on the second."""
     check_params(m, n, MAX_TUPLE_LENGTH)
     count = vertex_count(m, n, "bipartite")
     if count > size_cap:
         raise SizeCapExceeded(f"two-sided subgraph for m={m}, n={n}", count, size_cap)
-    lattice = np.arange(1 << n, dtype=np.int64)
-    # supports with exactly one of positions n-2 and n-1
-    supports = lattice[((lattice >> (n - 2)) ^ (lattice >> (n - 1))) & 1 == 1]
-    coords = _enumerate(m, n, count, supports, lambda c: c[:, n - 1] != 0)
-    side_a = int((coords[:, n - 1] == 0).sum())
-    sides = (np.arange(side_a), np.arange(side_a, count))
+    prefix, digit, zero = [np.arange(m)] * (n - 2), np.arange(1, m), np.zeros(1, np.int64)
+    coords = np.concatenate((_grid(prefix + [digit, zero]), _grid(prefix + [zero, digit])))
+    if len(coords) != count:
+        raise ArithmeticError("vertex enumeration disagrees with the count law")
+    sides = (np.arange(count // 2), np.arange(count // 2, count))
     return BipartiteSubgraph(m, n, coords, _zero_count_cells(coords), sides)
 
 

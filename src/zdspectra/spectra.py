@@ -40,7 +40,7 @@ import numpy as np
 
 from .fib import (
     QuadraticNumber,
-    pair_power,
+    pair_powers,
     zphi_is_zero,
     zphi_mul,
     zphi_to_float,
@@ -386,12 +386,10 @@ class PredictedSpectrum:
 def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
     """Assemble the predicted full-graph spectrum for (m, n)."""
     p_values = quotient_eigenvalues(build_p(m, n))
-    q_values = []
-    for i in range(1, n):
-        pair = pair_power(m, i, n - i)
-        q_values.append(
-            QEigenvalue(i, pair, m, zphi_to_float(m, pair), math.comb(n, i) - 1)
-        )
+    q_values = [
+        QEigenvalue(i, pair, m, zphi_to_float(m, pair), math.comb(n, i) - 1)
+        for i, pair in enumerate(pair_powers(m, n), start=1)
+    ]
     zero = m**n - (m - 1) ** n - 2**n + 1
     prediction = PredictedSpectrum(m, n, p_values, tuple(q_values), zero)
     count = vertex_count(m, n, "full")
@@ -690,9 +688,8 @@ def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
     """
     coeffs = _char_poly(build_q(m, n).entries)
     checks = []
-    for i in range(1, n):
+    for i, value in enumerate(pair_powers(m, n), start=1):
         name = f"pair power i={i} annihilates the bipartite quotient"
-        value = pair_power(m, i, n - i)
         det = _det_shifted(m, coeffs, value)
         if zphi_is_zero(m, det):
             checks.append(CheckResult(name, True, 0.0))

@@ -536,6 +536,14 @@ GOLDEN_STDOUT = {
         "bb87b00a77af82a81537ddc20f0bc20a27f0d5532146b8431a31f9cb582e9aa0",
     "export --what subgraph --m 3 --n 3 --format json":
         "5dd632fae28529081156a368355c7bcb08aea161166ae25775c947dd4d47b68f",
+    # recorded before the vertex sets were built in order without a sort;
+    # the exports list vertices and edges in vertex order
+    "export --what subgraph --m 4 --n 4 --format dot":
+        "074a1d6cb394225688c60d3787ce7efe5161d519894b204e2d10a1ad07b33e25",
+    "export --m 3 --n 4 --format csv":
+        "ccf4dfeefc4b2a1166a742f4a4583f8a993b72b7966361df95efdcd4dc426685",
+    "report --m 4 --n 7 --format text --dense-cap 1":
+        "87c14616975f0bdbb65c9134d3e393323716046c872d56cb86e62c1fe174c6f3",
 }
 
 

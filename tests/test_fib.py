@@ -12,6 +12,7 @@ from zdspectra.fib import (
     gamma,
     golden_pair,
     pair_power,
+    pair_powers,
     zphi_mul,
     zphi_to_quadratic,
 )
@@ -238,6 +239,15 @@ def test_pair_power_matches_quadratic_powers(m):
     for i in range(8):
         for j in range(8):
             assert zphi_to_quadratic(m, pair_power(m, i, j)) == phi**i * xi**j, (i, j)
+
+
+@pytest.mark.parametrize("m", [*range(2, 14), 10**6])
+def test_pair_powers_table_matches_pair_power(m):
+    for n in range(2, 41) if m < 14 else (50,):
+        assert pair_powers(m, n) == tuple(pair_power(m, i, n - i) for i in range(1, n)), n
+    assert pair_powers(m, 1) == pair_powers(m, 0) == ()
+    with pytest.raises(ValueError):
+        pair_powers(m, -1)
 
 
 def test_zphi_arithmetic():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zdspectra import graph as graph_module
 from zdspectra.graph import (
     DEFAULT_SIZE_CAP,
     BipartiteSubgraph,
@@ -52,8 +53,13 @@ def _zero_count_cells(tuples, n):
     ]
 
 
+ENUMERATION_CELLS = [
+    *((m, n) for m in range(2, 6) for n in range(2, 7)), (7, 3), (9, 3), (11, 2), (2, 12)
+]
+
+
 def test_vertices_match_brute_enumeration():
-    for m, n in [(2, 3), (2, 4), (3, 3), (4, 2), (11, 2), (7, 3), (2, 12)]:
+    for m, n in ENUMERATION_CELLS:
         side_a, side_b = brute_sides(m, n)
         b = build_bipartite(m, n)
         for g, tuples in [(build_graph(m, n), brute_vertices(m, n)), (b, side_a + side_b)]:
@@ -78,6 +84,31 @@ def test_large_field_enumeration_is_linear_in_vertices():
         tracemalloc.stop()
     assert sizes == (vertex_count(3000, 2, "full"), vertex_count(3000, 2, "bipartite"))
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("m, n", [(4, 7), (5, 6), (2, 14)])
+def test_build_peak_memory_is_a_few_vertex_arrays(m, n):
+    # The ordered builders hold at most a few arrays of <= N rows at once:
+    # the peak, with the graph's own coordinates, supports and cells, is
+    # 3.2 to 3.5 times the coordinate array on these cells.
+    for builder in (build_graph, build_bipartite):
+        tracemalloc.start()
+        try:
+            g = builder(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.coords.nbytes, (builder.__name__, peak / g.coords.nbytes)
+
+
+def test_built_count_is_checked_against_the_count_law(monkeypatch):
+    true_count = graph_module.vertex_count
+    monkeypatch.setattr(
+        graph_module, "vertex_count", lambda m, n, role: true_count(m, n, role) + 1
+    )
+    for builder in (build_graph, build_bipartite):
+        with pytest.raises(ArithmeticError, match="count law"):
+            builder(3, 4)
 
 
 def _with_cells(g, cells):
