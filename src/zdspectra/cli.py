@@ -336,8 +336,6 @@ def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
     Each quotient is built once and its spectrum computed once (P's is the
     prediction's); the checks that compare graphs with quotients reuse them.
     """
-    # dense work never exceeds what may be enumerated at all
-    dense_cap = min(dense_cap, size_cap)
     prediction = predicted_spectrum(m, n)
     quotients = {"full": build_p(m, n), "bipartite": build_q(m, n)}
     q_spectrum = quotient_eigenvalues(quotients["bipartite"])

@@ -13,16 +13,13 @@ module also holds the package's parameter checks.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "FibSequence",
     "QuadraticNumber",
-    "fib",
-    "gamma",
     "docagne_residual",
+    "fib_values",
     "golden_pair",
     "pair_power",
     "pair_powers",
@@ -52,44 +49,14 @@ def check_params(m: int, n: int, max_n: int | None = None) -> None:
         )
 
 
-class FibSequence:
-    """Memoized values of F[k] = F[k-1] + (m-1)*F[k-2] with F[0] = F[1] = 1.
-
-    The cache extends on demand and extension is locked, so one instance
-    may be shared across threads.
-    """
-
-    def __init__(self, m: int) -> None:
-        check_integer(m, "weight m", 2)
-        self.m = m
-        self._values = [1, 1]
-        self._lock = threading.Lock()
-
-    def value(self, k: int) -> int:
-        check_integer(k, "index k", 0)
-        if k >= len(self._values):
-            with self._lock:
-                vals = self._values
-                while len(vals) <= k:
-                    vals.append(vals[-1] + (self.m - 1) * vals[-2])
-        return self._values[k]
-
-    def ratio(self, k: int) -> Fraction:
-        """gamma[k] = F[k+1]/F[k] in lowest terms; gamma[0] == 1."""
-        return Fraction(self.value(k + 1), self.value(k))
-
-    def __repr__(self) -> str:
-        return f"FibSequence(m={self.m})"
-
-
-def fib(m: int, k: int) -> int:
-    """F[k] for weight m."""
-    return FibSequence(m).value(k)
-
-
-def gamma(m: int, k: int) -> Fraction:
-    """Ratio F[k+1]/F[k] for weight m, as an exact rational."""
-    return FibSequence(m).ratio(k)
+def fib_values(m: int, k: int) -> list[int]:
+    """F[0..k] for weight m, by the recurrence F[k] = F[k-1] + (m-1)*F[k-2]."""
+    check_integer(m, "weight m", 2)
+    check_integer(k, "index k", 0)
+    values = [1, 1]
+    for _ in range(k - 1):
+        values.append(values[-1] + (m - 1) * values[-2])
+    return values[: k + 1]
 
 
 def docagne_residual(m: int, l: int, r: int) -> int:
@@ -103,9 +70,8 @@ def docagne_residual(m: int, l: int, r: int) -> int:
         raise ValueError(f"indices must be integers, got l={l!r}, r={r!r}")
     if r < 0 or l <= r:
         raise ValueError(f"need l > r >= 0, got l={l}, r={r}")
-    f = FibSequence(m)
-    lhs = f.value(l) * f.value(r + 1) - f.value(l + 1) * f.value(r)
-    return lhs - (1 - m) ** (r + 1) * f.value(l - r - 1)
+    f = fib_values(m, l + 1)
+    return f[l] * f[r + 1] - f[l + 1] * f[r] - (1 - m) ** (r + 1) * f[l - r - 1]
 
 
 @dataclass(frozen=True, eq=False)

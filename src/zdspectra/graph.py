@@ -10,12 +10,13 @@ of either graph by zero-coordinate count, and empirical quotients of
 that partition.  Supports are stored as single machine words, so n is
 capped at 63.
 
-A graph stores its vertex set as arrays: an (N, n) coordinate array in
-vertex order and the uint64 support bitmask of each row.  The builders
-write the tuples already in lexicographic order, from a leading-digit
+A graph is its (N, n) coordinate array in vertex order: the constructor
+takes only (m, n, coords) and derives, once, the uint64 support bitmask
+of each row, the zero-count cells and, for the subgraph, its two sides.
+Labels and witnesses are read from the coordinates.  The builders write
+the tuples already in lexicographic order, from a leading-digit
 recursion (full graph) or product grids (two-sided subgraph), so nothing
 is sorted and the m**n tuples that are not vertices are never visited.
-`vertices` makes a VertexTuple only for the index it is asked for.
 
 Vertices with the same support have the same neighbours, so sums over
 neighbourhoods run on the lattice of the 2**n supports instead of the
@@ -30,7 +31,6 @@ pairs.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from math import comb, prod
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "MAX_TUPLE_LENGTH",
     "SizeCapExceeded",
     "NotEquitableError",
-    "VertexTuple",
     "ZeroDivisorGraph",
     "BipartiteSubgraph",
     "build_graph",
@@ -104,26 +103,18 @@ def vertex_count(m: int, n: int, role: str) -> int:
     raise ValueError(f"role must be 'full' or 'bipartite', got {role!r}")
 
 
-@dataclass(frozen=True)
-class VertexTuple:
-    """A coordinate tuple plus its support bitmask (bit i <=> coords[i] != 0)."""
-
-    coords: tuple[int, ...]
-    support: int
-
-    @property
-    def zero_count(self) -> int:
-        return len(self.coords) - self.support.bit_count()
-
-    def label(self, m: int) -> str:
-        sep = "" if m <= 10 else ","
-        return sep.join(str(c) for c in self.coords)
-
-
 def _support_bits(coords: np.ndarray) -> np.ndarray:
     """Support bitmask of each row of an (N, n) coordinate array, as uint64."""
     weights = np.left_shift(np.uint64(1), np.arange(coords.shape[1], dtype=np.uint64))
     return (coords != 0).astype(np.uint64) @ weights
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """Number of set bits of each support 0..2**n - 1, as uint8."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        table = np.concatenate((table, table + 1))
+    return table
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -131,52 +122,34 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _VertexView(Sequence[VertexTuple]):
-    """The rows of a coordinate array, each made a VertexTuple when read."""
-
-    def __init__(self, coords: np.ndarray, supports: np.ndarray) -> None:
-        self._coords = coords
-        self._supports = supports
-
-    def __len__(self) -> int:
-        return len(self._coords)
-
-    def __getitem__(self, index: int | slice) -> VertexTuple | tuple[VertexTuple, ...]:
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        return VertexTuple(tuple(self._coords[index].tolist()), int(self._supports[index]))
-
-    def __iter__(self) -> Iterator[VertexTuple]:
-        for coords, support in zip(self._coords.tolist(), self._supports.tolist()):
-            yield VertexTuple(tuple(coords), support)
-
-
 class _SupportGraph:
-    """Shared structure: an (N, n) coordinate array in vertex order, each
-    row's support bitmask, and the cells of a partition of the vertex
-    indices (the builders pass the zero-count cells).  `vertices` reads
-    the coordinates back one VertexTuple per index.
+    """A graph fixed by its (N, n) coordinate array, in vertex order.
+
+    The constructor derives the rest once: each row's support bitmask and
+    the cells of the zero-count partition (cell i holds the vertices with
+    i + 1 zero coordinates, i = 0..n-2), with zero counts read as n minus
+    a 2**n popcount table indexed by support, which like the lattice
+    tables is no larger than a built graph's vertex set.  Rows with no
+    zero or no nonzero coordinate fall in no cell.  An int64 array is not
+    copied.
     """
 
-    def __init__(
-        self, m: int, n: int, coords: np.ndarray, cells: Sequence[Sequence[int]]
-    ) -> None:
+    def __init__(self, m: int, n: int, coords: np.ndarray) -> None:
         self.m = m
         self.n = n
-        self.coords = _frozen(np.array(coords, dtype=np.int64).reshape(-1, n))
+        self.coords = _frozen(np.asarray(coords, dtype=np.int64).reshape(-1, n))
         self.support_array = _frozen(_support_bits(self.coords))
-        self.cells = tuple(_frozen(np.array(cell, dtype=np.int64)) for cell in cells)
+        zeros = n - _popcounts(n)[self.support_array]
+        self.cells = tuple(_frozen(np.flatnonzero(zeros == i)) for i in range(1, n))
 
     @property
     def vertex_count(self) -> int:
         return len(self.coords)
 
-    @property
-    def vertices(self) -> Sequence[VertexTuple]:
-        return _VertexView(self.coords, self.support_array)
-
     def labels(self) -> tuple[str, ...]:
-        return tuple(v.label(self.m) for v in self.vertices)
+        """Each row's coordinates as text, comma-separated when m > 10."""
+        sep = "" if self.m <= 10 else ","
+        return tuple(sep.join(map(str, row)) for row in self.coords.tolist())
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Index pairs (i, j) with i < j and disjoint supports, ascending."""
@@ -198,20 +171,15 @@ class ZeroDivisorGraph(_SupportGraph):
 
 class BipartiteSubgraph(_SupportGraph):
     """Induced subgraph on tuples with exactly one zero among the last two
-    coordinates; `sides` splits the vertex indices by which one it is."""
+    coordinates; `sides` splits the vertex indices by which one it is:
+    first the last coordinate, then the one before it."""
 
     role = "bipartite"
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        coords: np.ndarray,
-        cells: Sequence[Sequence[int]],
-        sides: tuple[Sequence[int], Sequence[int]],
-    ) -> None:
-        super().__init__(m, n, coords, cells)
-        self.sides = tuple(_frozen(np.array(side, dtype=np.int64)) for side in sides)
+    def __init__(self, m: int, n: int, coords: np.ndarray) -> None:
+        super().__init__(m, n, coords)
+        last_two = self.support_array >> np.uint64(n - 2)
+        self.sides = tuple(_frozen(np.flatnonzero(last_two == k)) for k in (1, 2))
 
 
 def _grid(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -242,11 +210,6 @@ def _with_zero(m: int, n: int) -> np.ndarray:
     return zeroed
 
 
-def _zero_count_cells(coords: np.ndarray) -> tuple[np.ndarray, ...]:
-    zeros = (coords == 0).sum(axis=1)
-    return tuple(np.flatnonzero(zeros == i) for i in range(1, coords.shape[1]))
-
-
 def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivisorGraph:
     """Enumerate the zero-divisor graph for (m, n), refusing above size_cap."""
     check_params(m, n, MAX_TUPLE_LENGTH)
@@ -256,7 +219,7 @@ def build_graph(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> ZeroDivi
     coords = _with_zero(m, n)[1:]
     if len(coords) != count:
         raise ArithmeticError("vertex enumeration disagrees with the count law")
-    return ZeroDivisorGraph(m, n, coords, _zero_count_cells(coords))
+    return ZeroDivisorGraph(m, n, coords)
 
 
 def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> BipartiteSubgraph:
@@ -272,8 +235,7 @@ def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Bipa
     coords = np.concatenate((_grid(prefix + [digit, zero]), _grid(prefix + [zero, digit])))
     if len(coords) != count:
         raise ArithmeticError("vertex enumeration disagrees with the count law")
-    sides = (np.arange(count // 2), np.arange(count // 2, count))
-    return BipartiteSubgraph(m, n, coords, _zero_count_cells(coords), sides)
+    return BipartiteSubgraph(m, n, coords)
 
 
 def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
@@ -303,7 +265,7 @@ def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
     the vertices of a support.  Returns the quotient matrix as nested
     tuples; raises NotEquitableError with two witness vertices when a
     cell is not equitable, and ValueError when the cells do not partition
-    the vertex set (the graph constructors take any cells).
+    the vertex set (a caller may assign any cells).
     """
     cells = graph.cells
     flat = np.sort(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
@@ -329,12 +291,13 @@ def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
         if mismatch.size:
             row = int(mismatch[0])
             col = int(np.flatnonzero(sub[row] != first)[0])
+            labels = graph.labels()
             raise NotEquitableError(
                 i + 1,
                 col + 1,
-                graph.vertices[cell[0]].label(graph.m),
+                labels[cell[0]],
                 int(first[col]),
-                graph.vertices[cell[row]].label(graph.m),
+                labels[cell[row]],
                 int(sub[row][col]),
             )
         quotient.append(tuple(int(x) for x in first))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fib import FibSequence, check_params
+from .fib import check_params, fib_values
 
 __all__ = [
     "QuotientKind",
@@ -136,15 +136,6 @@ def walk_matrix_iterative(quotient: QuotientMatrix) -> WalkMatrix:
     return WalkMatrix(quotient.kind, quotient.m, quotient.n, entries)
 
 
-def _fib_values(m: int, n: int) -> list[int]:
-    """F[0..n] for weight m, by the recurrence itself; callers have
-    checked (m, n) already."""
-    values = [1, 1]
-    for _ in range(n - 1):
-        values.append(values[-1] + (m - 1) * values[-2])
-    return values
-
-
 def h_coefficients(m: int, n: int) -> tuple[int, ...]:
     """Correction coefficients h_0..h_{n-3} of the P-kind closed form.
 
@@ -152,7 +143,7 @@ def h_coefficients(m: int, n: int) -> tuple[int, ...]:
     result always contains h_0, so its length is max(1, n-2).
     """
     check_params(m, n)
-    powers = [x**n for x in _fib_values(m, n)]
+    powers = [x**n for x in fib_values(m, n)]
     hs = [1]
     for j in range(1, max(1, n - 2)):
         hs.append(powers[j + 1] - sum(hs[r] * powers[j - r] for r in range(j)))
@@ -170,7 +161,7 @@ def walk_matrix_closed_p(m: int, n: int) -> WalkMatrix:
     them, so each is computed once per row.
     """
     check_params(m, n)
-    fs = _fib_values(m, n)
+    fs = fib_values(m, n)
     hs = h_coefficients(m, n)
     rows = []
     for i in range(1, n):
@@ -190,7 +181,7 @@ def walk_matrix_closed_q(m: int, n: int) -> WalkMatrix:
         entry(i, k) = (m-1)**k * F[k]**(n-i-1) * F[k+1]**(i-1)
     """
     check_params(m, n)
-    fs = _fib_values(m, n)
+    fs = fib_values(m, n)
     entries = tuple(
         tuple(
             (m - 1) ** k * fs[k] ** (n - i - 1) * fs[k + 1] ** (i - 1)
@@ -261,12 +252,12 @@ def factorize_walk(m: int, n: int, kind: QuotientKind) -> WalkFactorization:
     check_params(m, n)
     if not isinstance(kind, QuotientKind):
         raise ValueError(f"kind must be a QuotientKind, got {kind!r}")
-    f = FibSequence(m)
+    fs = fib_values(m, n)
     r = n - 1
-    ratios = tuple(f.ratio(k) for k in range(r))
+    ratios = tuple(Fraction(fs[k + 1], fs[k]) for k in range(r))
     vandermonde = tuple(tuple(g**i for g in ratios) for i in range(r))
     if kind is QuotientKind.P:
-        diagonal = tuple(Fraction(f.value(k)) ** n * ratios[k] for k in range(r))
+        diagonal = tuple(Fraction(fs[k]) ** n * ratios[k] for k in range(r))
         hs = h_coefficients(m, n)
         unitriangular = tuple(
             tuple(
@@ -276,7 +267,7 @@ def factorize_walk(m: int, n: int, kind: QuotientKind) -> WalkFactorization:
         )
     else:
         diagonal = tuple(
-            Fraction((m - 1) ** k * f.value(k) ** (n - 2)) for k in range(r)
+            Fraction((m - 1) ** k * fs[k] ** (n - 2)) for k in range(r)
         )
         unitriangular = tuple(
             tuple(1 if i == j else 0 for j in range(r)) for i in range(r)
@@ -302,7 +293,7 @@ def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
     check_params(m, n)
     if not isinstance(kind, QuotientKind):
         raise ValueError(f"kind must be a QuotientKind, got {kind!r}")
-    fs = _fib_values(m, n)
+    fs = fib_values(m, n)
     r = n - 1
     num = 1
     for right in range(r):

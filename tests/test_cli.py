@@ -167,6 +167,15 @@ def test_report_dense_cap_skips_eigen_work(capsys):
     assert any("Krylov" in c["name"] for c in full["checks"])
 
 
+def test_dense_cap_above_size_cap_changes_nothing(capsys):
+    # dense checks run only on graphs that were built, so a dense cap
+    # above the size cap acts as if it were the size cap
+    base = ["report", "--m", "3", "--n", "4", "--size-cap", "40", "--dense-cap"]
+    high = run(capsys, *base, "100000")
+    assert high == run(capsys, *base, "40")
+    assert high[0] == 3
+
+
 _QUOTIENT_CHECKS = [
     "row sums follow the degree law ({})",
     "walk routes agree ({})",
@@ -374,8 +383,12 @@ def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
 
 
 def test_verify_range_validation(capsys):
-    # a well-formed range below m = 2 reaches the builders' parameter check
-    assert cli.main(["verify", "--m", "1..3", "--n", "2..3"]) == 2
+    # a well-formed range below m = 2 reaches the weight check of the
+    # recurrence checks, which run before any builder
+    code, out, err = run(capsys, "verify", "--m", "1..3", "--n", "2..3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: weight m must be an integer >= 2, got 1\n"
     # a range needs both bounds: "2.." is not "2"
     for text in ("3..x", "2..", "..3", "..", "3..2"):
         with pytest.raises(SystemExit) as info:
@@ -544,6 +557,12 @@ GOLDEN_STDOUT = {
         "ccf4dfeefc4b2a1166a742f4a4583f8a993b72b7966361df95efdcd4dc426685",
     "report --m 4 --n 7 --format text --dense-cap 1":
         "87c14616975f0bdbb65c9134d3e393323716046c872d56cb86e62c1fe174c6f3",
+    # comma-separated labels (m > 10), recorded before the graphs were
+    # made from their coordinate arrays alone
+    "export --m 11 --n 2 --format json":
+        "0b615fb6b8c198450f9a24e2e1c6350b90988bf9a123086b881b7a0644c335af",
+    "export --what subgraph --m 11 --n 3 --format dot":
+        "974f06bcff6e8ee0e08e7ee2d35ca965e659256275d5f127e03d10f3633a97ff",
 }
 
 

@@ -5,11 +5,9 @@ from fractions import Fraction
 import pytest
 
 from zdspectra.fib import (
-    FibSequence,
     QuadraticNumber,
     docagne_residual,
-    fib,
-    gamma,
+    fib_values,
     golden_pair,
     pair_power,
     pair_powers,
@@ -20,77 +18,83 @@ from zdspectra.fib import (
 from oracles import fib_loop
 
 
+def ratios(m, count):
+    """gamma[0..count-1], gamma[k] = F[k+1]/F[k], as exact fractions."""
+    f = fib_values(m, count)
+    return [Fraction(f[k + 1], f[k]) for k in range(count)]
+
+
 # === sequence values ===
 
 def test_seeds_and_classical_case():
-    assert [fib(2, k) for k in range(7)] == [1, 1, 2, 3, 5, 8, 13]
+    assert fib_values(2, 6) == [1, 1, 2, 3, 5, 8, 13]
 
 
 def test_weight_three_values():
-    assert [fib(3, k) for k in range(7)] == [1, 1, 3, 5, 11, 21, 43]
+    assert fib_values(3, 6) == [1, 1, 3, 5, 11, 21, 43]
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_matches_loop_oracle(m):
-    seq = FibSequence(m)
+    values = fib_values(m, 60)
     for k in range(61):
-        assert seq.value(k) == fib_loop(m, k)
+        assert values[k] == fib_loop(m, k)
 
 
 def test_recurrence_holds_directly():
     for m in (2, 5, 10):
-        seq = FibSequence(m)
+        values = fib_values(m, 49)
         for k in range(2, 50):
-            assert seq.value(k) == seq.value(k - 1) + (m - 1) * seq.value(k - 2)
+            assert values[k] == values[k - 1] + (m - 1) * values[k - 2]
 
 
 def test_values_positive_and_eventually_increasing():
     for m in range(2, 8):
-        values = [fib(m, k) for k in range(40)]
+        values = fib_values(m, 39)
         assert all(v > 0 for v in values)
         assert all(b >= a for a, b in zip(values[1:], values[2:]))
 
 
-def test_memoization_is_consistent():
-    seq = FibSequence(4)
-    high = seq.value(30)
-    assert seq.value(30) == high
-    assert seq.value(5) == fib_loop(4, 5)
+def test_shorter_runs_are_prefixes():
+    high = fib_values(4, 30)
+    assert len(high) == 31
+    for k in range(31):
+        assert fib_values(4, k) == high[: k + 1]
+    assert high[5] == fib_loop(4, 5)
 
 
 def test_input_validation():
+    with pytest.raises(ValueError, match="weight m must be an integer >= 2, got 1"):
+        fib_values(1, 3)
     with pytest.raises(ValueError):
-        FibSequence(1)
+        fib_values(2.0, 3)
     with pytest.raises(ValueError):
-        FibSequence(2.0)
+        fib_values(True, 3)
     with pytest.raises(ValueError):
-        FibSequence(True)
+        fib_values(3, -1)
     with pytest.raises(ValueError):
-        fib(3, -1)
-    with pytest.raises(ValueError):
-        fib(3, 1.5)
+        fib_values(3, 1.5)
 
 
 # === ratios ===
 
 def test_ratio_values():
-    assert gamma(2, 0) == 1
-    assert gamma(2, 2) == Fraction(3, 2)
-    assert gamma(3, 2) == Fraction(5, 3)
-    assert gamma(3, 3) == Fraction(11, 5)
+    assert ratios(2, 3)[0] == 1
+    assert ratios(2, 3)[2] == Fraction(3, 2)
+    assert ratios(3, 4)[2] == Fraction(5, 3)
+    assert ratios(3, 4)[3] == Fraction(11, 5)
 
 
 def test_ratio_is_exact_quotient():
     for m in (2, 4, 7):
-        seq = FibSequence(m)
-        for k in range(30):
-            assert seq.ratio(k) == Fraction(seq.value(k + 1), seq.value(k))
+        for k, ratio in enumerate(ratios(m, 30)):
+            assert ratio == Fraction(fib_loop(m, k + 1), fib_loop(m, k))
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_ratios_pairwise_distinct(m):
-    ratios = [gamma(m, k) for k in range(41)]
-    assert len(set(ratios)) == len(ratios)
+    values = ratios(m, 41)
+    assert len(set(values)) == len(values)
 
 
 # === cross-product identity ===
@@ -104,9 +108,9 @@ def test_residual_vanishes_on_small_grid():
 
 def test_residual_spot_check_by_hand():
     # m=3, l=3, r=1: F3*F2 - F4*F1 = 5*3 - 11*1 = 4 and (1-3)^2 * F1 = 4.
-    f = FibSequence(3)
-    lhs = f.value(3) * f.value(2) - f.value(4) * f.value(1)
-    assert lhs == (1 - 3) ** 2 * f.value(1)
+    f = fib_values(3, 4)
+    lhs = f[3] * f[2] - f[4] * f[1]
+    assert lhs == (1 - 3) ** 2 * f[1]
     assert docagne_residual(3, 3, 1) == 0
 
 
@@ -265,6 +269,7 @@ def test_zphi_arithmetic():
 def test_ratio_limit_approaches_phi():
     # gamma[k] converges to the positive root; check the gap shrinks.
     phi = float(golden_pair(5)[0])
-    gaps = [abs(float(gamma(5, k)) - phi) for k in (5, 15, 30, 60)]
+    gamma = ratios(5, 61)
+    gaps = [abs(float(gamma[k]) - phi) for k in (5, 15, 30, 60)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-10

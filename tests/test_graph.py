@@ -8,11 +8,8 @@ import pytest
 from zdspectra import graph as graph_module
 from zdspectra.graph import (
     DEFAULT_SIZE_CAP,
-    BipartiteSubgraph,
     NotEquitableError,
     SizeCapExceeded,
-    VertexTuple,
-    ZeroDivisorGraph,
     adjacency_matrix,
     adjacency_to_csv,
     build_bipartite,
@@ -63,14 +60,12 @@ def test_vertices_match_brute_enumeration():
         side_a, side_b = brute_sides(m, n)
         b = build_bipartite(m, n)
         for g, tuples in [(build_graph(m, n), brute_vertices(m, n)), (b, side_a + side_b)]:
-            assert [v.coords for v in g.vertices] == tuples
             assert g.coords.tolist() == [list(c) for c in tuples]
             supports = [sum(1 << i for i, c in enumerate(t) if c) for t in tuples]
             assert g.support_array.tolist() == supports
-            assert [v.support for v in g.vertices] == supports
             assert [c.tolist() for c in g.cells] == _zero_count_cells(tuples, n)
-        assert [b.vertices[i].coords for i in b.sides[0]] == side_a
-        assert [b.vertices[i].coords for i in b.sides[1]] == side_b
+        assert b.coords[b.sides[0]].tolist() == [list(c) for c in side_a]
+        assert b.coords[b.sides[1]].tolist() == [list(c) for c in side_b]
 
 
 def test_large_field_enumeration_is_linear_in_vertices():
@@ -88,9 +83,10 @@ def test_large_field_enumeration_is_linear_in_vertices():
 
 @pytest.mark.parametrize("m, n", [(4, 7), (5, 6), (2, 14)])
 def test_build_peak_memory_is_a_few_vertex_arrays(m, n):
-    # The ordered builders hold at most a few arrays of <= N rows at once:
+    # The ordered builders hold at most a few arrays of <= N rows at once,
+    # and the graph keeps the builder's coordinate array without a copy:
     # the peak, with the graph's own coordinates, supports and cells, is
-    # 3.2 to 3.5 times the coordinate array on these cells.
+    # about 2.2 times the coordinate array on these cells.
     for builder in (build_graph, build_bipartite):
         tracemalloc.start()
         try:
@@ -98,7 +94,7 @@ def test_build_peak_memory_is_a_few_vertex_arrays(m, n):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * g.coords.nbytes, (builder.__name__, peak / g.coords.nbytes)
+        assert peak < 3 * g.coords.nbytes, (builder.__name__, peak / g.coords.nbytes)
 
 
 def test_built_count_is_checked_against_the_count_law(monkeypatch):
@@ -113,9 +109,9 @@ def test_built_count_is_checked_against_the_count_law(monkeypatch):
 
 def _with_cells(g, cells):
     """The graph g, rebuilt from its coordinate array with other cells."""
-    if g.role == "full":
-        return ZeroDivisorGraph(g.m, g.n, g.coords, cells)
-    return BipartiteSubgraph(g.m, g.n, g.coords, cells, g.sides)
+    copy = type(g)(g.m, g.n, g.coords)
+    copy.cells = tuple(np.array(cell, dtype=np.int64) for cell in cells)
+    return copy
 
 
 def test_graph_from_coordinates_matches_build():
@@ -123,18 +119,41 @@ def test_graph_from_coordinates_matches_build():
         g = build_graph(m, n)
         b = build_bipartite(m, n)
         for built in (g, b):
-            copy = _with_cells(built, built.cells)
-            assert np.array_equal(copy.coords, built.coords)
+            copy = type(built)(m, n, built.coords)
+            assert np.shares_memory(copy.coords, built.coords)
             assert np.array_equal(copy.support_array, built.support_array)
             assert copy.support_array.dtype == np.uint64
+            assert [c.tolist() for c in copy.cells] == [c.tolist() for c in built.cells]
             assert copy.labels() == built.labels()
             assert empirical_quotient(copy) == empirical_quotient(built)
             # classes of m-1 > 1 vertices: the lattice count weighs by size
             assert copy.edge_count() == built.edge_count() == len(list(built.edges()))
-    assert g.vertices[-1] == VertexTuple((10, 0), 1)
-    assert g.vertices[1:3] == (g.vertices[1], g.vertices[2])
-    with pytest.raises(IndexError):
-        g.vertices[g.vertex_count]
+        assert [s.tolist() for s in type(b)(m, n, b.coords).sides] == [
+            s.tolist() for s in b.sides
+        ]
+    assert g.labels()[-1] == "10,0"
+    assert not g.coords.flags.writeable
+
+
+@pytest.mark.parametrize("m, n, role", [(3, 4, "full"), (2, 6, "full"), (3, 4, "bipartite")])
+def test_cells_and_sides_of_permuted_coordinates(graphs, m, n, role):
+    # Rows in any order: cells and sides follow the rows, classified here
+    # by their zero coordinates alone.
+    built = graphs(m, n, role)
+    coords = np.random.default_rng(11).permutation(built.coords)
+    g = type(built)(m, n, coords)
+    rows = coords.tolist()
+    zeros = [row.count(0) for row in rows]
+    assert [c.tolist() for c in g.cells] == [
+        [v for v in range(len(rows)) if zeros[v] == i] for i in range(1, n)
+    ]
+    if role == "bipartite":
+        assert [s.tolist() for s in g.sides] == [
+            [v for v, row in enumerate(rows) if row[-2] != 0 and row[-1] == 0],
+            [v for v, row in enumerate(rows) if row[-2] == 0 and row[-1] != 0],
+        ]
+    assert g.labels() == tuple("".join(map(str, row)) for row in rows)
+    assert empirical_quotient(g) == empirical_quotient(built)
 
 
 def test_vertex_labels():
@@ -146,10 +165,9 @@ def test_vertex_labels():
 
 def test_support_bitmask_tracks_nonzeros(graphs):
     g = graphs(3, 3)
-    for v in g.vertices:
-        for i, c in enumerate(v.coords):
-            assert bool(v.support & (1 << i)) == (c != 0)
-        assert v.zero_count == sum(1 for c in v.coords if c == 0)
+    for coords, support in zip(g.coords.tolist(), g.support_array.tolist()):
+        for i, c in enumerate(coords):
+            assert bool(support & (1 << i)) == (c != 0)
 
 
 def test_build_validation():
@@ -180,7 +198,7 @@ def test_size_cap_raises_before_enumeration():
 def test_adjacency_matches_brute_force(graphs):
     for m, n in [(2, 4), (3, 3), (2, 5)]:
         g = graphs(m, n)
-        expected = np.array(brute_adjacency([v.coords for v in g.vertices]))
+        expected = np.array(brute_adjacency(g.coords.tolist()))
         assert np.array_equal(adjacency_matrix(g), expected)
 
 
@@ -193,8 +211,8 @@ def test_adjacency_shape_and_symmetry(graphs):
 
 def test_edges_match_brute_force(graphs):
     g = graphs(2, 4)
-    assert set(g.edges()) == brute_edges([v.coords for v in g.vertices])
-    assert g.edge_count() == len(brute_edges([v.coords for v in g.vertices]))
+    assert set(g.edges()) == brute_edges(g.coords.tolist())
+    assert g.edge_count() == len(brute_edges(g.coords.tolist()))
 
 
 def test_degree_law(graphs):
@@ -202,8 +220,8 @@ def test_degree_law(graphs):
     for m, n in [(2, 4), (3, 4), (4, 3)]:
         g = graphs(m, n)
         degrees = adjacency_matrix(g).sum(axis=1)
-        for v, d in zip(g.vertices, degrees):
-            assert d == m**v.zero_count - 1
+        for coords, d in zip(g.coords.tolist(), degrees):
+            assert d == m ** coords.count(0) - 1
 
 
 def test_degree_multiset_for_the_illustration(graphs):
@@ -228,7 +246,7 @@ def test_cell_sizes_closed_form(graphs):
 def test_cells_group_by_zero_count(graphs):
     g = graphs(3, 4)
     for i, cell in enumerate(g.cells, start=1):
-        assert all(g.vertices[v].zero_count == i for v in cell)
+        assert ((g.coords[cell] == 0).sum(axis=1) == i).all()
 
 
 def test_expected_cell_sizes_role_validation():
@@ -287,14 +305,15 @@ def test_empirical_quotient_on_partition_splitting_supports(graphs):
     # values, so the partition is equitable; at m=3 it separates vertices
     # of one support whose first coordinate is 1 from those where it is 2.
     g = graphs(3, 4)
-    keys = sorted({(v.coords[0], v.zero_count) for v in g.vertices})
+    rows = g.coords.tolist()
+    key_of = [(row[0], row.count(0)) for row in rows]
     cells = [
-        [i for i, v in enumerate(g.vertices) if (v.coords[0], v.zero_count) == key]
-        for key in keys
+        [i for i, key in enumerate(key_of) if key == wanted]
+        for wanted in sorted(set(key_of))
     ]
-    cell_supports = [{g.vertices[i].support for i in cell} for cell in cells]
+    cell_supports = [{int(g.support_array[i]) for i in cell} for cell in cells]
     assert any(a & b for a in cell_supports for b in cell_supports if a is not b)
-    expected = quotient_by_counting([v.coords for v in g.vertices], cells)
+    expected = quotient_by_counting(rows, cells)
     assert empirical_quotient(_with_cells(g, cells)) == tuple(
         tuple(row) for row in expected
     )
@@ -304,15 +323,15 @@ def _brute_witnesses(g, cells):
     """NotEquitableError arguments by direct counting: the first cell with
     a mismatch, its first vertex that disagrees with the cell's first
     vertex, and the first cell where they disagree."""
-    counts = neighbor_counts([v.coords for v in g.vertices], cells)
+    counts = neighbor_counts(g.coords.tolist(), cells)
+    sep = "" if g.m <= 10 else ","
+    label = [sep.join(map(str, row)) for row in g.coords.tolist()]
     for i, cell in enumerate(cells):
         first = counts[cell[0]]
         for v in cell:
             for j, (want, got) in enumerate(zip(first, counts[v])):
                 if want != got:
-                    label = g.vertices[v].label(g.m)
-                    return (i + 1, j + 1,
-                            ((g.vertices[cell[0]].label(g.m), want), (label, got)))
+                    return (i + 1, j + 1, ((label[cell[0]], want), (label[v], got)))
     return None
 
 
@@ -321,7 +340,7 @@ def test_non_equitable_witnesses_match_brute_force(graphs, m, n, role):
     g = graphs(m, n, role)
     # cells by last coordinate, listed in descending vertex order
     cells = [
-        [i for i in reversed(range(g.vertex_count)) if g.vertices[i].coords[-1] == c]
+        [i for i in reversed(range(g.vertex_count)) if g.coords[i, -1] == c]
         for c in range(m)
     ]
     cells = [cell for cell in cells if cell]
@@ -356,10 +375,10 @@ def test_bipartite_vertices_and_sides(graphs):
     )
     side_a, side_b = b.sides
     for i in side_a:
-        coords = b.vertices[i].coords
+        coords = b.coords[i]
         assert coords[-2] != 0 and coords[-1] == 0
     for i in side_b:
-        coords = b.vertices[i].coords
+        coords = b.coords[i]
         assert coords[-2] == 0 and coords[-1] != 0
 
 
@@ -386,7 +405,7 @@ def test_bipartite_edges_cross_sides_only(graphs):
 
 def test_bipartite_adjacency_agrees_with_support_rule(graphs):
     b = graphs(2, 4, "bipartite")
-    expected = np.array(brute_adjacency([v.coords for v in b.vertices]))
+    expected = np.array(brute_adjacency(b.coords.tolist()))
     assert np.array_equal(adjacency_matrix(b), expected)
 
 
@@ -394,10 +413,10 @@ def test_bipartite_is_induced_from_the_full_graph(graphs):
     g = graphs(3, 3)
     b = graphs(3, 3, "bipartite")
     full_edges = set(g.edges())
-    index_of = {v.coords: i for i, v in enumerate(g.vertices)}
+    index_of = {tuple(row): i for i, row in enumerate(g.coords.tolist())}
     for i, j in b.edges():
-        a = index_of[b.vertices[i].coords]
-        c = index_of[b.vertices[j].coords]
+        a = index_of[tuple(b.coords[i].tolist())]
+        c = index_of[tuple(b.coords[j].tolist())]
         assert (min(a, c), max(a, c)) in full_edges
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from zdspectra.quotient import (
     QuotientKind,
-    _fib_values,
     build_p,
     build_q,
     det_walk_formula,
@@ -25,6 +24,8 @@ from zdspectra.quotient import (
     walk_matrix_closed_q,
     walk_matrix_iterative,
 )
+
+from zdspectra.fib import fib_values
 
 from oracles import det_cofactor, fib_loop, rank_gauss
 
@@ -172,16 +173,13 @@ def test_h_coefficient_values():
 
 def test_h_coefficients_satisfy_their_recursion():
     # h[0] = 1 and h[j] = F[j+1]^n - sum_r h[r] * F[j-r]^n.
-    from zdspectra.fib import fib
-
     for m in (2, 3, 4):
         for n in (5, 8):
             h = h_coefficients(m, n)
+            f = fib_values(m, n)
             assert h[0] == 1
             for j in range(1, len(h)):
-                total = fib(m, j + 1) ** n - sum(
-                    h[r] * fib(m, j - r) ** n for r in range(j)
-                )
+                total = f[j + 1] ** n - sum(h[r] * f[j - r] ** n for r in range(j))
                 assert h[j] == total
 
 
@@ -364,4 +362,4 @@ def test_json_safe_int_threshold():
 def test_fib_values_follow_the_recurrence():
     for m in range(2, 10):
         for n in range(2, 33):
-            assert _fib_values(m, n) == [fib_loop(m, k) for k in range(n + 1)]
+            assert fib_values(m, n) == [fib_loop(m, k) for k in range(n + 1)]
