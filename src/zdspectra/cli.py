@@ -333,8 +333,12 @@ class Battery:
 def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
     """Run every check that fits under the caps for one parameter cell.
 
-    Each quotient is built once and its spectrum computed once (P's is the
-    prediction's); the checks that compare graphs with quotients reuse them.
+    P and Q are built here for the quotient and graph checks, and each
+    quotient spectrum is computed once (P's is the prediction's).  Two
+    checks build their own copy of a quotient: `predicted_spectrum`
+    builds P, and `q_eigen_exact_check` builds Q for its characteristic
+    polynomial.  The copies are (n-1) x (n-1) integer matrices, and each
+    is built inside the step that uses it.
     """
     prediction = predicted_spectrum(m, n)
     quotients = {"full": build_p(m, n), "bipartite": build_q(m, n)}

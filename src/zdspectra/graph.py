@@ -22,7 +22,8 @@ Vertices with the same support have the same neighbours, so sums over
 neighbourhoods run on the lattice of the 2**n supports instead of the
 vertex set: `disjoint_sums` adds up a per-support table over every
 support disjoint from each support with a subset-sum transform, in
-O(n * 2**n) time.  Both graphs have at least 2**(n-1) vertices, so this
+O(n * 2**n) time, and `empirical_quotient` decides equitability with
+one row of neighbour counts per support.  Both graphs have at least 2**(n-1) vertices, so this
 never builds anything larger than O(vertex count).  Only the dense
 adjacency matrix (for the eigensolver) and the exports compare vertex
 pairs.
@@ -109,14 +110,6 @@ def _support_bits(coords: np.ndarray) -> np.ndarray:
     return (coords != 0).astype(np.uint64) @ weights
 
 
-def _popcounts(n: int) -> np.ndarray:
-    """Number of set bits of each support 0..2**n - 1, as uint8."""
-    table = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        table = np.concatenate((table, table + 1))
-    return table
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -128,10 +121,9 @@ class _SupportGraph:
     The constructor derives the rest once: each row's support bitmask and
     the cells of the zero-count partition (cell i holds the vertices with
     i + 1 zero coordinates, i = 0..n-2), with zero counts read as n minus
-    a 2**n popcount table indexed by support, which like the lattice
-    tables is no larger than a built graph's vertex set.  Rows with no
-    zero or no nonzero coordinate fall in no cell.  An int64 array is not
-    copied.
+    the bit count of each support, so the cost follows the rows, not 2**n.
+    Rows with no zero or no nonzero coordinate fall in no cell.  An int64
+    array is not copied.
     """
 
     def __init__(self, m: int, n: int, coords: np.ndarray) -> None:
@@ -139,7 +131,7 @@ class _SupportGraph:
         self.n = n
         self.coords = _frozen(np.asarray(coords, dtype=np.int64).reshape(-1, n))
         self.support_array = _frozen(_support_bits(self.coords))
-        zeros = n - _popcounts(n)[self.support_array]
+        zeros = n - np.bitwise_count(self.support_array)
         self.cells = tuple(_frozen(np.flatnonzero(zeros == i)) for i in range(1, n))
 
     @property
@@ -260,48 +252,59 @@ def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
     """Count neighbors per cell of `graph.cells` and insist the count is
     constant on each cell.
 
-    Neighbour counts come from a support-by-cell histogram summed over
-    disjoint supports, so any partition works, including one that splits
-    the vertices of a support.  Returns the quotient matrix as nested
-    tuples; raises NotEquitableError with two witness vertices when a
-    cell is not equitable, and ValueError when the cells do not partition
-    the vertex set (a caller may assign any cells).
+    Vertices with the same support have the same neighbours, so
+    equitability is decided on the lattice: a support-by-cell histogram,
+    summed over disjoint supports, gives one row of neighbour counts per
+    support, and each cell compares the rows of the supports it holds
+    with the row of its first vertex's support.  The histogram is kept
+    per (support, cell), so any partition works, including one that
+    splits the vertices of a support.  Vertex rows are read only to name
+    the witnesses of a mismatch: the first vertex of the cell, in cell
+    order, whose row differs, and the first cell where it differs.
+
+    Returns the quotient matrix as nested tuples; raises
+    NotEquitableError with those two witness vertices when a cell is not
+    equitable, and ValueError when the cells do not partition the vertex
+    set (a caller may assign any cells).
     """
     cells = graph.cells
-    flat = np.sort(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
-    if not np.array_equal(flat, np.arange(graph.vertex_count)) or any(
-        not cell.size for cell in cells
-    ):
-        raise ValueError("cells must be non-empty and partition the vertex set")
-    cell_of = np.empty(graph.vertex_count, dtype=np.int64)
+    count = graph.vertex_count
+    # a vertex listed twice leaves another unlisted once the sizes sum to N
+    cell_of = np.full(count, -1, dtype=np.int64)
     for j, cell in enumerate(cells):
+        if not cell.size or cell.min() < 0 or cell.max() >= count:
+            raise ValueError("cells must be non-empty and partition the vertex set")
         cell_of[cell] = j
-    sup = graph.support_array.astype(np.int64)
-    lattice = 1 << graph.n
-    per_support = np.bincount(
-        sup * len(cells) + cell_of, minlength=lattice * len(cells)
-    ).reshape(lattice, len(cells))
-    # counts[v, j] = number of neighbours of vertex v inside cells[j]
-    counts = disjoint_sums(per_support, graph.n)[sup]
-    quotient = []
-    for i, cell in enumerate(cells):
-        sub = counts[cell]
-        first = sub[0]
-        mismatch = np.flatnonzero((sub != first).any(axis=1))
-        if mismatch.size:
-            row = int(mismatch[0])
-            col = int(np.flatnonzero(sub[row] != first)[0])
-            labels = graph.labels()
-            raise NotEquitableError(
-                i + 1,
-                col + 1,
-                labels[cell[0]],
-                int(first[col]),
-                labels[cell[row]],
-                int(sub[row][col]),
-            )
-        quotient.append(tuple(int(x) for x in first))
-    return tuple(quotient)
+    if sum(cell.size for cell in cells) != count or (cell_of < 0).any():
+        raise ValueError("cells must be non-empty and partition the vertex set")
+    k = len(cells)
+    key = graph.support_array.astype(np.int64)
+    key *= k
+    key += cell_of
+    per_support = np.bincount(key, minlength=(1 << graph.n) * k).reshape(1 << graph.n, k)
+    # sums[s, j] = number of neighbours of a vertex of support s inside cells[j]
+    sums = disjoint_sums(per_support, graph.n)
+    firsts = sums[graph.support_array[[int(cell[0]) for cell in cells]]]
+    # one row per (support, cell) pair that holds a vertex
+    support, cell_index = np.nonzero(per_support)
+    bad = (sums[support] != firsts[cell_index]).any(axis=1)
+    if bad.any():
+        i = int(cell_index[bad].min())
+        cell = cells[i]
+        in_cell = graph.support_array[cell].astype(np.int64)
+        row = int(np.flatnonzero(np.isin(in_cell, support[bad & (cell_index == i)]))[0])
+        first, other = firsts[i], sums[in_cell[row]]
+        col = int(np.flatnonzero(other != first)[0])
+        labels = graph.labels()
+        raise NotEquitableError(
+            i + 1,
+            col + 1,
+            labels[cell[0]],
+            int(first[col]),
+            labels[cell[row]],
+            int(other[col]),
+        )
+    return tuple(tuple(row) for row in firsts.tolist())
 
 
 def adjacency_matrix(graph: _SupportGraph) -> np.ndarray:

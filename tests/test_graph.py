@@ -10,6 +10,7 @@ from zdspectra.graph import (
     DEFAULT_SIZE_CAP,
     NotEquitableError,
     SizeCapExceeded,
+    ZeroDivisorGraph,
     adjacency_matrix,
     adjacency_to_csv,
     build_bipartite,
@@ -156,6 +157,23 @@ def test_cells_and_sides_of_permuted_coordinates(graphs, m, n, role):
     assert empirical_quotient(g) == empirical_quotient(built)
 
 
+def test_few_rows_at_large_n_cost_what_the_rows_cost():
+    # Zero counts come from the bit count of each support, so three rows
+    # at n = 24 need no table of the 2**24 supports.
+    rows = [[1] + [0] * 23, [1] * 12 + [0] * 12, [1] * 23 + [0]]
+    tracemalloc.start()
+    try:
+        g = ZeroDivisorGraph(2, 24, np.array(rows))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    zeros = [row.count(0) for row in rows]
+    assert [c.tolist() for c in g.cells] == [
+        [v for v in range(3) if zeros[v] == i] for i in range(1, 24)
+    ]
+    assert peak < 2**20
+
+
 def test_vertex_labels():
     g = build_graph(2, 3)
     assert g.labels() == ("001", "010", "011", "100", "101", "110")
@@ -280,6 +298,29 @@ def test_empirical_quotient_partition_validation(graphs):
         empirical_quotient(_with_cells(g, [[0, 1, 2, 3, 4, 5], []]))
     with pytest.raises(ValueError):
         empirical_quotient(_with_cells(g, [[0, 0, 1, 2, 3, 4], [5]]))
+    # indices outside 0..N-1: a negative one must not wrap to the end
+    with pytest.raises(ValueError):
+        empirical_quotient(_with_cells(g, [[-1, 0, 1, 2, 3, 4]]))
+    with pytest.raises(ValueError):
+        empirical_quotient(_with_cells(g, [[0, 1, 2, 3, 4], [6]]))
+    # vertex 2 in both cells, vertex 5 in none, sizes summing to N = 6
+    with pytest.raises(ValueError):
+        empirical_quotient(_with_cells(g, [[0, 1, 2], [2, 3, 4]]))
+
+
+@pytest.mark.parametrize("m, n", [(4, 7), (5, 6), (3, 9)])
+def test_empirical_quotient_peak_memory_per_vertex(graphs, m, n):
+    # One cell index and one histogram key per vertex; every other table
+    # is sized by the support lattice, not by the vertex set.
+    for role in ("full", "bipartite"):
+        g = graphs(m, n, role)
+        tracemalloc.start()
+        try:
+            empirical_quotient(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * g.vertex_count, (role, peak / g.vertex_count)
 
 
 def test_disjoint_sums_against_direct_sum():
