@@ -18,13 +18,16 @@ the tuples already in lexicographic order, from a leading-digit
 recursion (full graph) or product grids (two-sided subgraph), so nothing
 is sorted and the m**n tuples that are not vertices are never visited.
 
-Vertices with the same support have the same neighbours, so sums over
-neighbourhoods run on the lattice of the 2**n supports instead of the
-vertex set: `disjoint_sums` adds up a per-support table over every
+Vertices with the same support have the same neighbours, so every
+graph-level sum runs on the lattice of the 2**n supports instead of the
+vertex set.  Each graph counts its rows per support once, on first read
+(`class_sizes`); `disjoint_sums` adds up a per-support table over every
 support disjoint from each support with a subset-sum transform, in
-O(n * 2**n) time, and `empirical_quotient` decides equitability with
-one row of neighbour counts per support.  Both graphs have at least 2**(n-1) vertices, so this
-never builds anything larger than O(vertex count).  Only the dense
+O(n * 2**n) time, and `empirical_quotient` decides equitability with one
+row of neighbour counts per support.  A built graph has at least
+2**(n-1) vertices, so for it this work is O(vertex count); a hand-made
+graph of few rows pays for the whole lattice, 2**n * (n-1) entries in
+the quotient, since the lattice is sized by n by design.  Only the dense
 adjacency matrix (for the eigensolver) and the exports compare vertex
 pairs.
 """
@@ -32,6 +35,7 @@ pairs.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cached_property
 from math import comb, prod
 
 import numpy as np
@@ -118,18 +122,32 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class _SupportGraph:
     """A graph fixed by its (N, n) coordinate array, in vertex order.
 
-    The constructor derives the rest once: each row's support bitmask and
-    the cells of the zero-count partition (cell i holds the vertices with
-    i + 1 zero coordinates, i = 0..n-2), with zero counts read as n minus
-    the bit count of each support, so the cost follows the rows, not 2**n.
-    Rows with no zero or no nonzero coordinate fall in no cell.  An int64
-    array is not copied.
+    The coordinates must be an integer array with n columns and entries
+    in 0..m-1; an int64 array is not copied.  The constructor derives the
+    rest once: each row's support bitmask and the cells of the zero-count
+    partition (cell i holds the vertices with i + 1 zero coordinates,
+    i = 0..n-2), with zero counts read as n minus the bit count of each
+    support, so the cost follows the rows, not 2**n.  Rows with no zero or
+    no nonzero coordinate fall in no cell.  The lattice table
+    `class_sizes` is built on first read.
     """
 
     def __init__(self, m: int, n: int, coords: np.ndarray) -> None:
+        check_params(m, n, MAX_TUPLE_LENGTH)
+        coords = np.asarray(coords)
+        if (
+            coords.dtype.kind not in "iu"
+            or coords.ndim != 2
+            or coords.shape[1] != n
+            or (coords.size and (coords.min() < 0 or coords.max() >= m))
+        ):
+            raise ValueError(
+                f"coordinates must be an integer array of shape (N, {n}) "
+                f"with entries in 0..{m - 1}"
+            )
         self.m = m
         self.n = n
-        self.coords = _frozen(np.asarray(coords, dtype=np.int64).reshape(-1, n))
+        self.coords = _frozen(coords.astype(np.int64, copy=False))
         self.support_array = _frozen(_support_bits(self.coords))
         zeros = n - np.bitwise_count(self.support_array)
         self.cells = tuple(_frozen(np.flatnonzero(zeros == i)) for i in range(1, n))
@@ -137,6 +155,13 @@ class _SupportGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def class_sizes(self) -> np.ndarray:
+        """Vertex count of each of the 2**n supports (int64), indexed by
+        support bitmask: the one input of the lattice checks."""
+        supports = self.support_array.astype(np.int64)
+        return _frozen(np.bincount(supports, minlength=1 << self.n))
 
     def labels(self) -> tuple[str, ...]:
         """Each row's coordinates as text, comma-separated when m > 10."""
@@ -150,11 +175,6 @@ class _SupportGraph:
             hits = np.flatnonzero((sup[i] & sup[i + 1 :]) == 0)
             for off in hits:
                 yield i, i + 1 + int(off)
-
-    def edge_count(self) -> int:
-        """Half the sum over supports S of size(S) * (vertices disjoint from S)."""
-        sizes = np.bincount(self.support_array.astype(np.int64), minlength=1 << self.n)
-        return int(sizes @ disjoint_sums(sizes, self.n)) // 2
 
 
 class ZeroDivisorGraph(_SupportGraph):
@@ -249,50 +269,43 @@ def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
 
 
 def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
-    """Count neighbors per cell of `graph.cells` and insist the count is
+    """Count neighbours per zero-count cell and insist the count is
     constant on each cell.
 
-    Vertices with the same support have the same neighbours, so
-    equitability is decided on the lattice: a support-by-cell histogram,
-    summed over disjoint supports, gives one row of neighbour counts per
-    support, and each cell compares the rows of the supports it holds
-    with the row of its first vertex's support.  The histogram is kept
-    per (support, cell), so any partition works, including one that
-    splits the vertices of a support.  Vertex rows are read only to name
-    the witnesses of a mismatch: the first vertex of the cell, in cell
-    order, whose row differs, and the first cell where it differs.
+    Vertices with the same support have the same neighbours, and a
+    support's cell is fixed by its zero count, so equitability is decided
+    on the lattice alone: the class sizes, placed in the column of each
+    support's cell and summed over disjoint supports, give one row of
+    neighbour counts per support, and each support present is compared
+    with the support of its cell's first row.  Vertex rows are read only
+    to name the witnesses of a mismatch: the first cell that fails, its
+    first row, the first row of that cell whose support row differs, and
+    the first column where they differ.
 
     Returns the quotient matrix as nested tuples; raises
     NotEquitableError with those two witness vertices when a cell is not
-    equitable, and ValueError when the cells do not partition the vertex
-    set (a caller may assign any cells).
+    equitable, and ValueError when a row has no zero or no nonzero
+    coordinate or a cell is empty (only hand-made coordinates can).
     """
-    cells = graph.cells
-    count = graph.vertex_count
-    # a vertex listed twice leaves another unlisted once the sizes sum to N
-    cell_of = np.full(count, -1, dtype=np.int64)
-    for j, cell in enumerate(cells):
-        if not cell.size or cell.min() < 0 or cell.max() >= count:
-            raise ValueError("cells must be non-empty and partition the vertex set")
-        cell_of[cell] = j
-    if sum(cell.size for cell in cells) != count or (cell_of < 0).any():
-        raise ValueError("cells must be non-empty and partition the vertex set")
-    k = len(cells)
-    key = graph.support_array.astype(np.int64)
-    key *= k
-    key += cell_of
-    per_support = np.bincount(key, minlength=(1 << graph.n) * k).reshape(1 << graph.n, k)
-    # sums[s, j] = number of neighbours of a vertex of support s inside cells[j]
-    sums = disjoint_sums(per_support, graph.n)
+    n, sizes, cells = graph.n, graph.class_sizes, graph.cells
+    if sizes[0] or sizes[-1] or not all(cell.size for cell in cells):
+        raise ValueError(
+            "every row needs a zero and a nonzero coordinate, "
+            "and every zero count 1..n-1 a row"
+        )
+    present = np.flatnonzero(sizes)
+    cell_of = n - 1 - np.bitwise_count(present)
+    table = np.zeros((1 << n, n - 1), dtype=np.int64)
+    table[present, cell_of] = sizes[present]
+    # sums[s, j] = number of neighbours of a vertex of support s inside cell j
+    sums = disjoint_sums(table, n)
     firsts = sums[graph.support_array[[int(cell[0]) for cell in cells]]]
-    # one row per (support, cell) pair that holds a vertex
-    support, cell_index = np.nonzero(per_support)
-    bad = (sums[support] != firsts[cell_index]).any(axis=1)
+    bad = (sums[present] != firsts[cell_of]).any(axis=1)
     if bad.any():
-        i = int(cell_index[bad].min())
+        i = int(cell_of[bad].min())
         cell = cells[i]
         in_cell = graph.support_array[cell].astype(np.int64)
-        row = int(np.flatnonzero(np.isin(in_cell, support[bad & (cell_index == i)]))[0])
+        row = int(np.flatnonzero(np.isin(in_cell, present[bad & (cell_of == i)]))[0])
         first, other = firsts[i], sums[in_cell[row]]
         col = int(np.flatnonzero(other != first)[0])
         labels = graph.labels()

@@ -16,7 +16,6 @@ under one entry check (`_integer_rows`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +42,6 @@ __all__ = [
     "exact_det",
     "matrix_to_csv",
     "matrix_json_entries",
-    "matrix_to_json",
     "json_safe_int",
 ]
 
@@ -401,10 +399,6 @@ def matrix_json_entries(matrix: object) -> list[list[str]]:
     """Array-of-arrays of decimal strings (safe for arbitrary precision)."""
     rows = _integer_rows(matrix)
     return [[str(x) for x in row] for row in rows]
-
-
-def matrix_to_json(matrix: object) -> str:
-    return json.dumps(matrix_json_entries(matrix))
 
 
 def json_safe_int(value: int) -> int | str:

@@ -16,10 +16,11 @@ polynomial (Berkowitz's division-free algorithm), and each determinant
 is tested for zero in integers.  Values become QuadraticNumbers only
 for the report: a failing check's detail or a printed exact eigenvalue;
 predicted floats are read straight off the integer pairs.  A graph's
-Krylov rank is computed on its support lattice (one entry per support,
-see graph.disjoint_sums), so it never forms the adjacency matrix; only
-the dense eigensolve does.  The rank is taken of the small Gram matrix
-of the Krylov vectors, not of the vectors themselves.
+Krylov rank is computed on its support lattice, from the graph's class
+sizes alone (one entry per support present, see graph.disjoint_sums),
+so it never forms the adjacency matrix; only the dense eigensolve does.
+The rank is taken of the small Gram matrix of the Krylov vectors, not
+of the vectors themselves.
 
 The spectrum-theorem and correspondence checks each live in one helper
 that takes precomputed predictions and bundles (the command-line battery
@@ -49,7 +50,6 @@ from .fib import (
 from .graph import adjacency_matrix, disjoint_sums, vertex_count
 from .quotient import (
     QuotientMatrix,
-    _integer_rows,
     build_p,
     build_q,
     exact_rank,
@@ -224,41 +224,15 @@ def classify_main(matrix: object) -> SpectralReport:
 # -- exact Krylov rank ------------------------------------------------------
 
 
-def _matrix_operator(matrix: object):
-    """(order, matvec) for a square integer matrix, in exact integers."""
-    M = np.array(_integer_rows(matrix, square=True), dtype=object)
-    return len(M), lambda vec: M @ vec
+def krylov_rank(graph: object) -> int:
+    """Rank of [e, Ae, A**2 e, ...] over the rationals, in exact
+    arithmetic, for the adjacency matrix A of a graph.
 
-
-def _lattice_operator(graph: object):
-    """(order, matvec) for a graph's adjacency restricted to vectors that
-    are constant on each support class, one entry per support present.
-
-    Vertex u is adjacent to v exactly when their supports are disjoint,
-    so (A x)[u] is the sum over disjoint supports t of size(t) * x[t].
-    """
-    sizes = np.bincount(
-        graph.support_array.astype(np.int64), minlength=1 << graph.n
-    ).astype(object)
-    present = np.flatnonzero(sizes)
-    table = np.zeros(len(sizes), dtype=object)
-
-    def matvec(vec):
-        table[present] = sizes[present] * vec
-        return disjoint_sums(table, graph.n)[present]
-
-    return len(present), matvec
-
-
-def krylov_rank(operand: object) -> int:
-    """Rank of [e, Ae, A**2 e, ...] over the rationals, in exact arithmetic.
-
-    `operand` is a square integer matrix A, or a graph, whose adjacency
-    is then applied on its support lattice without forming A; the rank
-    is the same as for the graph's adjacency matrix.  Columns extend
-    until two consecutive ranks agree (the rank can never grow again
-    after that).  The rank starts at 1, grows by at most 1 per column
-    and never exceeds the order, so that happens by column order + 1.
+    A is applied on the graph's support lattice (its class sizes) without
+    being formed.  Columns extend until two consecutive ranks agree (the
+    rank can never grow again after that).  The rank starts at 1, grows
+    by at most 1 per column and never exceeds the number of supports
+    present, so that happens by that number + 1.
 
     Each step ranks the Gram matrix G[i][j] = v_i . v_j of the Krylov
     vectors v_0..v_k built so far, one (k+1) x (k+1) exact_rank call,
@@ -269,16 +243,18 @@ def krylov_rank(operand: object) -> int:
     plain dot products of the lattice vectors therefore suffice, without
     class-size weights.
     """
-    if hasattr(operand, "support_array"):
-        order, matvec = _lattice_operator(operand)
-    else:
-        order, matvec = _matrix_operator(operand)
-    vec = np.ones(order, dtype=object)
+    sizes = graph.class_sizes
+    present = np.flatnonzero(sizes)
+    weights = sizes[present].astype(object)
+    table = np.zeros(len(sizes), dtype=object)
+    vec = np.ones(len(present), dtype=object)
     vectors = [vec]
-    gram = [[order]]
+    gram = [[len(present)]]
     rank = 1
     while True:
-        vec = matvec(vec)
+        # (A x)[u] sums size(t) * x[t] over the supports t disjoint from u's
+        table[present] = weights * vec
+        vec = disjoint_sums(table, graph.n)[present]
         vectors.append(vec)
         dots = [v.dot(vec) for v in vectors]
         for row, dot in zip(gram, dots):

@@ -8,6 +8,7 @@ import pytest
 from zdspectra import graph as graph_module
 from zdspectra.graph import (
     DEFAULT_SIZE_CAP,
+    BipartiteSubgraph,
     NotEquitableError,
     SizeCapExceeded,
     ZeroDivisorGraph,
@@ -108,13 +109,6 @@ def test_built_count_is_checked_against_the_count_law(monkeypatch):
             builder(3, 4)
 
 
-def _with_cells(g, cells):
-    """The graph g, rebuilt from its coordinate array with other cells."""
-    copy = type(g)(g.m, g.n, g.coords)
-    copy.cells = tuple(np.array(cell, dtype=np.int64) for cell in cells)
-    return copy
-
-
 def test_graph_from_coordinates_matches_build():
     for m, n in [(3, 4), (11, 2)]:
         g = build_graph(m, n)
@@ -127,8 +121,6 @@ def test_graph_from_coordinates_matches_build():
             assert [c.tolist() for c in copy.cells] == [c.tolist() for c in built.cells]
             assert copy.labels() == built.labels()
             assert empirical_quotient(copy) == empirical_quotient(built)
-            # classes of m-1 > 1 vertices: the lattice count weighs by size
-            assert copy.edge_count() == built.edge_count() == len(list(built.edges()))
         assert [s.tolist() for s in type(b)(m, n, b.coords).sides] == [
             s.tolist() for s in b.sides
         ]
@@ -155,6 +147,25 @@ def test_cells_and_sides_of_permuted_coordinates(graphs, m, n, role):
         ]
     assert g.labels() == tuple("".join(map(str, row)) for row in rows)
     assert empirical_quotient(g) == empirical_quotient(built)
+
+
+def test_constructor_validates_its_input():
+    # A (7, 4) array is not silently reshaped to (4, 7), entries outside
+    # 0..m-1 are not labelled, floats are not truncated, and (m, n) get
+    # the package's parameter check.
+    with pytest.raises(ValueError, match="shape"):
+        ZeroDivisorGraph(2, 7, build_graph(2, 4).coords[:7])
+    with pytest.raises(ValueError, match="entries in 0..2"):
+        ZeroDivisorGraph(3, 3, np.array([[7, 0, -2], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="integer array"):
+        ZeroDivisorGraph(3, 3, np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
+    rows = np.array([[1, 0], [0, 1]])
+    for m, n in [(1, 2), (True, 2), (2, 1), (2, 64)]:
+        with pytest.raises(ValueError):
+            ZeroDivisorGraph(m, n, rows)
+    with pytest.raises(ValueError):
+        BipartiteSubgraph(2, 3, rows)
+    assert ZeroDivisorGraph(2, 2, rows).coords.tolist() == [[1, 0], [0, 1]]
 
 
 def test_few_rows_at_large_n_cost_what_the_rows_cost():
@@ -230,7 +241,6 @@ def test_adjacency_shape_and_symmetry(graphs):
 def test_edges_match_brute_force(graphs):
     g = graphs(2, 4)
     assert set(g.edges()) == brute_edges(g.coords.tolist())
-    assert g.edge_count() == len(brute_edges(g.coords.tolist()))
 
 
 def test_degree_law(graphs):
@@ -284,43 +294,63 @@ def test_empirical_quotient_equals_closed_form(graphs):
             )
 
 
-def test_empirical_quotient_with_explicit_cells(graphs):
-    g = graphs(2, 4)
-    cells = [list(cell) for cell in g.cells]
-    assert empirical_quotient(_with_cells(g, cells)) == build_p(2, 4).entries
+def test_empirical_quotient_partition_validation():
+    # Hand-made coordinates can hold a row outside every cell or leave a
+    # cell empty; built graphs cannot.
+    for rows in (
+        [[0, 0, 1], [0, 1, 1], [0, 0, 0]],  # an all-zero row
+        [[0, 0, 1], [0, 1, 1], [1, 1, 1]],  # a row with no zero
+        [[0, 1, 1], [1, 0, 1]],  # no row with two zeros
+    ):
+        with pytest.raises(ValueError):
+            empirical_quotient(ZeroDivisorGraph(2, 3, np.array(rows)))
 
 
-def test_empirical_quotient_partition_validation(graphs):
-    g = graphs(2, 3)
-    with pytest.raises(ValueError):
-        empirical_quotient(_with_cells(g, [[0, 1, 2]]))
-    with pytest.raises(ValueError):
-        empirical_quotient(_with_cells(g, [[0, 1, 2, 3, 4, 5], []]))
-    with pytest.raises(ValueError):
-        empirical_quotient(_with_cells(g, [[0, 0, 1, 2, 3, 4], [5]]))
-    # indices outside 0..N-1: a negative one must not wrap to the end
-    with pytest.raises(ValueError):
-        empirical_quotient(_with_cells(g, [[-1, 0, 1, 2, 3, 4]]))
-    with pytest.raises(ValueError):
-        empirical_quotient(_with_cells(g, [[0, 1, 2, 3, 4], [6]]))
-    # vertex 2 in both cells, vertex 5 in none, sizes summing to N = 6
-    with pytest.raises(ValueError):
-        empirical_quotient(_with_cells(g, [[0, 1, 2], [2, 3, 4]]))
+def _whole_classes(g, keep):
+    """Rows of g whose support passes `keep`, as a hand-made full graph."""
+    rows = [row for row in g.coords.tolist() if keep({i for i, c in enumerate(row) if c})]
+    return ZeroDivisorGraph(g.m, g.n, np.array(rows))
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (4, 3), (2, 6)])
+def test_empirical_quotient_on_unions_of_support_classes(graphs, m, n):
+    # Unions of whole support classes that the coordinate permutations
+    # fixing a bit map to themselves: the zero-count cells are then
+    # orbits, so the partition is equitable.  Supports avoiding bit 0
+    # (an (m, n-1) graph plus its isolated full-support tuples), supports
+    # holding bit 0 (no edges at all), and the two-sided subgraph's rows
+    # read as a full graph.
+    g = graphs(m, n)
+    cases = [
+        _whole_classes(g, lambda s: 0 not in s),
+        _whole_classes(g, lambda s: 0 in s),
+        ZeroDivisorGraph(m, n, graphs(m, n, "bipartite").coords),
+    ]
+    rng = np.random.default_rng(m * n)
+    for sub in cases + [ZeroDivisorGraph(m, n, rng.permutation(c.coords)) for c in cases]:
+        rows = sub.coords.tolist()
+        expected = quotient_by_counting(rows, [c.tolist() for c in sub.cells])
+        assert empirical_quotient(sub) == tuple(tuple(row) for row in expected)
+    assert empirical_quotient(cases[2]) == build_q(m, n).entries
 
 
 @pytest.mark.parametrize("m, n", [(4, 7), (5, 6), (3, 9)])
 def test_empirical_quotient_peak_memory_per_vertex(graphs, m, n):
-    # One cell index and one histogram key per vertex; every other table
-    # is sized by the support lattice, not by the vertex set.
+    # The class-size count copies the supports to int64 once (8 bytes a
+    # vertex); every other table is sized by the support lattice, not by
+    # the vertex set.  A fresh graph, so that its first read of the class
+    # sizes is counted, after one warm-up call.
     for role in ("full", "bipartite"):
-        g = graphs(m, n, role)
+        built = graphs(m, n, role)
+        empirical_quotient(type(built)(m, n, built.coords))
+        g = type(built)(m, n, built.coords)
         tracemalloc.start()
         try:
             empirical_quotient(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * g.vertex_count, (role, peak / g.vertex_count)
+        assert peak < 16 * g.vertex_count, (role, peak / g.vertex_count)
 
 
 def test_disjoint_sums_against_direct_sum():
@@ -340,26 +370,6 @@ def test_disjoint_sums_against_direct_sum():
         disjoint_sums(np.zeros(8), 2)
 
 
-def test_empirical_quotient_on_partition_splitting_supports(graphs):
-    # Cells keyed by (first coordinate, zero count) are the orbits of the
-    # automorphisms that permute the other coordinates and their nonzero
-    # values, so the partition is equitable; at m=3 it separates vertices
-    # of one support whose first coordinate is 1 from those where it is 2.
-    g = graphs(3, 4)
-    rows = g.coords.tolist()
-    key_of = [(row[0], row.count(0)) for row in rows]
-    cells = [
-        [i for i, key in enumerate(key_of) if key == wanted]
-        for wanted in sorted(set(key_of))
-    ]
-    cell_supports = [{int(g.support_array[i]) for i in cell} for cell in cells]
-    assert any(a & b for a in cell_supports for b in cell_supports if a is not b)
-    expected = quotient_by_counting(rows, cells)
-    assert empirical_quotient(_with_cells(g, cells)) == tuple(
-        tuple(row) for row in expected
-    )
-
-
 def _brute_witnesses(g, cells):
     """NotEquitableError arguments by direct counting: the first cell with
     a mismatch, its first vertex that disagrees with the cell's first
@@ -376,34 +386,37 @@ def _brute_witnesses(g, cells):
     return None
 
 
-@pytest.mark.parametrize("m, n, role", [(3, 3, "full"), (3, 4, "bipartite"), (4, 3, "full")])
+@pytest.mark.parametrize(
+    "m, n, role",
+    [(3, 3, "full"), (3, 4, "full"), (3, 4, "bipartite"), (4, 3, "full"), (4, 3, "bipartite")],
+)
 def test_non_equitable_witnesses_match_brute_force(graphs, m, n, role):
-    g = graphs(m, n, role)
-    # cells by last coordinate, listed in descending vertex order
-    cells = [
-        [i for i in reversed(range(g.vertex_count)) if g.coords[i, -1] == c]
-        for c in range(m)
-    ]
-    cells = [cell for cell in cells if cell]
-    expected = _brute_witnesses(g, cells)
-    assert expected is not None
-    with pytest.raises(NotEquitableError) as info:
-        empirical_quotient(_with_cells(g, cells))
-    err = info.value
-    assert (err.cell_i, err.cell_j, err.witnesses) == expected
+    # Half the rows, in random order: support classes lose members
+    # unevenly, so cells stop being equitable, and the witnesses must be
+    # the ones direct counting names on the zero-count cells.
+    built = graphs(m, n, role)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        keep = rng.choice(built.vertex_count, size=built.vertex_count // 2, replace=False)
+        g = type(built)(m, n, built.coords[keep])
+        cells = [cell.tolist() for cell in g.cells]
+        assert all(cells), seed
+        expected = _brute_witnesses(g, cells)
+        assert expected is not None, seed
+        with pytest.raises(NotEquitableError) as info:
+            empirical_quotient(g)
+        err = info.value
+        assert (err.cell_i, err.cell_j, err.witnesses) == expected, seed
 
 
-def test_non_equitable_partition_reports_witnesses(graphs):
-    g = graphs(2, 3)
-    # 001 has three neighbors, 011 has one, so a cell holding both is
-    # not equitable toward the cell of everything else.
-    bad = [[0, 2], [1, 3, 4, 5]]
+def test_non_equitable_partition_reports_witnesses():
+    # 001 and 100 share the two-zero cell; 001 has no neighbour in the
+    # one-zero cell {011}, 100 has one.
+    g = ZeroDivisorGraph(2, 3, np.array([[0, 0, 1], [0, 1, 1], [1, 0, 0]]))
     with pytest.raises(NotEquitableError) as info:
-        empirical_quotient(_with_cells(g, bad))
-    assert info.value.cell_i == 1
-    witnesses = info.value.witnesses
-    assert {w[0] for w in witnesses} == {"001", "011"}
-    assert witnesses[0][1] != witnesses[1][1]
+        empirical_quotient(g)
+    assert (info.value.cell_i, info.value.cell_j) == (2, 1)
+    assert info.value.witnesses == (("001", 0), ("100", 1))
 
 
 # === the two-sided subgraph ===
@@ -469,7 +482,7 @@ def test_dot_output_shape(graphs):
     assert text.rstrip().endswith("}")
     assert text.count("rank=same") == 2
     assert '"001" -- "010";' in text
-    assert text.count(" -- ") == graphs(2, 3).edge_count()
+    assert text.count(" -- ") == len(brute_edges(graphs(2, 3).coords.tolist()))
 
 
 def test_dot_name_follows_role(graphs):

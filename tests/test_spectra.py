@@ -19,6 +19,7 @@ from zdspectra.cli import DEFAULT_DENSE_CAP
 from zdspectra.graph import (
     ZeroDivisorGraph,
     adjacency_matrix,
+    build_bipartite,
     build_graph,
     expected_cell_sizes,
     vertex_count,
@@ -132,7 +133,10 @@ def test_path_graph_has_two_main_values():
     report = classify_main(PATH3)
     assert np.allclose(sorted(report.main_values()), [-math.sqrt(2), math.sqrt(2)])
     assert np.allclose(report.nonmain_values(), [0.0], atol=1e-12)
-    assert krylov_rank(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])) == 2
+    # the same path on coordinates: 011 -- 100 -- 010
+    path = ZeroDivisorGraph(2, 3, np.array([[0, 1, 1], [1, 0, 0], [0, 1, 0]]))
+    assert np.array_equal(adjacency_matrix(path), PATH3)
+    assert krylov_rank(path) == 2
 
 
 def test_groups_carry_source_and_flags(graphs):
@@ -185,36 +189,32 @@ def test_dead_band_raises(monkeypatch):
 # === krylov rank ===
 
 def test_krylov_rank_small_cases():
-    assert krylov_rank(np.array([[0, 1], [1, 0]])) == 1
-    cycle4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
-    assert krylov_rank(cycle4) == 1
-    assert krylov_rank([[0, 1, 1], [1, 0, 0], [1, 0, 0]]) == 2
-    zero = [[0] * 3 for _ in range(3)]
-    assert krylov_rank(zero) == krylov_rank_rows(zero) == 1
+    cases = [  # (m, n, rows of hand-made coordinates, Krylov rank)
+        (2, 2, [[1, 0], [0, 1]], 1),  # K2
+        (3, 2, [[1, 0], [2, 0], [0, 1], [0, 2]], 1),  # two twin pairs: the 4-cycle
+        (2, 3, [[1, 0, 0], [0, 1, 1], [0, 1, 0]], 2),  # a star: 011 and 010 share a bit
+        (2, 3, [[1, 1, 0], [0, 1, 1], [0, 1, 0]], 1),  # every row holds bit 1: no edges
+    ]
+    for m, n, rows, rank in cases:
+        g = ZeroDivisorGraph(m, n, np.array(rows))
+        assert krylov_rank(g) == krylov_rank_rows(brute_adjacency(rows)) == rank, rows
 
 
-def test_krylov_rank_on_quotients_uses_exact_arithmetic():
-    # P and Q are nonsymmetric, so their Gram matrices are not Hankel.
-    for m, n in [(2, 6), (3, 5), (5, 7)]:
-        for quotient in (build_p(m, n), build_q(m, n)):
-            rows = quotient.entries
-            assert krylov_rank(np.array(rows, dtype=object)) == n - 1
-            assert krylov_rank(rows) == krylov_rank_rows(rows)
-
-
-def test_krylov_rank_big_integer_entries():
-    big = 10**25
-    assert krylov_rank(np.array([[big, 0], [0, big]], dtype=object)) == 1
-    assert krylov_rank(np.array([[big, 0], [0, -big]], dtype=object)) == 2
+def test_krylov_rank_of_built_graphs_is_the_quotient_rank():
+    # Class sizes up to (m-1)**(n-1) weigh the lattice vectors; both
+    # graphs have Krylov rank n - 1, the rank the reference finds for
+    # their quotients.
+    for m, n in [(2, 6), (3, 5), (5, 6)]:
+        for build, quotient in ((build_graph, build_p), (build_bipartite, build_q)):
+            rank = krylov_rank(build(m, n))
+            assert rank == krylov_rank_rows(quotient(m, n).entries) == n - 1, (m, n)
 
 
 def test_krylov_rank_validation():
-    with pytest.raises(ValueError):
-        krylov_rank(PATH3)  # float dtype
-    with pytest.raises(ValueError):
-        krylov_rank(np.array([[True, False], [False, True]]))
-    with pytest.raises(ValueError):
-        krylov_rank(np.zeros((2, 3), dtype=int))
+    # Only a graph has class sizes; an adjacency matrix is not an operand.
+    for matrix in (np.array([[0, 1], [1, 0]]), [[0, 1], [1, 0]], build_p(2, 4)):
+        with pytest.raises(AttributeError):
+            krylov_rank(matrix)
 
 
 @pytest.mark.parametrize("role", ["full", "bipartite"])
@@ -224,11 +224,8 @@ def test_krylov_rank_of_graph_matches_its_adjacency(graphs, role):
     # matrices, of support-lattice vectors when given the graph.
     for m, n in dense_grid():
         g = graphs(m, n, role)
-        adjacency = adjacency_matrix(g)
         rows = brute_adjacency(g.coords.tolist())
-        expected = krylov_rank_rows(rows)
-        assert krylov_rank(g) == expected
-        assert krylov_rank(adjacency) == expected
+        assert krylov_rank(g) == krylov_rank_rows(rows)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -240,7 +237,7 @@ def test_krylov_rank_on_irregular_vertex_subsets(graphs, seed):
     keep = sorted(rng.choice(g.vertex_count, size=25, replace=False).tolist())
     sub = ZeroDivisorGraph(g.m, g.n, g.coords[keep])
     rows = brute_adjacency(sub.coords.tolist())
-    assert krylov_rank(sub) == krylov_rank(np.array(rows)) == krylov_rank_rows(rows)
+    assert krylov_rank(sub) == krylov_rank_rows(rows)
 
 
 def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
@@ -288,9 +285,8 @@ def test_krylov_rank_matches_walk_rank(graphs):
     # Hidden redundancy check: graph-side Krylov rank equals the exact
     # rank of the quotient walk matrix.
     for m, n in [(2, 4), (3, 3), (3, 4)]:
-        adjacency = adjacency_matrix(graphs(m, n))
         walk = walk_matrix_iterative(build_p(m, n))
-        assert krylov_rank(adjacency) == exact_rank(walk)
+        assert krylov_rank(graphs(m, n)) == exact_rank(walk)
 
 
 # === predictions ===
