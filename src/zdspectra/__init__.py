@@ -35,10 +35,8 @@ from .quotient import (
 )
 from .spectra import (
     AmbiguousClassification,
-    NonzeroDeterminant,
     PredictedSpectrum,
     SpectralReport,
-    SpectrumMismatch,
     classify_main,
     krylov_rank,
     predicted_spectrum,
@@ -83,8 +81,6 @@ __all__ = [
     "SpectralReport",
     "PredictedSpectrum",
     "AmbiguousClassification",
-    "SpectrumMismatch",
-    "NonzeroDeterminant",
     "symmetric_eigen",
     "classify_main",
     "krylov_rank",

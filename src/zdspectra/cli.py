@@ -3,8 +3,8 @@ sweeps, and graph exports.
 
 `report` and `verify` run one check battery per (m, n) cell: each
 quotient is built and its spectrum taken once, and every check is filed
-under the graph it describes ("full" or "bipartite"), the correspondence
-checks by the tag they carry.
+under the graph it describes ("full" or "bipartite"); each spectral
+verify function returns the checks of one graph.
 
 Each cap is decided once per graph, here: a graph above the size cap is
 never built (the builders refuse it too), and one above the dense cap
@@ -67,13 +67,13 @@ from .spectra import (
     CheckResult,
     EigenBundle,
     PredictedSpectrum,
-    _correspondence_checks,
-    _theorem_checks,
     eigen_bundle,
     krylov_rank,
     predicted_spectrum,
     q_eigen_exact_check,
     quotient_eigenvalues,
+    verify_main_correspondences,
+    verify_spectrum_theorem,
 )
 
 DEFAULT_DENSE_CAP = 3_000
@@ -356,12 +356,11 @@ def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
         for role in ROLES
     }
     if bundles["full"] is not None:
-        checks["full"] += _theorem_checks(prediction, bundles["full"])
+        checks["full"] += verify_spectrum_theorem(prediction, bundles["full"]).checks
     if bundles["bipartite"] is not None:
-        for role, check in _correspondence_checks(
-            prediction, q_spectrum, bundles["full"], bundles["bipartite"]
-        ):
-            checks[role].append(check)
+        checks["bipartite"] += verify_main_correspondences(
+            prediction, q_spectrum, bundles["bipartite"], bundles["full"]
+        ).checks
 
     capped = vertex_count(m, n, "full") > size_cap
     return Battery(m, n, prediction, q_spectrum, checks, skipped, bundles, capped)

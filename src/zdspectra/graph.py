@@ -12,8 +12,8 @@ capped at 63.
 
 A graph is its (N, n) coordinate array in vertex order: the constructor
 takes only (m, n, coords) and derives, once, the uint64 support bitmask
-of each row, the zero-count cells and, for the subgraph, its two sides.
-Labels and witnesses are read from the coordinates.  The builders write
+of each row and the zero-count cells.  Labels, witnesses and the
+subgraph's two sides are read from the coordinates.  The builders write
 the tuples already in lexicographic order, from a leading-digit
 recursion (full graph) or product grids (two-sided subgraph), so nothing
 is sorted and the m**n tuples that are not vertices are never visited.
@@ -183,15 +183,9 @@ class ZeroDivisorGraph(_SupportGraph):
 
 class BipartiteSubgraph(_SupportGraph):
     """Induced subgraph on tuples with exactly one zero among the last two
-    coordinates; `sides` splits the vertex indices by which one it is:
-    first the last coordinate, then the one before it."""
+    coordinates; its two sides are read off `coords[:, -2:]`."""
 
     role = "bipartite"
-
-    def __init__(self, m: int, n: int, coords: np.ndarray) -> None:
-        super().__init__(m, n, coords)
-        last_two = self.support_array >> np.uint64(n - 2)
-        self.sides = tuple(_frozen(np.flatnonzero(last_two == k)) for k in (1, 2))
 
 
 def _grid(axes: Sequence[np.ndarray]) -> np.ndarray:

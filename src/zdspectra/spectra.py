@@ -22,12 +22,13 @@ so it never forms the adjacency matrix; only the dense eigensolve does.
 The rank is taken of the small Gram matrix of the Krylov vectors, not
 of the vectors themselves.
 
-The spectrum-theorem and correspondence checks each live in one helper
-that takes precomputed predictions and bundles (the command-line battery
-calls them directly); the verify_* functions wrap them in reports for
-callers that hold the bundles.  This module never builds a graph, so the
-size caps live with the builders and the command line.  Every threshold
-of a floating-point verdict (value matching, grouping, main
+Each spectral claim has one path, a public function that returns one
+graph's checks in report order from precomputed predictions and eigen
+bundles: verify_spectrum_theorem the full graph's, and
+verify_main_correspondences the two-sided subgraph's.  The command-line
+battery calls these same functions.  This module never builds a graph,
+so the size caps live with the builders and the command line.  Every
+threshold of a floating-point verdict (value matching, grouping, main
 classification) is one module constant below, read when a check runs.
 """
 
@@ -63,8 +64,6 @@ __all__ = [
     "PROJECTION_THRESHOLD",
     "DEAD_BAND_FACTOR",
     "AmbiguousClassification",
-    "SpectrumMismatch",
-    "NonzeroDeterminant",
     "EigenvalueGroup",
     "SpectralReport",
     "CheckResult",
@@ -111,14 +110,6 @@ class AmbiguousClassification(Exception):
         self.value = value
         self.projection = projection
         self.band = (low, high)
-
-
-class SpectrumMismatch(Exception):
-    """A computed spectrum disagrees with its prediction."""
-
-
-class NonzeroDeterminant(Exception):
-    """An exact annihilation determinant failed to vanish."""
 
 
 # -- eigensolver ------------------------------------------------------------
@@ -393,9 +384,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    title: str
     checks: tuple[CheckResult, ...]
-    failure_exception: type
 
     @property
     def passed(self) -> bool:
@@ -404,15 +393,6 @@ class VerificationReport:
     @property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-    def raise_if_failed(self) -> None:
-        if not self.passed:
-            lines = [self.title] + [
-                f"  {c.name}: {c.detail or 'failed'}"
-                + (f" (residual {c.residual:.3e})" if c.residual is not None else "")
-                for c in self.failures
-            ]
-            raise self.failure_exception("\n".join(lines))
 
 
 @dataclass
@@ -429,60 +409,6 @@ def eigen_bundle(graph: object) -> EigenBundle:
     dense = adjacency_matrix(graph).astype(np.float64)
     w, V = symmetric_eigen(dense)
     return EigenBundle(graph, w, _classify(w, V, float(np.linalg.norm(dense))))
-
-
-def _theorem_checks(
-    prediction: PredictedSpectrum, bundle: EigenBundle
-) -> list[CheckResult]:
-    """One check on the distinct count, then one per predicted eigenvalue,
-    matched within MATCH."""
-    tolerance = MATCH
-    predicted_items = prediction.multiset()
-    spacing = min(
-        (b - a for (a, _), (b, _) in zip(predicted_items, predicted_items[1:])),
-        default=math.inf,
-    )
-    if spacing <= 2 * tolerance:
-        raise ArithmeticError(
-            f"predicted eigenvalues only {spacing:.3e} apart; "
-            f"cannot match at tolerance {tolerance:.3e}"
-        )
-    computed_items = [(g.value, g.multiplicity) for g in bundle.report.groups]
-    checks = [
-        CheckResult(
-            "distinct eigenvalue count",
-            len(computed_items) == len(predicted_items),
-            None,
-            f"computed {len(computed_items)}, predicted {len(predicted_items)}",
-        )
-    ]
-    if len(computed_items) == len(predicted_items):
-        for (pv, pm), (cv, cm) in zip(predicted_items, computed_items):
-            residual = abs(cv - pv)
-            checks.append(
-                CheckResult(
-                    f"eigenvalue {pv:.12g} x{pm}",
-                    residual <= tolerance and cm == pm,
-                    residual,
-                    f"computed {cv:.12g} x{cm}",
-                )
-            )
-    return checks
-
-
-def verify_spectrum_theorem(m: int, n: int, bundle: EigenBundle) -> VerificationReport:
-    """Compare the computed spectrum of the full graph (m, n), held in
-    `bundle`, with its prediction.
-
-    Every predicted eigenvalue must match a computed group within MATCH,
-    with exactly the predicted multiplicity.  Returns a report with one
-    check per eigenvalue; `raise_if_failed` raises SpectrumMismatch.
-    """
-    return VerificationReport(
-        f"spectrum of the full graph (m={m}, n={n})",
-        tuple(_theorem_checks(predicted_spectrum(m, n), bundle)),
-        SpectrumMismatch,
-    )
 
 
 def _match_sorted(
@@ -510,101 +436,122 @@ def _krylov_main_check(bundle: EigenBundle, what: str) -> CheckResult:
     )
 
 
-def _correspondence_checks(
+def verify_spectrum_theorem(
+    prediction: PredictedSpectrum, full_bundle: EigenBundle
+) -> VerificationReport:
+    """The full graph's spectral checks against its prediction, in report
+    order: the distinct eigenvalue count, one check per predicted
+    eigenvalue (value within MATCH, exactly the predicted multiplicity),
+    the main values against the full quotient's spectrum, and the exact
+    Krylov rank against the main count.
+    """
+    tolerance = MATCH
+    predicted_items = prediction.multiset()
+    spacing = min(
+        (b - a for (a, _), (b, _) in zip(predicted_items, predicted_items[1:])),
+        default=math.inf,
+    )
+    if spacing <= 2 * tolerance:
+        raise ArithmeticError(
+            f"predicted eigenvalues only {spacing:.3e} apart; "
+            f"cannot match at tolerance {tolerance:.3e}"
+        )
+    computed_items = [(g.value, g.multiplicity) for g in full_bundle.report.groups]
+    checks = [
+        CheckResult(
+            "distinct eigenvalue count",
+            len(computed_items) == len(predicted_items),
+            None,
+            f"computed {len(computed_items)}, predicted {len(predicted_items)}",
+        )
+    ]
+    if len(computed_items) == len(predicted_items):
+        for (pv, pm), (cv, cm) in zip(predicted_items, computed_items):
+            residual = abs(cv - pv)
+            checks.append(
+                CheckResult(
+                    f"eigenvalue {pv:.12g} x{pm}",
+                    residual <= tolerance and cm == pm,
+                    residual,
+                    f"computed {cv:.12g} x{cm}",
+                )
+            )
+    main_full = full_bundle.report.main_values()
+    ok, res = _match_sorted(list(prediction.p_eigenvalues), list(main_full), tolerance)
+    checks.append(
+        CheckResult(
+            "main eigenvalues equal the full quotient spectrum",
+            ok,
+            res,
+            f"{len(main_full)} main vs {len(prediction.p_eigenvalues)} predicted",
+        )
+    )
+    checks.append(_krylov_main_check(full_bundle, "graph"))
+    return VerificationReport(tuple(checks))
+
+
+def verify_main_correspondences(
     prediction: PredictedSpectrum,
     q_spectrum: tuple[float, ...],
-    full_bundle: EigenBundle | None,
     bipartite_bundle: EigenBundle,
-) -> list[tuple[str, CheckResult]]:
-    """The main-eigenvalue correspondences, each tagged with the graph
-    ("full" or "bipartite") whose report carries it; values match within
-    MATCH.
+    full_bundle: EigenBundle | None,
+) -> VerificationReport:
+    """The two-sided subgraph's main-eigenvalue checks, in report order;
+    values match within MATCH.
 
-    With both bundles: P match (full), Q match, negation, main counts
-    (bipartite), then the Krylov ranks of the graph (full) and of the
-    subgraph (bipartite).  Without the full-graph bundle only the
-    subgraph's three checks remain: Q match, its main count, its rank.
+    Its main values against the bipartite quotient's spectrum `q_spectrum`;
+    then, with the full graph's bundle, the full graph's nonzero non-main
+    values against the negated subgraph mains and both main counts
+    against n-1, or without it the subgraph's main count alone; then the
+    subgraph's exact Krylov rank against its main count.
     """
     n, tolerance = prediction.n, MATCH
     main_bip = list(bipartite_bundle.report.main_values())
     ok, res = _match_sorted(list(q_spectrum), main_bip, tolerance)
-    q_match = CheckResult(
-        "subgraph main eigenvalues equal the bipartite quotient spectrum",
-        ok,
-        res,
-        f"{len(main_bip)} main vs {len(q_spectrum)} predicted",
-    )
-    rank_bip = _krylov_main_check(bipartite_bundle, "subgraph")
-    if full_bundle is None:
-        count_bip = CheckResult(
-            "subgraph main count equals n-1",
-            len(main_bip) == n - 1,
-            None,
-            f"{len(main_bip)} vs {n - 1}",
+    checks = [
+        CheckResult(
+            "subgraph main eigenvalues equal the bipartite quotient spectrum",
+            ok,
+            res,
+            f"{len(main_bip)} main vs {len(q_spectrum)} predicted",
         )
-        return [("bipartite", q_match), ("bipartite", count_bip), ("bipartite", rank_bip)]
-
-    main_full = list(full_bundle.report.main_values())
-    p_spectrum = list(prediction.p_eigenvalues)
-    ok, res = _match_sorted(p_spectrum, main_full, tolerance)
-    p_match = CheckResult(
-        "main eigenvalues equal the full quotient spectrum",
-        ok,
-        res,
-        f"{len(main_full)} main vs {len(p_spectrum)} predicted",
-    )
-    nonmain = [g for g in full_bundle.report.groups if not g.is_main]
-    if prediction.zero_multiplicity and nonmain:
-        zero_group = min(nonmain, key=lambda g: abs(g.value))
-        nonmain = [g for g in nonmain if g is not zero_group]
-    ok, res = _match_sorted(
-        [-v for v in main_bip], [g.value for g in nonmain], tolerance
-    )
-    negation = CheckResult(
-        "nonzero non-main values equal the negated subgraph mains",
-        ok,
-        res,
-        f"{len(nonmain)} non-main vs {len(main_bip)} negated mains",
-    )
-    counts = CheckResult(
-        "main counts equal n-1 on both graphs",
-        len(main_full) == n - 1 == len(main_bip),
-        None,
-        f"full {len(main_full)}, subgraph {len(main_bip)}, n-1 = {n - 1}",
-    )
-    return [
-        ("full", p_match),
-        ("bipartite", q_match),
-        ("bipartite", negation),
-        ("bipartite", counts),
-        ("full", _krylov_main_check(full_bundle, "graph")),
-        ("bipartite", rank_bip),
     ]
-
-
-def verify_main_correspondences(
-    m: int, n: int, full_bundle: EigenBundle, bipartite_bundle: EigenBundle
-) -> VerificationReport:
-    """Check the three main-eigenvalue correspondences for (m, n) on the
-    graph and the two-sided subgraph, held in the two bundles:
-
-    the full graph's main values are the full quotient's spectrum, the
-    subgraph's main values are the bipartite quotient's spectrum, the
-    full graph's nonzero non-main values are the negated subgraph mains,
-    and both main counts equal n-1 and the exact Krylov ranks.  Values
-    match within MATCH.
-    """
-    checks = _correspondence_checks(
-        predicted_spectrum(m, n),
-        quotient_eigenvalues(build_q(m, n)),
-        full_bundle,
-        bipartite_bundle,
-    )
-    return VerificationReport(
-        f"main-eigenvalue correspondences (m={m}, n={n})",
-        tuple(check for _, check in checks),
-        SpectrumMismatch,
-    )
+    if full_bundle is None:
+        checks.append(
+            CheckResult(
+                "subgraph main count equals n-1",
+                len(main_bip) == n - 1,
+                None,
+                f"{len(main_bip)} vs {n - 1}",
+            )
+        )
+    else:
+        main_full = full_bundle.report.main_values()
+        nonmain = [g for g in full_bundle.report.groups if not g.is_main]
+        if prediction.zero_multiplicity and nonmain:
+            zero_group = min(nonmain, key=lambda g: abs(g.value))
+            nonmain = [g for g in nonmain if g is not zero_group]
+        ok, res = _match_sorted(
+            [-v for v in main_bip], [g.value for g in nonmain], tolerance
+        )
+        checks.append(
+            CheckResult(
+                "nonzero non-main values equal the negated subgraph mains",
+                ok,
+                res,
+                f"{len(nonmain)} non-main vs {len(main_bip)} negated mains",
+            )
+        )
+        checks.append(
+            CheckResult(
+                "main counts equal n-1 on both graphs",
+                len(main_full) == n - 1 == len(main_bip),
+                None,
+                f"full {len(main_full)}, subgraph {len(main_bip)}, n-1 = {n - 1}",
+            )
+        )
+    checks.append(_krylov_main_check(bipartite_bundle, "subgraph"))
+    return VerificationReport(tuple(checks))
 
 
 # -- exact annihilation -----------------------------------------------------
@@ -659,8 +606,8 @@ def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
     determinant is tested for zero in integers (fib.zphi_is_zero).  A
     passing check carries residual 0.0 and no detail; values become
     QuadraticNumbers only for the report of a failing one.  Returns one
-    check per index i; `raise_if_failed` raises NonzeroDeterminant with
-    the exact determinant in the detail.
+    check per index i; a failing check carries the exact determinant in
+    its detail.
     """
     coeffs = _char_poly(build_q(m, n).entries)
     checks = []
@@ -679,8 +626,4 @@ def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
                 f"det(Q + ({zphi_to_quadratic(m, value)}) I) = {exact}",
             )
         )
-    return VerificationReport(
-        f"exact annihilation by pair powers (m={m}, n={n})",
-        tuple(checks),
-        NonzeroDeterminant,
-    )
+    return VerificationReport(tuple(checks))

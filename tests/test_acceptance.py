@@ -27,6 +27,7 @@ from zdspectra.quotient import (
 from zdspectra.spectra import (
     predicted_spectrum,
     q_eigen_exact_check,
+    quotient_eigenvalues,
     verify_main_correspondences,
     verify_spectrum_theorem,
 )
@@ -116,7 +117,7 @@ def test_criterion_05_equitable_quotients(graphs):
 def test_criterion_06_spectrum_theorem(bundles):
     with criterion(6, "full spectra match predictions; zero block counted"):
         for m, n in dense_grid():
-            report = verify_spectrum_theorem(m, n, bundle=bundles(m, n))
+            report = verify_spectrum_theorem(predicted_spectrum(m, n), bundles(m, n))
             assert report.passed, (m, n, report.failures)
         for m, n in GRAPH_GRID:
             zero = predicted_spectrum(m, n).zero_multiplicity
@@ -141,9 +142,10 @@ def test_criterion_08_correspondence_corollaries(bundles):
     with criterion(8, "main sets equal quotient spectra; Krylov counts agree"):
         for m, n in dense_grid():
             report = verify_main_correspondences(
-                m, n,
-                full_bundle=bundles(m, n),
+                predicted_spectrum(m, n),
+                quotient_eigenvalues(build_q(m, n)),
                 bipartite_bundle=bundles(m, n, "bipartite"),
+                full_bundle=bundles(m, n),
             )
             assert report.passed, (m, n, report.failures)
 

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, run in process."""
 
 import hashlib
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -524,6 +526,26 @@ def test_report_at_fourteen_thousand_vertices_passes(capsys):
     for entry in (full, bip):
         assert entry["checks"] and all(c["pass"] for c in entry["checks"])
         assert any("Krylov" in c["name"] for c in entry["checks"])
+
+
+def test_benchmark_trace_hooks_see_the_battery(capsys):
+    # The benchmark times each layer by wrapping public functions by name
+    # (perfbench/spans.py, loaded here as it is); a rename or a private
+    # bypass would leave its layer reading 0.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        code = cli.main(["report", "--m", "2", "--n", "3", "--format", "json"])
+    finally:
+        recorder.uninstall()
+    assert code == 0 and capsys.readouterr().out
+    assert recorder.self_time["zdspectra.spectra.verify_spectrum_theorem"] > 0
+    assert recorder.self_time["zdspectra.spectra.verify_main_correspondences"] > 0
+    assert recorder.counters["spectra.annihilation_dets"] == 2
 
 
 # === golden stdout ===
