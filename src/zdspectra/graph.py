@@ -10,13 +10,15 @@ of either graph by zero-coordinate count, and empirical quotients of
 that partition.  Supports are stored as single machine words, so n is
 capped at 63.
 
-A graph is its (N, n) coordinate array in vertex order: the constructor
-takes only (m, n, coords) and derives, once, the uint64 support bitmask
-of each row and the zero-count cells.  Labels, witnesses and the
-subgraph's two sides are read from the coordinates.  The builders write
-the tuples already in lexicographic order, from a leading-digit
-recursion (full graph) or product grids (two-sided subgraph), so nothing
-is sorted and the m**n tuples that are not vertices are never visited.
+A graph is its (N, n) coordinate array in vertex order, held in the
+narrowest unsigned dtype that holds the digits 0..m-1 (uint8 up to
+m = 256, uint16 up to 65,536): the constructor takes only (m, n, coords)
+and derives, once, the uint64 support bitmask of each row and the
+zero-count cells.  Labels, witnesses and the subgraph's two sides are
+read from the coordinates.  The builders write the tuples already in
+lexicographic order and in that dtype, from a leading-digit recursion
+(full graph) or product grids (two-sided subgraph), so nothing is sorted
+or copied and the m**n tuples that are not vertices are never visited.
 
 Vertices with the same support have the same neighbours, so every
 graph-level sum runs on the lattice of the 2**n supports instead of the
@@ -34,6 +36,7 @@ pairs.
 
 from __future__ import annotations
 
+import codecs
 from collections.abc import Iterator, Sequence
 from functools import cached_property
 from math import comb, prod
@@ -108,10 +111,22 @@ def vertex_count(m: int, n: int, role: str) -> int:
     raise ValueError(f"role must be 'full' or 'bipartite', got {role!r}")
 
 
+def _digit_dtype(m: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds the digits 0..m-1 (at most uint64)."""
+    return np.min_scalar_type(min(m - 1, 2**64 - 1))
+
+
 def _support_bits(coords: np.ndarray) -> np.ndarray:
-    """Support bitmask of each row of an (N, n) coordinate array, as uint64."""
-    weights = np.left_shift(np.uint64(1), np.arange(coords.shape[1], dtype=np.uint64))
-    return (coords != 0).astype(np.uint64) @ weights
+    """Support bitmask of each row of an (N, n) coordinate array, as uint64.
+
+    The weights 2**j are held in the narrowest unsigned dtype that holds
+    2**n - 1, and each row sums distinct powers of two, so the product of
+    the 0/1 rows with them is exact in that dtype.  The product casts the
+    0/1 rows to that dtype: 1, 2, 4 or 8 bytes an entry as n passes 8, 16
+    and 32, and 8 only where a built graph has over 2**32 vertices."""
+    n = coords.shape[1]
+    weights = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+    return ((coords != 0) @ weights).astype(np.uint64)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -123,13 +138,15 @@ class _SupportGraph:
     """A graph fixed by its (N, n) coordinate array, in vertex order.
 
     The coordinates must be an integer array with n columns and entries
-    in 0..m-1; an int64 array is not copied.  The constructor derives the
-    rest once: each row's support bitmask and the cells of the zero-count
-    partition (cell i holds the vertices with i + 1 zero coordinates,
-    i = 0..n-2), with zero counts read as n minus the bit count of each
-    support, so the cost follows the rows, not 2**n.  Rows with no zero or
-    no nonzero coordinate fall in no cell.  The lattice table
-    `class_sizes` is built on first read.
+    in 0..m-1; they are checked as given, then stored in the narrowest
+    unsigned dtype that holds 0..m-1, so an array already in that dtype
+    (as the builders write it) is not copied.  The constructor derives
+    the rest once: each row's support bitmask and the cells of the
+    zero-count partition (cell i holds the vertices with i + 1 zero
+    coordinates, i = 0..n-2), with zero counts read as n minus the bit
+    count of each support, so the cost follows the rows, not 2**n.  Rows
+    with no zero or no nonzero coordinate fall in no cell.  The lattice
+    table `class_sizes` is built on first read.
     """
 
     def __init__(self, m: int, n: int, coords: np.ndarray) -> None:
@@ -147,7 +164,7 @@ class _SupportGraph:
             )
         self.m = m
         self.n = n
-        self.coords = _frozen(coords.astype(np.int64, copy=False))
+        self.coords = _frozen(coords.astype(_digit_dtype(m), copy=False))
         self.support_array = _frozen(_support_bits(self.coords))
         zeros = n - np.bitwise_count(self.support_array)
         self.cells = tuple(_frozen(np.flatnonzero(zeros == i)) for i in range(1, n))
@@ -189,9 +206,10 @@ class BipartiteSubgraph(_SupportGraph):
 
 
 def _grid(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Lexicographic product of the digit arrays in `axes`, one row per tuple."""
+    """Lexicographic product of the digit arrays in `axes`, one row per
+    tuple, in the dtype of the first axis."""
     total = prod(len(axis) for axis in axes)
-    out = np.empty((total, len(axes)), dtype=np.int64)
+    out = np.empty((total, len(axes)), dtype=axes[0].dtype)
     inner = total
     for j, axis in enumerate(axes):
         inner //= len(axis)
@@ -204,13 +222,14 @@ def _with_zero(m: int, n: int) -> np.ndarray:
     (row 0 is the zero tuple).  Z(1) = [(0)], and Z(k) is [0 | every
     (k-1)-tuple], the first m**(k-1) rows of the (n-1)-tuple grid, then
     [d | Z(k-1)] for d = 1..m-1; no level outgrows Z(n)."""
-    every = _grid([np.arange(m)] * (n - 1))
-    zeroed = np.zeros((1, 1), dtype=np.int64)
+    digits = np.arange(m, dtype=_digit_dtype(m))
+    every = _grid([digits] * (n - 1))
+    zeroed = np.zeros((1, 1), dtype=digits.dtype)
     for k in range(2, n + 1):
         head, tail = m ** (k - 1), len(zeroed)
-        level = np.zeros((head + (m - 1) * tail, k), dtype=np.int64)
+        level = np.zeros((head + (m - 1) * tail, k), dtype=digits.dtype)
         level[:head, 1:] = every[:head, n - k :]
-        level[head:, 0] = np.repeat(np.arange(1, m), tail)
+        level[head:, 0] = np.repeat(digits[1:], tail)
         level[head:, 1:].reshape(m - 1, tail, k - 1)[...] = zeroed
         zeroed = level
     return zeroed
@@ -237,7 +256,8 @@ def build_bipartite(m: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> Bipa
     count = vertex_count(m, n, "bipartite")
     if count > size_cap:
         raise SizeCapExceeded(f"two-sided subgraph for m={m}, n={n}", count, size_cap)
-    prefix, digit, zero = [np.arange(m)] * (n - 2), np.arange(1, m), np.zeros(1, np.int64)
+    digits = np.arange(m, dtype=_digit_dtype(m))
+    prefix, digit, zero = [digits] * (n - 2), digits[1:], digits[:1]
     coords = np.concatenate((_grid(prefix + [digit, zero]), _grid(prefix + [zero, digit])))
     if len(coords) != count:
         raise ArithmeticError("vertex enumeration disagrees with the count law")
@@ -327,16 +347,16 @@ def adjacency_matrix(graph: _SupportGraph) -> np.ndarray:
 
 
 def adjacency_to_csv(graph: _SupportGraph) -> str:
-    """Adjacency rows as comma-separated 0/1 lines, streamed row by row."""
+    """Adjacency rows as comma-separated 0/1 lines, written row by row
+    into one ASCII buffer that is decoded once: the peak is the buffer
+    and the text, each 2 * N**2 bytes."""
     sup = graph.support_array
-    # one ASCII row: a digit at every even offset, commas between, newline last
-    line = np.full(2 * len(sup), ord(","), dtype=np.uint8)
-    line[-1:] = ord("\n")
-    rows = []
-    for support in sup:
-        line[0::2] = ord("0") + ((support & sup) == 0)
-        rows.append(line.tobytes())
-    return b"".join(rows).decode("ascii")
+    # each ASCII row: a digit at every even offset, commas between, newline last
+    buf = np.full((len(sup), 2 * len(sup)), ord(","), dtype=np.uint8)
+    buf[:, -1:] = ord("\n")
+    for row, support in zip(buf, sup):
+        row[0::2] = ord("0") + ((support & sup) == 0)
+    return codecs.decode(buf, "ascii")
 
 
 def to_dot(graph: _SupportGraph) -> str:

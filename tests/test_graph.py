@@ -108,9 +108,10 @@ def test_large_field_enumeration_is_linear_in_vertices():
 @pytest.mark.parametrize("m, n", [(4, 7), (5, 6), (2, 14)])
 def test_build_peak_memory_is_a_few_vertex_arrays(m, n):
     # The ordered builders hold at most a few arrays of <= N rows at once,
-    # and the graph keeps the builder's coordinate array without a copy:
-    # the peak, with the graph's own coordinates, supports and cells, is
-    # about 2.2 times the coordinate array on these cells.
+    # in one-byte digits at these m, and the graph keeps the builder's
+    # coordinate array without a copy.  A vertex costs the graph n bytes
+    # of digits and 16 more (an 8-byte support and an 8-byte cell index);
+    # the peak stays within three times that, about 24-58 bytes a vertex.
     for builder in (build_graph, build_bipartite):
         tracemalloc.start()
         try:
@@ -118,7 +119,7 @@ def test_build_peak_memory_is_a_few_vertex_arrays(m, n):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * g.coords.nbytes, (builder.__name__, peak / g.coords.nbytes)
+        assert peak < 3 * (n + 16) * g.vertex_count, (builder.__name__, peak / g.vertex_count)
 
 
 def test_built_count_is_checked_against_the_count_law(monkeypatch):
@@ -132,17 +133,21 @@ def test_built_count_is_checked_against_the_count_law(monkeypatch):
 
 
 def test_graph_from_coordinates_matches_build():
-    for m, n in [(3, 4), (11, 2)]:
+    for m, n in [(256, 2), (257, 2), (3, 4), (11, 2)]:
         g = build_graph(m, n)
         b = build_bipartite(m, n)
         for built in (g, b):
             copy = type(built)(m, n, built.coords)
             assert np.shares_memory(copy.coords, built.coords)
-            assert np.array_equal(copy.support_array, built.support_array)
-            assert copy.support_array.dtype == np.uint64
-            assert [c.tolist() for c in copy.cells] == [c.tolist() for c in built.cells]
-            assert copy.labels() == built.labels()
-            assert empirical_quotient(copy) == empirical_quotient(built)
+            # hand-made int64 rows are narrowed to the same graph
+            wide = type(built)(m, n, built.coords.astype(np.int64))
+            for other in (copy, wide):
+                assert other.coords.dtype == built.coords.dtype
+                assert np.array_equal(other.support_array, built.support_array)
+                assert other.support_array.dtype == np.uint64
+                assert [c.tolist() for c in other.cells] == [c.tolist() for c in built.cells]
+                assert other.labels() == built.labels()
+                assert empirical_quotient(other) == empirical_quotient(built)
         assert [s.tolist() for s in _sides(type(b)(m, n, b.coords))] == [
             s.tolist() for s in _sides(b)
         ]
@@ -171,14 +176,27 @@ def test_cells_and_sides_of_permuted_coordinates(graphs, m, n, role):
     assert empirical_quotient(g) == empirical_quotient(built)
 
 
+@pytest.mark.parametrize(
+    "m, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16), (3000, np.uint16)]
+)
+def test_coordinates_take_the_narrowest_digit_dtype(m, dtype):
+    for builder in (build_graph, build_bipartite):
+        assert builder(m, 2).coords.dtype == dtype
+    assert ZeroDivisorGraph(m, 2, np.array([[m - 1, 0]])).coords.dtype == dtype
+
+
 def test_constructor_validates_its_input():
     # A (7, 4) array is not silently reshaped to (4, 7), entries outside
-    # 0..m-1 are not labelled, floats are not truncated, and (m, n) get
-    # the package's parameter check.
+    # 0..m-1 are not labelled (256 would wrap to 0 in uint8, so the rows
+    # are checked before they are narrowed), floats are not truncated,
+    # and (m, n) get the package's parameter check.
     with pytest.raises(ValueError, match="shape"):
         ZeroDivisorGraph(2, 7, build_graph(2, 4).coords[:7])
     with pytest.raises(ValueError, match="entries in 0..2"):
         ZeroDivisorGraph(3, 3, np.array([[7, 0, -2], [0, 1, 0]]))
+    for rows in ([[256, 0], [0, 1]], np.array([[0, 256]], dtype=np.uint16)):
+        with pytest.raises(ValueError, match="entries in 0..255"):
+            ZeroDivisorGraph(256, 2, np.array(rows))
     with pytest.raises(ValueError, match="integer array"):
         ZeroDivisorGraph(3, 3, np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
     rows = np.array([[1, 0], [0, 1]])
@@ -212,6 +230,21 @@ def test_vertex_labels():
     assert g.labels() == ("001", "010", "011", "100", "101", "110")
     wide = build_graph(11, 2)
     assert "," in wide.labels()[0]
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63])
+def test_support_bitmask_at_the_weight_dtype_boundaries(n):
+    # The weights change dtype past n = 8, 16 and 32; the all-ones row
+    # reaches the largest sum, 2**n - 1, and one row sets only bit n - 1
+    # (bit 62 at n = 63).
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 2, size=(20, n)).tolist()
+    rows += [[1] * n, [0] * n, [0] * (n - 1) + [1], [1] + [0] * (n - 1)]
+    g = ZeroDivisorGraph(2, n, np.array(rows))
+    assert g.support_array.dtype == np.uint64
+    assert g.support_array.tolist() == [
+        sum(1 << j for j, c in enumerate(row) if c) for row in rows
+    ]
 
 
 def test_support_bitmask_tracks_nonzeros(graphs):
@@ -520,6 +553,21 @@ def test_adjacency_csv_round_trip(graphs):
     parsed = np.array([[int(x) for x in row] for row in rows])
     assert np.array_equal(parsed, adjacency_matrix(g))
     assert text.endswith("\n")
+
+
+def test_adjacency_csv_peak_is_the_buffer_and_the_text():
+    # One (N, 2N) ASCII buffer, decoded once: the peak is the buffer and
+    # the text, about twice the text.
+    g = build_graph(3, 7)
+    adjacency_to_csv(g)
+    tracemalloc.start()
+    try:
+        text = adjacency_to_csv(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 2 * g.vertex_count**2
+    assert peak < 2.2 * len(text), peak / len(text)
 
 
 def test_json_descriptor(graphs):
