@@ -246,7 +246,7 @@ def _recurrence_checks(m: int) -> list[CheckResult]:
 def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
     """Cell sizes and the equitable quotient against the closed form."""
     checks = []
-    sizes = tuple(len(cell) for cell in graph_obj.cells)
+    sizes = graph_obj.cell_sizes()
     law = expected_cell_sizes(graph_obj.m, graph_obj.n, graph_obj.role)
     checks.append(
         CheckResult(

@@ -13,9 +13,9 @@ capped at 63.
 A graph is its (N, n) coordinate array in vertex order, held in the
 narrowest unsigned dtype that holds the digits 0..m-1 (uint8 up to
 m = 256, uint16 up to 65,536): the constructor takes only (m, n, coords)
-and derives, once, the uint64 support bitmask of each row and the
-zero-count cells.  Labels, witnesses and the subgraph's two sides are
-read from the coordinates.  The builders write the tuples already in
+and derives, once, the uint64 support bitmask of each row.  Labels,
+witnesses, cell members and the subgraph's two sides are read from the
+coordinates and supports.  The builders write the tuples already in
 lexicographic order and in that dtype, from a leading-digit recursion
 (full graph) or product grids (two-sided subgraph), so nothing is sorted
 or copied and the m**n tuples that are not vertices are never visited.
@@ -23,15 +23,15 @@ or copied and the m**n tuples that are not vertices are never visited.
 Vertices with the same support have the same neighbours, so every
 graph-level sum runs on the lattice of the 2**n supports instead of the
 vertex set.  Each graph counts its rows per support once, on first read
-(`class_sizes`); `disjoint_sums` adds up a per-support table over every
-support disjoint from each support with a subset-sum transform, in
-O(n * 2**n) time, and `empirical_quotient` decides equitability with one
-row of neighbour counts per support.  A built graph has at least
-2**(n-1) vertices, so for it this work is O(vertex count); a hand-made
-graph of few rows pays for the whole lattice, 2**n * (n-1) entries in
-the quotient, since the lattice is sized by n by design.  Only the dense
-adjacency matrix (for the eigensolver) and the exports compare vertex
-pairs.
+(`class_sizes`, which also give the cell sizes); `disjoint_sums` adds up
+a per-support table over every support disjoint from each support with
+a subset-sum transform, in O(n * 2**n) time, and `empirical_quotient`
+decides equitability with one row of neighbour counts per support.  A
+built graph has at least 2**(n-1) vertices, so for it this work is
+O(vertex count); a hand-made graph of few rows pays for the whole
+lattice, 2**n * (n-1) entries in the quotient, since the lattice is
+sized by n by design.  Only the dense adjacency matrix (for the
+eigensolver) and the exports compare vertex pairs.
 """
 
 from __future__ import annotations
@@ -134,6 +134,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _labels(m: int, coords: np.ndarray) -> tuple[str, ...]:
+    sep = "" if m <= 10 else ","
+    return tuple(sep.join(map(str, row)) for row in coords.tolist())
+
+
 class _SupportGraph:
     """A graph fixed by its (N, n) coordinate array, in vertex order.
 
@@ -141,12 +146,11 @@ class _SupportGraph:
     in 0..m-1; they are checked as given, then stored in the narrowest
     unsigned dtype that holds 0..m-1, so an array already in that dtype
     (as the builders write it) is not copied.  The constructor derives
-    the rest once: each row's support bitmask and the cells of the
-    zero-count partition (cell i holds the vertices with i + 1 zero
-    coordinates, i = 0..n-2), with zero counts read as n minus the bit
-    count of each support, so the cost follows the rows, not 2**n.  Rows
-    with no zero or no nonzero coordinate fall in no cell.  The lattice
-    table `class_sizes` is built on first read.
+    only each row's support bitmask, so its cost follows the rows, not
+    2**n.  `class_sizes` is built on first read and `cell_sizes` sums it
+    by zero count (cell i holds the rows with i zero coordinates, 1..n-1);
+    a cell's rows are found from the supports only for a DOT export or a
+    witness of `empirical_quotient`, named by the rule stated there.
     """
 
     def __init__(self, m: int, n: int, coords: np.ndarray) -> None:
@@ -166,8 +170,6 @@ class _SupportGraph:
         self.n = n
         self.coords = _frozen(coords.astype(_digit_dtype(m), copy=False))
         self.support_array = _frozen(_support_bits(self.coords))
-        zeros = n - np.bitwise_count(self.support_array)
-        self.cells = tuple(_frozen(np.flatnonzero(zeros == i)) for i in range(1, n))
 
     @property
     def vertex_count(self) -> int:
@@ -180,10 +182,16 @@ class _SupportGraph:
         supports = self.support_array.astype(np.int64)
         return _frozen(np.bincount(supports, minlength=1 << self.n))
 
+    def cell_sizes(self) -> tuple[int, ...]:
+        """Row count of each zero-count cell 1..n-1, summed from `class_sizes`."""
+        present = np.flatnonzero(self.class_sizes)
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        np.add.at(counts, self.n - np.bitwise_count(present), self.class_sizes[present])
+        return tuple(counts[1:-1].tolist())
+
     def labels(self) -> tuple[str, ...]:
         """Each row's coordinates as text, comma-separated when m > 10."""
-        sep = "" if self.m <= 10 else ","
-        return tuple(sep.join(map(str, row)) for row in self.coords.tolist())
+        return _labels(self.m, self.coords)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Index pairs (i, j) with i < j and disjoint supports, ascending."""
@@ -282,6 +290,11 @@ def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
     return work.reshape(table.shape)[::-1]
 
 
+def _cell_rows(graph: _SupportGraph, zeros: int) -> np.ndarray:
+    """Indices of the rows with `zeros` zero coordinates, ascending."""
+    return np.flatnonzero(graph.n - np.bitwise_count(graph.support_array) == zeros)
+
+
 def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
     """Count neighbours per zero-count cell and insist the count is
     constant on each cell.
@@ -291,18 +304,18 @@ def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
     on the lattice alone: the class sizes, placed in the column of each
     support's cell and summed over disjoint supports, give one row of
     neighbour counts per support, and each support present is compared
-    with the support of its cell's first row.  Vertex rows are read only
-    to name the witnesses of a mismatch: the first cell that fails, its
-    first row, the first row of that cell whose support row differs, and
-    the first column where they differ.
+    with the first support present in its cell (any would do).  Rows are
+    read, and two labelled, only to name the witnesses of a mismatch: the
+    first cell that fails, its first row, its first row whose support row
+    differs from that row's, and the first column where they differ.
 
     Returns the quotient matrix as nested tuples; raises
     NotEquitableError with those two witness vertices when a cell is not
     equitable, and ValueError when a row has no zero or no nonzero
     coordinate or a cell is empty (only hand-made coordinates can).
     """
-    n, sizes, cells = graph.n, graph.class_sizes, graph.cells
-    if sizes[0] or sizes[-1] or not all(cell.size for cell in cells):
+    n, sizes = graph.n, graph.class_sizes
+    if sizes[0] or sizes[-1] or not all(graph.cell_sizes()):
         raise ValueError(
             "every row needs a zero and a nonzero coordinate, "
             "and every zero count 1..n-1 a row"
@@ -313,24 +326,17 @@ def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
     table[present, cell_of] = sizes[present]
     # sums[s, j] = number of neighbours of a vertex of support s inside cell j
     sums = disjoint_sums(table, n)
-    firsts = sums[graph.support_array[[int(cell[0]) for cell in cells]]]
+    firsts = sums[present[np.unique(cell_of, return_index=True)[1]]]
     bad = (sums[present] != firsts[cell_of]).any(axis=1)
     if bad.any():
         i = int(cell_of[bad].min())
-        cell = cells[i]
-        in_cell = graph.support_array[cell].astype(np.int64)
-        row = int(np.flatnonzero(np.isin(in_cell, present[bad & (cell_of == i)]))[0])
-        first, other = firsts[i], sums[in_cell[row]]
-        col = int(np.flatnonzero(other != first)[0])
-        labels = graph.labels()
-        raise NotEquitableError(
-            i + 1,
-            col + 1,
-            labels[cell[0]],
-            int(first[col]),
-            labels[cell[row]],
-            int(other[col]),
-        )
+        rows = _cell_rows(graph, i + 1)
+        row_sums = sums[graph.support_array[rows]]
+        first = row_sums[0]
+        k = int(np.flatnonzero((row_sums != first).any(axis=1))[0])
+        col = int(np.flatnonzero(row_sums[k] != first)[0])
+        a, b = _labels(graph.m, graph.coords[rows[[0, k]]])
+        raise NotEquitableError(i + 1, col + 1, a, int(first[col]), b, int(row_sums[k, col]))
     return tuple(tuple(row) for row in firsts.tolist())
 
 
@@ -364,8 +370,8 @@ def to_dot(graph: _SupportGraph) -> str:
     groups, then edges."""
     labels = graph.labels()
     lines = [f"graph {graph.role}_m{graph.m}_n{graph.n} {{"]
-    for cell in graph.cells:
-        members = " ".join(f'"{labels[i]}";' for i in cell)
+    for zeros in range(1, graph.n):
+        members = " ".join(f'"{labels[i]}";' for i in _cell_rows(graph, zeros))
         lines.append(f"  {{ rank=same; {members} }}")
     for i, j in graph.edges():
         lines.append(f'  "{labels[i]}" -- "{labels[j]}";')

@@ -176,9 +176,17 @@ def _group_bounds(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
     return bounds
 
 
-def _classify(w: np.ndarray, V: np.ndarray, frobenius: float) -> SpectralReport:
+def classify_main(matrix: object) -> SpectralReport:
+    """Group the spectrum of a symmetric matrix and flag main eigenvalues.
+
+    A group is main when the normalized all-ones vector has projection
+    norm above the threshold on its eigenspace; norms inside the dead
+    band raise AmbiguousClassification.
+    """
+    A = np.asarray(matrix, dtype=np.float64)
+    w, V = symmetric_eigen(A)
     n = len(w)
-    gap = max(GROUPING_GAP, GROUPING_GAP_REL * frobenius)
+    gap = max(GROUPING_GAP, GROUPING_GAP_REL * float(np.linalg.norm(A)))
     ones = np.full(n, 1.0 / math.sqrt(n))
     coeff = V.T @ ones
     high = PROJECTION_THRESHOLD
@@ -198,18 +206,6 @@ def _classify(w: np.ndarray, V: np.ndarray, frobenius: float) -> SpectralReport:
     if not any(g.is_main for g in groups):
         raise RuntimeError("every graph has a main eigenvalue")
     return report
-
-
-def classify_main(matrix: object) -> SpectralReport:
-    """Group the spectrum of a symmetric matrix and flag main eigenvalues.
-
-    A group is main when the normalized all-ones vector has projection
-    norm above the threshold on its eigenspace; norms inside the dead
-    band raise AmbiguousClassification.
-    """
-    w, V = symmetric_eigen(matrix)
-    frobenius = float(np.linalg.norm(np.asarray(matrix, dtype=np.float64)))
-    return _classify(w, V, frobenius)
 
 
 # -- exact Krylov rank ------------------------------------------------------
@@ -397,18 +393,15 @@ class VerificationReport:
 
 @dataclass
 class EigenBundle:
-    """One graph with its dense eigenvalues and classification."""
+    """One graph with the classification of its dense spectrum."""
 
     graph: object
-    eigenvalues: np.ndarray
     report: SpectralReport
 
 
 def eigen_bundle(graph: object) -> EigenBundle:
     """Decompose a graph's adjacency matrix once, for reuse across checks."""
-    dense = adjacency_matrix(graph).astype(np.float64)
-    w, V = symmetric_eigen(dense)
-    return EigenBundle(graph, w, _classify(w, V, float(np.linalg.norm(dense))))
+    return EigenBundle(graph, classify_main(adjacency_matrix(graph).astype(np.float64)))
 
 
 def _match_sorted(

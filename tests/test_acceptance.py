@@ -186,8 +186,7 @@ def test_criterion_10_property_suites(graphs):
                     # Induced two-sided subgraph: only cross-side
                     # neighbors survive, (m-1) * m**(i-1) of them.
                     assert d == (m - 1) * m ** (zeros - 1), (m, n, role)
-            sizes = tuple(len(cell) for cell in graph_obj.cells)
-            assert sizes == expected_cell_sizes(m, n, role), (m, n, role)
+            assert graph_obj.cell_sizes() == expected_cell_sizes(m, n, role), (m, n, role)
 
 
 def test_closed_forms_cross_check():

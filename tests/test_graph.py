@@ -86,7 +86,7 @@ def test_vertices_match_brute_enumeration():
             assert g.coords.tolist() == [list(c) for c in tuples]
             supports = [sum(1 << i for i, c in enumerate(t) if c) for t in tuples]
             assert g.support_array.tolist() == supports
-            assert [c.tolist() for c in g.cells] == _zero_count_cells(tuples, n)
+            assert list(g.cell_sizes()) == [len(c) for c in _zero_count_cells(tuples, n)]
         first, second = _sides(b)
         assert b.coords[first].tolist() == [list(c) for c in side_a]
         assert b.coords[second].tolist() == [list(c) for c in side_b]
@@ -110,8 +110,8 @@ def test_build_peak_memory_is_a_few_vertex_arrays(m, n):
     # The ordered builders hold at most a few arrays of <= N rows at once,
     # in one-byte digits at these m, and the graph keeps the builder's
     # coordinate array without a copy.  A vertex costs the graph n bytes
-    # of digits and 16 more (an 8-byte support and an 8-byte cell index);
-    # the peak stays within three times that, about 24-58 bytes a vertex.
+    # of digits and 8 more (an 8-byte support); the peak stays within
+    # three times that, about 19-58 bytes a vertex.
     for builder in (build_graph, build_bipartite):
         tracemalloc.start()
         try:
@@ -119,7 +119,23 @@ def test_build_peak_memory_is_a_few_vertex_arrays(m, n):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * (n + 16) * g.vertex_count, (builder.__name__, peak / g.vertex_count)
+        assert peak < 3 * (n + 8) * g.vertex_count, (builder.__name__, peak / g.vertex_count)
+
+
+@pytest.mark.parametrize("m, n", [(4, 7), (5, 6)])
+def test_graph_keeps_its_coordinates_and_supports(m, n):
+    # A graph made from a builder's coordinates shares them and adds one
+    # 8-byte support a vertex; the zero-count partition is not stored.
+    for builder in (build_graph, build_bipartite):
+        built = builder(m, n)
+        tracemalloc.start()
+        try:
+            g = type(built)(m, n, built.coords)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(g.coords, built.coords)
+        assert current < 9 * g.vertex_count, (builder.__name__, current / g.vertex_count)
 
 
 def test_built_count_is_checked_against_the_count_law(monkeypatch):
@@ -145,7 +161,7 @@ def test_graph_from_coordinates_matches_build():
                 assert other.coords.dtype == built.coords.dtype
                 assert np.array_equal(other.support_array, built.support_array)
                 assert other.support_array.dtype == np.uint64
-                assert [c.tolist() for c in other.cells] == [c.tolist() for c in built.cells]
+                assert other.cell_sizes() == built.cell_sizes()
                 assert other.labels() == built.labels()
                 assert empirical_quotient(other) == empirical_quotient(built)
         assert [s.tolist() for s in _sides(type(b)(m, n, b.coords))] == [
@@ -163,10 +179,9 @@ def test_cells_and_sides_of_permuted_coordinates(graphs, m, n, role):
     coords = np.random.default_rng(11).permutation(built.coords)
     g = type(built)(m, n, coords)
     rows = coords.tolist()
-    zeros = [row.count(0) for row in rows]
-    assert [c.tolist() for c in g.cells] == [
-        [v for v in range(len(rows)) if zeros[v] == i] for i in range(1, n)
-    ]
+    cells = _zero_count_cells(rows, n)
+    assert list(g.cell_sizes()) == [len(cell) for cell in cells]
+    assert [graph_module._cell_rows(g, i).tolist() for i in range(1, n)] == cells
     if role == "bipartite":
         assert [s.tolist() for s in _sides(g)] == [
             [v for v, row in enumerate(rows) if row[-2] != 0 and row[-1] == 0],
@@ -218,10 +233,9 @@ def test_few_rows_at_large_n_cost_what_the_rows_cost():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    zeros = [row.count(0) for row in rows]
-    assert [c.tolist() for c in g.cells] == [
-        [v for v in range(3) if zeros[v] == i] for i in range(1, 24)
-    ]
+    cells = [graph_module._cell_rows(g, i).tolist() for i in range(1, 24)]
+    assert cells == _zero_count_cells(rows, 24)
+    assert "class_sizes" not in vars(g)
     assert peak < 2**20
 
 
@@ -319,17 +333,18 @@ def test_cell_sizes_closed_form(graphs):
     for m in (2, 3, 4):
         for n in (2, 3, 4, 5, 6):
             g = graphs(m, n)
-            sizes = tuple(len(cell) for cell in g.cells)
-            assert sizes == expected_cell_sizes(m, n, "full")
+            assert g.cell_sizes() == expected_cell_sizes(m, n, "full")
             b = graphs(m, n, "bipartite")
-            bsizes = tuple(len(cell) for cell in b.cells)
-            assert bsizes == expected_cell_sizes(m, n, "bipartite")
+            assert b.cell_sizes() == expected_cell_sizes(m, n, "bipartite")
 
 
 def test_cells_group_by_zero_count(graphs):
-    g = graphs(3, 4)
-    for i, cell in enumerate(g.cells, start=1):
-        assert ((g.coords[cell] == 0).sum(axis=1) == i).all()
+    for role in ("full", "bipartite"):
+        g = graphs(3, 4, role)
+        cells = _zero_count_cells(g.coords.tolist(), 4)
+        assert list(g.cell_sizes()) == [len(cell) for cell in cells]
+        for i, cell in enumerate(cells, start=1):
+            assert graph_module._cell_rows(g, i).tolist() == cell
 
 
 def test_expected_cell_sizes_role_validation():
@@ -384,7 +399,7 @@ def test_empirical_quotient_on_unions_of_support_classes(graphs, m, n):
     rng = np.random.default_rng(m * n)
     for sub in cases + [ZeroDivisorGraph(m, n, rng.permutation(c.coords)) for c in cases]:
         rows = sub.coords.tolist()
-        expected = quotient_by_counting(rows, [c.tolist() for c in sub.cells])
+        expected = quotient_by_counting(rows, _zero_count_cells(rows, n))
         assert empirical_quotient(sub) == tuple(tuple(row) for row in expected)
     assert empirical_quotient(cases[2]) == build_q(m, n).entries
 
@@ -454,7 +469,7 @@ def test_non_equitable_witnesses_match_brute_force(graphs, m, n, role):
         rng = np.random.default_rng(seed)
         keep = rng.choice(built.vertex_count, size=built.vertex_count // 2, replace=False)
         g = type(built)(m, n, built.coords[keep])
-        cells = [cell.tolist() for cell in g.cells]
+        cells = _zero_count_cells(g.coords.tolist(), n)
         assert all(cells), seed
         expected = _brute_witnesses(g, cells)
         assert expected is not None, seed
