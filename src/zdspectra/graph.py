@@ -25,8 +25,10 @@ graph-level sum runs on the lattice of the 2**n supports instead of the
 vertex set.  Each graph counts its rows per support once, on first read
 (`class_sizes`, which also give the cell sizes); `disjoint_sums` adds up
 a per-support table over every support disjoint from each support with
-a subset-sum transform, in O(n * 2**n) time, and `empirical_quotient`
-decides equitability with one row of neighbour counts per support.  A
+an in-place subset-sum transform, in O(n * 2**n) time, and each graph
+decides once, on first read, whether its zero-count partition is
+equitable (`equitable_quotient`, one row of neighbour counts per
+support), for both `empirical_quotient` and the Krylov rank.  A
 built graph has at least 2**(n-1) vertices, so for it this work is
 O(vertex count); a hand-made graph of few rows pays for the whole
 lattice, 2**n * (n-1) entries in the quotient, since the lattice is
@@ -147,8 +149,9 @@ class _SupportGraph:
     unsigned dtype that holds 0..m-1, so an array already in that dtype
     (as the builders write it) is not copied.  The constructor derives
     only each row's support bitmask, so its cost follows the rows, not
-    2**n.  `class_sizes` is built on first read and `cell_sizes` sums it
-    by zero count (cell i holds the rows with i zero coordinates, 1..n-1);
+    2**n.  `class_sizes` and `equitable_quotient` are built on first
+    read, and `cell_sizes` sums the class sizes by zero count (cell i
+    holds the rows with i zero coordinates, 1..n-1);
     a cell's rows are found from the supports only for a DOT export or a
     witness of `empirical_quotient`, named by the rule stated there.
     """
@@ -188,6 +191,17 @@ class _SupportGraph:
         counts = np.zeros(self.n + 1, dtype=np.int64)
         np.add.at(counts, self.n - np.bitwise_count(present), self.class_sizes[present])
         return tuple(counts[1:-1].tolist())
+
+    @cached_property
+    def equitable_quotient(self) -> tuple[tuple[int, ...], ...] | None:
+        """The quotient matrix of the zero-count partition when that
+        partition is equitable with every row in a cell 1..n-1 and no
+        cell empty, else None; decided once, on first read, and shared by
+        `empirical_quotient` and `spectra.krylov_rank`."""
+        if not _fills_cells(self):
+            return None
+        _, firsts, failing = _cell_counts(self)
+        return None if failing.size else tuple(tuple(row) for row in firsts.tolist())
 
     def labels(self) -> tuple[str, ...]:
         """Each row's coordinates as text, comma-separated when m > 10."""
@@ -276,23 +290,55 @@ def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
     """out[s] = sum of table[t] over all supports t disjoint from s.
 
     `table` has one row per support bitmask (2**n rows, any trailing
-    shape).  A subset-sum transform along each of the n bit axes gives
-    the sum over t contained in r; the complement of s is 2**n - 1 - s,
-    so reversing the rows reads it at ~s.  Integer tables of dtype object
-    stay in exact Python integers.
+    shape).  A subset-sum transform gives the sum over t contained in r:
+    for each bit a, one in-place `view[:, 1] += view[:, 0]` on the
+    (2**(n-1-a), 2, 2**a, ...) view of a single copy adds each row
+    without bit a into the row with it.  The complement of s is
+    2**n - 1 - s, so reversing the rows reads it at ~s.  Each output is a
+    sum of at most 2**n entries of the table, in the table's dtype, so
+    integer tables of dtype object stay in exact Python integers.  The
+    Krylov rank feeds int64 residues below its prime p < 2**20, whose
+    sums stay below p * 2**n < 2**63 up to n = 43, past any lattice that
+    fits in memory; it reduces them mod p again before its Gram blocks,
+    whose dot products stay below 2**63 (spectra.krylov_rank).
     """
     table = np.asarray(table)
     if table.shape[0] != 1 << n:
         raise ValueError(f"table must have 2**{n} rows, got {table.shape[0]}")
-    work = table.reshape((2,) * n + table.shape[1:])
-    for axis in range(n):
-        work = np.cumsum(work, axis=axis, dtype=table.dtype)
-    return work.reshape(table.shape)[::-1]
+    work = table.copy()
+    for a in range(n):
+        view = work.reshape((1 << (n - 1 - a), 2, 1 << a) + table.shape[1:])
+        view[:, 1] += view[:, 0]
+    return work[::-1]
 
 
 def _cell_rows(graph: _SupportGraph, zeros: int) -> np.ndarray:
     """Indices of the rows with `zeros` zero coordinates, ascending."""
     return np.flatnonzero(graph.n - np.bitwise_count(graph.support_array) == zeros)
+
+
+def _fills_cells(graph: _SupportGraph) -> bool:
+    """Every row has a zero and a nonzero coordinate, and every zero
+    count 1..n-1 has a row."""
+    sizes = graph.class_sizes
+    return not (sizes[0] or sizes[-1]) and all(graph.cell_sizes())
+
+
+def _cell_counts(graph: _SupportGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sums, firsts, failing): sums[s, j] is the number of neighbours a
+    vertex of support s has in cell j + 1, for every support s; firsts[i]
+    is the row of the first support present in cell i + 1; failing holds
+    the 0-based cell of each support present whose row differs from its
+    cell's first."""
+    n, sizes = graph.n, graph.class_sizes
+    present = np.flatnonzero(sizes)
+    cell_of = n - 1 - np.bitwise_count(present)
+    table = np.zeros((1 << n, n - 1), dtype=np.int64)
+    table[present, cell_of] = sizes[present]
+    sums = disjoint_sums(table, n)
+    firsts = sums[present[np.unique(cell_of, return_index=True)[1]]]
+    failing = cell_of[(sums[present] != firsts[cell_of]).any(axis=1)]
+    return sums, firsts, failing
 
 
 def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
@@ -301,43 +347,37 @@ def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
 
     Vertices with the same support have the same neighbours, and a
     support's cell is fixed by its zero count, so equitability is decided
-    on the lattice alone: the class sizes, placed in the column of each
-    support's cell and summed over disjoint supports, give one row of
-    neighbour counts per support, and each support present is compared
-    with the first support present in its cell (any would do).  Rows are
-    read, and two labelled, only to name the witnesses of a mismatch: the
-    first cell that fails, its first row, its first row whose support row
-    differs from that row's, and the first column where they differ.
+    on the lattice alone, once per graph (`equitable_quotient`): the
+    class sizes, placed in the column of each support's cell and summed
+    over disjoint supports, give one row of neighbour counts per support,
+    and each support present is compared with the first support present
+    in its cell (any would do).  Rows are read, and two labelled, only to
+    name the witnesses of a mismatch: the first cell that fails, its
+    first row, its first row whose support row differs from that row's,
+    and the first column where they differ.
 
     Returns the quotient matrix as nested tuples; raises
     NotEquitableError with those two witness vertices when a cell is not
     equitable, and ValueError when a row has no zero or no nonzero
     coordinate or a cell is empty (only hand-made coordinates can).
     """
-    n, sizes = graph.n, graph.class_sizes
-    if sizes[0] or sizes[-1] or not all(graph.cell_sizes()):
+    quotient = graph.equitable_quotient
+    if quotient is not None:
+        return quotient
+    if not _fills_cells(graph):
         raise ValueError(
             "every row needs a zero and a nonzero coordinate, "
             "and every zero count 1..n-1 a row"
         )
-    present = np.flatnonzero(sizes)
-    cell_of = n - 1 - np.bitwise_count(present)
-    table = np.zeros((1 << n, n - 1), dtype=np.int64)
-    table[present, cell_of] = sizes[present]
-    # sums[s, j] = number of neighbours of a vertex of support s inside cell j
-    sums = disjoint_sums(table, n)
-    firsts = sums[present[np.unique(cell_of, return_index=True)[1]]]
-    bad = (sums[present] != firsts[cell_of]).any(axis=1)
-    if bad.any():
-        i = int(cell_of[bad].min())
-        rows = _cell_rows(graph, i + 1)
-        row_sums = sums[graph.support_array[rows]]
-        first = row_sums[0]
-        k = int(np.flatnonzero((row_sums != first).any(axis=1))[0])
-        col = int(np.flatnonzero(row_sums[k] != first)[0])
-        a, b = _labels(graph.m, graph.coords[rows[[0, k]]])
-        raise NotEquitableError(i + 1, col + 1, a, int(first[col]), b, int(row_sums[k, col]))
-    return tuple(tuple(row) for row in firsts.tolist())
+    sums, _, failing = _cell_counts(graph)
+    i = int(failing.min())
+    rows = _cell_rows(graph, i + 1)
+    row_sums = sums[graph.support_array[rows]]
+    first = row_sums[0]
+    k = int(np.flatnonzero((row_sums != first).any(axis=1))[0])
+    col = int(np.flatnonzero(row_sums[k] != first)[0])
+    a, b = _labels(graph.m, graph.coords[rows[[0, k]]])
+    raise NotEquitableError(i + 1, col + 1, a, int(first[col]), b, int(row_sums[k, col]))
 
 
 def adjacency_matrix(graph: _SupportGraph) -> np.ndarray:

@@ -151,6 +151,16 @@ def krylov_rank_rows(rows) -> int:
     return rank
 
 
+def disjoint_sums_cumsum(table: np.ndarray, n: int) -> np.ndarray:
+    """out[s] = sum of table[t] over the supports t disjoint from s: a
+    cumulative sum along each axis of the (2,) * n view gives the sum
+    over the subsets of each support, read at the complement ~s."""
+    work = table.reshape((2,) * n + table.shape[1:])
+    for axis in range(n):
+        work = np.cumsum(work, axis=axis, dtype=table.dtype)
+    return work.reshape(table.shape)[::-1]
+
+
 def neighbor_counts(
     vertices: list[tuple[int, ...]],
     cells: list[list[int]],

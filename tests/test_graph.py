@@ -30,6 +30,7 @@ from oracles import (
     brute_edges,
     brute_sides,
     brute_vertices,
+    disjoint_sums_cumsum,
     neighbor_counts,
     quotient_by_counting,
 )
@@ -438,6 +439,23 @@ def test_disjoint_sums_against_direct_sum():
     assert disjoint_sums(big, 2).tolist() == [10**30 + 6, 10**30 + 2, 10**30 + 1, 10**30]
     with pytest.raises(ValueError):
         disjoint_sums(np.zeros(8), 2)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_disjoint_sums_matches_the_cumsum_transform(n):
+    # The in-place transform against one cumsum per bit axis, on int64
+    # and exact-integer tables with 0, 1 and 3 trailing columns; the
+    # input table is left as it was.
+    rng = np.random.default_rng(n)
+    for trailing in ((), (1,), (3,)):
+        ints = rng.integers(-(2**40), 2**40, size=(1 << n,) + trailing)
+        big = ints.astype(object) * 10**25 + 7
+        for table in (ints, big):
+            before = table.copy()
+            out = disjoint_sums(table, n)
+            assert out.dtype == table.dtype and out.shape == table.shape
+            assert out.tolist() == disjoint_sums_cumsum(table, n).tolist()
+            assert table.tolist() == before.tolist()
 
 
 def _brute_witnesses(g, cells):

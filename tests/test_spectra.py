@@ -15,17 +15,20 @@ from zdspectra.fib import (
     zphi_is_zero,
     zphi_to_quadratic,
 )
+from zdspectra import graph as graph_module
 from zdspectra import spectra
 from zdspectra.cli import DEFAULT_DENSE_CAP
 from zdspectra.graph import (
+    DEFAULT_SIZE_CAP,
     ZeroDivisorGraph,
     adjacency_matrix,
     build_bipartite,
     build_graph,
+    empirical_quotient,
     expected_cell_sizes,
     vertex_count,
 )
-from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
+from zdspectra.quotient import build_p, build_q, exact_det, exact_rank, walk_matrix_iterative
 from zdspectra.spectra import (
     AmbiguousClassification,
     CheckResult,
@@ -122,7 +125,7 @@ def test_two_vertex_classification():
     report = classify_main(K2)
     mains = report.main_values()
     assert mains == (1.0,) or np.allclose(mains, [1.0])
-    assert len(report.nonmain_values()) == 1
+    assert [g.is_main for g in report.groups].count(False) == 1
     assert report.total_multiplicity == 2
 
 
@@ -131,7 +134,7 @@ def test_path_graph_has_two_main_values():
     # survive the all-ones projection.
     report = classify_main(PATH3)
     assert np.allclose(sorted(report.main_values()), [-math.sqrt(2), math.sqrt(2)])
-    assert np.allclose(report.nonmain_values(), [0.0], atol=1e-12)
+    assert np.allclose([g.value for g in report.groups if not g.is_main], [0.0], atol=1e-12)
     # the same path on coordinates: 011 -- 100 -- 010
     path = ZeroDivisorGraph(2, 3, np.array([[0, 1, 1], [1, 0, 0], [0, 1, 0]]))
     assert np.array_equal(adjacency_matrix(path), PATH3)
@@ -228,56 +231,143 @@ def test_krylov_rank_of_graph_matches_its_adjacency(graphs, role):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_krylov_rank_on_irregular_vertex_subsets(graphs, seed):
+def test_krylov_rank_on_irregular_vertex_subsets(monkeypatch, graphs, seed):
     # Induced subgraphs on random vertex subsets have uneven support
-    # classes, so the lattice route must weight each class by its size.
+    # classes and a zero-count partition that is not equitable, so the
+    # rank comes from the exact loop, which weights each class by its size.
     g = graphs(3, 4)
     rng = np.random.default_rng(seed)
     keep = sorted(rng.choice(g.vertex_count, size=25, replace=False).tolist())
     sub = ZeroDivisorGraph(g.m, g.n, g.coords[keep])
     rows = brute_adjacency(sub.coords.tolist())
+    exact_loops = _spy_exact_loop(monkeypatch)
+    assert sub.equitable_quotient is None
     assert krylov_rank(sub) == krylov_rank_rows(rows)
+    assert exact_loops == [sub]
+
+
+def _spy_exact_loop(monkeypatch):
+    """Record each graph that krylov_rank hands to the exact loop."""
+    seen = []
+    exact_loop = spectra._exact_krylov_rank
+
+    def recording_loop(graph):
+        seen.append(graph)
+        return exact_loop(graph)
+
+    monkeypatch.setattr(spectra, "_exact_krylov_rank", recording_loop)
+    return seen
+
+
+def _spy_dets(monkeypatch):
+    """Record the shape of each matrix whose determinant spectra takes."""
+    shapes = []
+
+    def recording_det(matrix):
+        shapes.append((len(matrix), len(matrix[0])))
+        return exact_det(matrix)
+
+    monkeypatch.setattr(spectra, "exact_det", recording_det)
+    return shapes
 
 
 def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
-    # 1022 vertices with one support each: the exact ranks must see at
-    # most (n-1)+1 = 10 Krylov vectors' Gram matrix, never rows of 1022.
-    shapes = []
-
-    def recording_rank(matrix):
-        shapes.append((len(matrix), len(matrix[0])))
-        return exact_rank(matrix)
-
-    monkeypatch.setattr(spectra, "exact_rank", recording_rank)
+    # 1022 vertices with one support each: the rank takes one determinant,
+    # of the (n-1) x (n-1) Gram matrix mod p of the n-1 Krylov vectors,
+    # never of rows of 1022, and the exact loop (the only caller of
+    # exact_rank) never runs.
+    shapes = _spy_dets(monkeypatch)
+    exact_loops = _spy_exact_loop(monkeypatch)
     assert krylov_rank(build_graph(2, 10)) == 9
-    assert shapes and all(r <= 10 and c <= 10 for r, c in shapes)
+    assert shapes == [(9, 9)]
+    assert exact_loops == []
 
 
-def test_krylov_main_check_needs_no_column_cap(monkeypatch, bundles):
-    # The main check once capped its Krylov vectors at (groups + 1).  On
-    # every dense graph of the default verify grid the Gram matrices it
-    # ranks have order at most (main count + 1) <= (groups + 1), so that
-    # cap never bound and removing it changes no work.
-    orders = []
-
-    def recording_rank(matrix):
-        orders.append(len(matrix))
-        return exact_rank(matrix)
-
-    monkeypatch.setattr(spectra, "exact_rank", recording_rank)
-    cells = 0
+def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, bundles):
+    # The main check once capped its Krylov vectors at (groups + 1); the
+    # rank now builds exactly n-1 vectors, no more than the n-1 main
+    # values.  Every graph of the default verify grid (the 29 within the
+    # dense cap through the main check, the one above it directly) and
+    # (2,10) gets rank n-1 from one Gram matrix of order n-1 mod p,
+    # without the exact loop.
+    shapes = _spy_dets(monkeypatch)
+    exact_loops = _spy_exact_loop(monkeypatch)
+    dense = 0
     for m in range(2, 5):
         for n in range(2, 7):
             for role in ("full", "bipartite"):
-                if vertex_count(m, n, role) > DEFAULT_DENSE_CAP:
-                    continue
-                bundle = bundles(m, n, role)
-                main = len(bundle.report.main_values())
-                orders.clear()
-                assert _krylov_main_check(bundle, role).passed, (m, n, role)
-                assert orders and max(orders) <= main + 1, (m, n, role, orders)
-                cells += 1
-    assert cells == 29
+                shapes.clear()
+                if vertex_count(m, n, role) <= DEFAULT_DENSE_CAP:
+                    bundle = bundles(m, n, role)
+                    assert len(bundle.report.main_values()) == n - 1, (m, n, role)
+                    assert _krylov_main_check(bundle, role).passed, (m, n, role)
+                    dense += 1
+                else:
+                    assert krylov_rank(graphs(m, n, role)) == n - 1, (m, n, role)
+                assert shapes == [(n - 1, n - 1)], (m, n, role)
+    assert dense == 29
+    assert krylov_rank(graphs(2, 10)) == 9
+    assert exact_loops == []
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7])
+def test_krylov_rank_falls_back_to_the_exact_loop_at_small_primes(monkeypatch, graphs, prime):
+    # Modulo a tiny prime many Gram determinants vanish; each such graph
+    # must reach the exact loop and still get rank n-1.  Of the 46 graphs
+    # within the size cap, all fall back at p = 2 and 9 still do at p = 7.
+    monkeypatch.setattr(spectra, "KRYLOV_PRIME", prime)
+    exact_loops = _spy_exact_loop(monkeypatch)
+    for m in range(2, 6):
+        for n in range(2, 8):
+            for role in ("full", "bipartite"):
+                if vertex_count(m, n, role) <= DEFAULT_SIZE_CAP:
+                    assert krylov_rank(graphs(m, n, role)) == n - 1, (prime, m, n, role)
+    assert len(exact_loops) == {2: 46, 3: 32, 5: 20, 7: 9}[prime]
+
+
+def test_krylov_prime_keeps_int64_sums_exact():
+    p = spectra.KRYLOV_PRIME
+    assert p == 1_048_573 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert spectra._GRAM_BLOCK * (p - 1) ** 2 < 2**63
+    # lattice sums below p * 2**n fit int64 up to n = 43, where the
+    # lattice alone would take 2**46 bytes
+    assert p << 43 < 2**63
+
+
+@pytest.mark.parametrize("prime, block", [(1_048_573, 3), (2**31 - 1, 1), (7, 2)])
+def test_gram_mod_sums_blocks_without_overflow(monkeypatch, prime, block):
+    # The blocked int64 Gram equals the exact Gram reduced mod p.  At
+    # p = 2**31 - 1 a single product reaches 2**62, so only one-column
+    # blocks keep int64 exact: the unblocked product wraps.
+    monkeypatch.setattr(spectra, "_GRAM_BLOCK", block)
+    rng = np.random.default_rng(block)
+    vectors = rng.integers(prime - 5, prime, size=(5, 17))
+    exact = vectors.astype(object) @ vectors.T.astype(object) % prime
+    gram = spectra._gram_mod(vectors, prime)
+    assert gram.dtype == np.int64
+    assert gram.tolist() == exact.tolist()
+    if prime > 2**30:
+        assert (vectors @ vectors.T % prime).tolist() != exact.tolist()
+    monkeypatch.setattr(spectra, "KRYLOV_PRIME", min(prime, 1_048_573))
+    assert krylov_rank(build_bipartite(3, 6)) == 5
+
+
+def test_krylov_rank_reads_the_graphs_equitability_once(monkeypatch, graphs):
+    # empirical_quotient and krylov_rank share one lattice decision.
+    calls = []
+    cell_counts = graph_module._cell_counts
+
+    def recording_counts(graph):
+        calls.append(graph)
+        return cell_counts(graph)
+
+    monkeypatch.setattr(graph_module, "_cell_counts", recording_counts)
+    built = graphs(3, 5)
+    g = type(built)(built.m, built.n, built.coords)
+    assert empirical_quotient(g) == build_p(3, 5).entries
+    assert krylov_rank(g) == 4
+    assert empirical_quotient(g) == build_p(3, 5).entries
+    assert calls == [g]
 
 
 def test_krylov_rank_matches_walk_rank(graphs):
