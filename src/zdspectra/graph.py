@@ -297,10 +297,8 @@ def disjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
     2**n - 1 - s, so reversing the rows reads it at ~s.  Each output is a
     sum of at most 2**n entries of the table, in the table's dtype, so
     integer tables of dtype object stay in exact Python integers.  The
-    Krylov rank feeds int64 residues below its prime p < 2**20, whose
-    sums stay below p * 2**n < 2**63 up to n = 43, past any lattice that
-    fits in memory; it reduces them mod p again before its Gram blocks,
-    whose dot products stay below 2**63 (spectra.krylov_rank).
+    int64 tables of the equitability check hold class sizes, whose sums
+    are at most the vertex count.
     """
     table = np.asarray(table)
     if table.shape[0] != 1 << n:

@@ -16,14 +16,13 @@ polynomial (Berkowitz's division-free algorithm), and each determinant
 is tested for zero in integers.  Values become QuadraticNumbers only
 for the report: a failing check's detail or a printed exact eigenvalue;
 predicted floats are read straight off the integer pairs.  A graph's
-Krylov rank is computed on its support lattice, from the graph's class
-sizes alone (one entry per support present, see graph.disjoint_sums),
-so it never forms the adjacency matrix; only the dense eigensolve does.
-When the graph's zero-count partition is equitable, the n - 1 cells
-bound the rank from above and one determinant of the Gram matrix of
-n - 1 Krylov vectors, built in int64 modulo the prime KRYLOV_PRIME,
-bounds it from below; any other graph, or a determinant that vanishes
-mod p, gets the exact loop that ranks Gram matrices in Python integers.
+Krylov rank never forms the adjacency matrix; only the dense eigensolve
+does.  When the graph's zero-count partition is equitable, the rank is
+the exact rank of its quotient's (n - 1) x (n - 1) walk matrix (see
+krylov_rank for why); any other graph gets the exact loop on its
+support lattice, from the graph's class sizes alone (one entry per
+support present, see graph.disjoint_sums), which ranks Gram matrices
+in Python integers.
 
 Each spectral claim has one path, a public function that returns one
 graph's checks in report order from precomputed predictions and eigen
@@ -53,12 +52,13 @@ from .fib import (
 )
 from .graph import adjacency_matrix, disjoint_sums, vertex_count
 from .quotient import (
+    QuotientKind,
     QuotientMatrix,
     build_p,
     build_q,
-    exact_det,
     exact_rank,
     json_safe_int,
+    walk_matrix_iterative,
 )
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "GROUPING_GAP_REL",
     "PROJECTION_THRESHOLD",
     "DEAD_BAND_FACTOR",
-    "KRYLOV_PRIME",
     "AmbiguousClassification",
     "EigenvalueGroup",
     "SpectralReport",
@@ -212,59 +211,32 @@ def classify_main(matrix: object) -> SpectralReport:
 
 # -- exact Krylov rank ------------------------------------------------------
 
-# The Krylov rank's lower bound is taken modulo this prime.  It is below
-# 2**20, so residue products stay below 2**40 and a Gram block of
-# _GRAM_BLOCK columns sums them below 2**63.
-KRYLOV_PRIME = 1_048_573
-_GRAM_BLOCK = 2**63 // 2**40
-
 
 def krylov_rank(graph: object) -> int:
     """Rank of [e, Ae, A**2 e, ...] over the rationals, exactly, for the
     adjacency matrix A of a graph: its number of main eigenvalues.  A is
-    applied on the graph's support lattice (its class sizes) without
-    being formed.
+    never formed.
 
-    Two bounds meet when the graph's zero-count partition is equitable
-    with its n - 1 cells filled (`graph.equitable_quotient`, decided once
-    per graph).  From above: A maps the span of the n - 1 cell indicators
-    into itself and e lies in it, so the rank is at most n - 1.  From
-    below: the n - 1 Krylov vectors v_0..v_{n-2} are built in int64
-    modulo the prime p = KRYLOV_PRIME, and their Gram matrix G mod p is
-    formed in column blocks (`_gram_mod`).  The determinant of G mod p,
-    taken exactly, is congruent to det G, so a nonzero residue makes
-    det G nonzero: the vectors are independent and the rank is at least
-    n - 1.  Both bounds hold, and n - 1 is returned.
+    When the graph's zero-count partition is equitable with its n - 1
+    cells filled (`graph.equitable_quotient`, decided once per graph),
+    the rank is the exact rank of the walk matrix [1, B1, ..., B**(n-2) 1]
+    of its quotient B.  Let E be the vertex-by-cell indicator matrix.  The
+    equitability check establishes A E = E B, and e = E 1, so
+    A**k e = E B**k 1 for every k.  No cell is empty, so E has full
+    column rank and the Krylov matrix of A has the rank of the walk
+    matrix of B.  By Cayley-Hamilton, B**k 1 for k >= n - 1 lies in the
+    span of the first n - 1 columns, so those n - 1 columns suffice.
 
-    In every other case (a partition that is not equitable, a row outside
-    the cells 1..n-1, an empty cell, or det G = 0 mod p) the rank comes
-    from the exact loop in Python integers, `_exact_krylov_rank`.
+    Any other graph (a partition that is not equitable, a row outside
+    the cells 1..n-1, or an empty cell) gets the exact loop on its
+    support lattice, `_exact_krylov_rank`.
     """
-    if graph.equitable_quotient is None:
+    quotient = graph.equitable_quotient
+    if quotient is None:
         return _exact_krylov_rank(graph)
-    n, p = graph.n, KRYLOV_PRIME
-    sizes = graph.class_sizes
-    present = np.flatnonzero(sizes)
-    weights = sizes[present] % p
-    table = np.zeros(len(sizes), dtype=np.int64)
-    vectors = np.ones((n - 1, len(present)), dtype=np.int64)
-    for k in range(1, n - 1):
-        table[present] = weights * vectors[k - 1] % p
-        vectors[k] = disjoint_sums(table, n)[present] % p
-    if exact_det(_gram_mod(vectors, p).tolist()) % p:
-        return n - 1
-    return _exact_krylov_rank(graph)
-
-
-def _gram_mod(vectors: np.ndarray, p: int) -> np.ndarray:
-    """vectors @ vectors.T mod p for int64 residues below p, summed over
-    column blocks of _GRAM_BLOCK: each block's dot products are sums of
-    at most _GRAM_BLOCK products below p**2, so they stay below 2**63."""
-    gram = np.zeros((len(vectors), len(vectors)), dtype=np.int64)
-    for start in range(0, vectors.shape[1], _GRAM_BLOCK):
-        block = vectors[:, start : start + _GRAM_BLOCK]
-        gram = (gram + block @ block.T % p) % p
-    return gram
+    # the kind only labels the walk matrix; its rank reads the entries alone
+    walk = walk_matrix_iterative(QuotientMatrix(QuotientKind.P, graph.m, graph.n, quotient))
+    return exact_rank(walk)
 
 
 def _exact_krylov_rank(graph: object) -> int:

@@ -19,7 +19,6 @@ from zdspectra import graph as graph_module
 from zdspectra import spectra
 from zdspectra.cli import DEFAULT_DENSE_CAP
 from zdspectra.graph import (
-    DEFAULT_SIZE_CAP,
     ZeroDivisorGraph,
     adjacency_matrix,
     build_bipartite,
@@ -28,7 +27,7 @@ from zdspectra.graph import (
     expected_cell_sizes,
     vertex_count,
 )
-from zdspectra.quotient import build_p, build_q, exact_det, exact_rank, walk_matrix_iterative
+from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
 from zdspectra.spectra import (
     AmbiguousClassification,
     CheckResult,
@@ -196,6 +195,9 @@ def test_krylov_rank_small_cases():
         (3, 2, [[1, 0], [2, 0], [0, 1], [0, 2]], 1),  # two twin pairs: the 4-cycle
         (2, 3, [[1, 0, 0], [0, 1, 1], [0, 1, 0]], 2),  # a star: 011 and 010 share a bit
         (2, 3, [[1, 1, 0], [0, 1, 1], [0, 1, 0]], 1),  # every row holds bit 1: no edges
+        # equitable, quotient ((0,0,0),(0,0,1),(0,1,0)): a nonzero quotient
+        # whose walk matrix [1, B1, B**2 1] is singular
+        (3, 4, [[0, 0, 2, 1], [1, 0, 0, 0], [1, 1, 0, 2], [2, 0, 1, 1], [2, 1, 0, 2]], 2),
     ]
     for m, n, rows, rank in cases:
         g = ZeroDivisorGraph(m, n, np.array(rows))
@@ -203,9 +205,8 @@ def test_krylov_rank_small_cases():
 
 
 def test_krylov_rank_of_built_graphs_is_the_quotient_rank():
-    # Class sizes up to (m-1)**(n-1) weigh the lattice vectors; both
-    # graphs have Krylov rank n - 1, the rank the reference finds for
-    # their quotients.
+    # Both graphs have Krylov rank n - 1, the rank the reference finds
+    # for their quotients.
     for m, n in [(2, 6), (3, 5), (5, 6)]:
         for build, quotient in ((build_graph, build_p), (build_bipartite, build_q)):
             rank = krylov_rank(build(m, n))
@@ -222,8 +223,8 @@ def test_krylov_rank_validation():
 @pytest.mark.parametrize("role", ["full", "bipartite"])
 def test_krylov_rank_of_graph_matches_its_adjacency(graphs, role):
     # The reference row-reduces the vertex-space Krylov vectors of the
-    # brute-force adjacency at every step; the package ranks Gram
-    # matrices, of support-lattice vectors when given the graph.
+    # brute-force adjacency at every step; the package ranks the walk
+    # matrix of the graph's equitable quotient.
     for m, n in dense_grid():
         g = graphs(m, n, role)
         rows = brute_adjacency(g.coords.tolist())
@@ -259,24 +260,25 @@ def _spy_exact_loop(monkeypatch):
     return seen
 
 
-def _spy_dets(monkeypatch):
-    """Record the shape of each matrix whose determinant spectra takes."""
+def _spy_ranks(monkeypatch):
+    """Record the shape of each matrix whose rank spectra takes."""
     shapes = []
 
-    def recording_det(matrix):
-        shapes.append((len(matrix), len(matrix[0])))
-        return exact_det(matrix)
+    def recording_rank(matrix):
+        rows = getattr(matrix, "entries", matrix)
+        shapes.append((len(rows), len(rows[0])))
+        return exact_rank(matrix)
 
-    monkeypatch.setattr(spectra, "exact_det", recording_det)
+    monkeypatch.setattr(spectra, "exact_rank", recording_rank)
     return shapes
 
 
 def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
-    # 1022 vertices with one support each: the rank takes one determinant,
-    # of the (n-1) x (n-1) Gram matrix mod p of the n-1 Krylov vectors,
-    # never of rows of 1022, and the exact loop (the only caller of
-    # exact_rank) never runs.
-    shapes = _spy_dets(monkeypatch)
+    # 1022 vertices with one support each: the rank takes one exact_rank,
+    # of the (n-1) x (n-1) walk matrix of the graph's equitable quotient
+    # (no Gram matrix either, despite the name), never of rows of 1022,
+    # and the exact loop never runs.
+    shapes = _spy_ranks(monkeypatch)
     exact_loops = _spy_exact_loop(monkeypatch)
     assert krylov_rank(build_graph(2, 10)) == 9
     assert shapes == [(9, 9)]
@@ -285,12 +287,12 @@ def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
 
 def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, bundles):
     # The main check once capped its Krylov vectors at (groups + 1); the
-    # rank now builds exactly n-1 vectors, no more than the n-1 main
-    # values.  Every graph of the default verify grid (the 29 within the
-    # dense cap through the main check, the one above it directly) and
-    # (2,10) gets rank n-1 from one Gram matrix of order n-1 mod p,
-    # without the exact loop.
-    shapes = _spy_dets(monkeypatch)
+    # rank now reads n-1 walk columns, no more than the n-1 main values.
+    # Every graph of the default verify grid (the 29 within the dense cap
+    # through the main check, the one above it directly) and (2,10) gets
+    # rank n-1 from one exact_rank of its quotient's walk matrix, of
+    # order n-1, without the exact loop.
+    shapes = _spy_ranks(monkeypatch)
     exact_loops = _spy_exact_loop(monkeypatch)
     dense = 0
     for m in range(2, 5):
@@ -306,50 +308,10 @@ def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, bundles):
                     assert krylov_rank(graphs(m, n, role)) == n - 1, (m, n, role)
                 assert shapes == [(n - 1, n - 1)], (m, n, role)
     assert dense == 29
+    shapes.clear()
     assert krylov_rank(graphs(2, 10)) == 9
+    assert shapes == [(9, 9)]
     assert exact_loops == []
-
-
-@pytest.mark.parametrize("prime", [2, 3, 5, 7])
-def test_krylov_rank_falls_back_to_the_exact_loop_at_small_primes(monkeypatch, graphs, prime):
-    # Modulo a tiny prime many Gram determinants vanish; each such graph
-    # must reach the exact loop and still get rank n-1.  Of the 46 graphs
-    # within the size cap, all fall back at p = 2 and 9 still do at p = 7.
-    monkeypatch.setattr(spectra, "KRYLOV_PRIME", prime)
-    exact_loops = _spy_exact_loop(monkeypatch)
-    for m in range(2, 6):
-        for n in range(2, 8):
-            for role in ("full", "bipartite"):
-                if vertex_count(m, n, role) <= DEFAULT_SIZE_CAP:
-                    assert krylov_rank(graphs(m, n, role)) == n - 1, (prime, m, n, role)
-    assert len(exact_loops) == {2: 46, 3: 32, 5: 20, 7: 9}[prime]
-
-
-def test_krylov_prime_keeps_int64_sums_exact():
-    p = spectra.KRYLOV_PRIME
-    assert p == 1_048_573 and all(p % d for d in range(2, math.isqrt(p) + 1))
-    assert spectra._GRAM_BLOCK * (p - 1) ** 2 < 2**63
-    # lattice sums below p * 2**n fit int64 up to n = 43, where the
-    # lattice alone would take 2**46 bytes
-    assert p << 43 < 2**63
-
-
-@pytest.mark.parametrize("prime, block", [(1_048_573, 3), (2**31 - 1, 1), (7, 2)])
-def test_gram_mod_sums_blocks_without_overflow(monkeypatch, prime, block):
-    # The blocked int64 Gram equals the exact Gram reduced mod p.  At
-    # p = 2**31 - 1 a single product reaches 2**62, so only one-column
-    # blocks keep int64 exact: the unblocked product wraps.
-    monkeypatch.setattr(spectra, "_GRAM_BLOCK", block)
-    rng = np.random.default_rng(block)
-    vectors = rng.integers(prime - 5, prime, size=(5, 17))
-    exact = vectors.astype(object) @ vectors.T.astype(object) % prime
-    gram = spectra._gram_mod(vectors, prime)
-    assert gram.dtype == np.int64
-    assert gram.tolist() == exact.tolist()
-    if prime > 2**30:
-        assert (vectors @ vectors.T % prime).tolist() != exact.tolist()
-    monkeypatch.setattr(spectra, "KRYLOV_PRIME", min(prime, 1_048_573))
-    assert krylov_rank(build_bipartite(3, 6)) == 5
 
 
 def test_krylov_rank_reads_the_graphs_equitability_once(monkeypatch, graphs):
@@ -365,14 +327,25 @@ def test_krylov_rank_reads_the_graphs_equitability_once(monkeypatch, graphs):
     built = graphs(3, 5)
     g = type(built)(built.m, built.n, built.coords)
     assert empirical_quotient(g) == build_p(3, 5).entries
+    # with the quotient cached, the rank makes no lattice sum at all
+    sums = []
+    for module in (graph_module, spectra):
+        transform = module.disjoint_sums
+
+        def recording_sums(table, n, transform=transform):
+            sums.append(n)
+            return transform(table, n)
+
+        monkeypatch.setattr(module, "disjoint_sums", recording_sums)
     assert krylov_rank(g) == 4
+    assert sums == []
     assert empirical_quotient(g) == build_p(3, 5).entries
     assert calls == [g]
 
 
 def test_krylov_rank_matches_walk_rank(graphs):
-    # Hidden redundancy check: graph-side Krylov rank equals the exact
-    # rank of the quotient walk matrix.
+    # The graph's Krylov rank, read off its empirical quotient, equals
+    # the exact rank of the closed-form quotient's walk matrix.
     for m, n in [(2, 4), (3, 3), (3, 4)]:
         walk = walk_matrix_iterative(build_p(m, n))
         assert krylov_rank(graphs(m, n)) == exact_rank(walk)
