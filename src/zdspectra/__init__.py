@@ -21,7 +21,6 @@ from .quotient import (
     QuotientKind,
     QuotientMatrix,
     WalkFactorization,
-    WalkMatrix,
     build_p,
     build_q,
     det_walk_formula,
@@ -57,7 +56,6 @@ __all__ = [
     "golden_pair",
     "QuotientKind",
     "QuotientMatrix",
-    "WalkMatrix",
     "WalkFactorization",
     "build_p",
     "build_q",

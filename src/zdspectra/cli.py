@@ -46,9 +46,9 @@ from .graph import (
     vertex_count,
 )
 from .quotient import (
+    IntMatrix,
     QuotientKind,
     QuotientMatrix,
-    WalkMatrix,
     build_p,
     build_q,
     det_walk_formula,
@@ -149,15 +149,15 @@ class WalkRoutes:
     """A quotient's walk matrix by iteration and by closed form, its exact
     rank, and its determinant by elimination and by factorization."""
 
-    walk: WalkMatrix
-    closed: WalkMatrix
+    walk: IntMatrix
+    closed: IntMatrix
     rank: int
     det_elimination: int
     det_factorization: Fraction
 
     @property
     def walk_match(self) -> bool:
-        return self.closed.entries == self.walk.entries
+        return self.closed == self.walk
 
     @property
     def det_match(self) -> bool:
@@ -166,12 +166,12 @@ class WalkRoutes:
 
 def _walk_routes(quotient: QuotientMatrix) -> WalkRoutes:
     m, n, kind = quotient.m, quotient.n, quotient.kind
-    walk = walk_matrix_iterative(quotient)
+    walk = walk_matrix_iterative(quotient.entries)
     closed_of = walk_matrix_closed_p if kind is QuotientKind.P else walk_matrix_closed_q
     det = exact_det(walk)
     # A square matrix with a nonzero determinant has full rank, so the
     # rank needs its own elimination only when the determinant is 0.
-    rank = walk.order if det != 0 else exact_rank(walk)
+    rank = len(walk) if det != 0 else exact_rank(walk)
     return WalkRoutes(walk, closed_of(m, n), rank, det, det_walk_formula(m, n, kind))
 
 
@@ -445,13 +445,13 @@ def _quotient_text(fmt: str, quotient: QuotientMatrix, routes: WalkRoutes) -> st
     """
     kind, m, n = quotient.kind, quotient.m, quotient.n
     if fmt == "csv":
-        return matrix_to_csv(quotient)
+        return matrix_to_csv(quotient.entries)
     if fmt == "json":
         payload = {
             "kind": kind.value,
             "m": m,
             "n": n,
-            "matrix": matrix_json_entries(quotient),
+            "matrix": matrix_json_entries(quotient.entries),
             "row_sums": [str(x) for x in quotient.row_sums()],
             "walk_iterative": matrix_json_entries(routes.walk),
             "walk_closed": matrix_json_entries(routes.closed),
@@ -474,11 +474,11 @@ def _quotient_text(fmt: str, quotient: QuotientMatrix, routes: WalkRoutes) -> st
     lines = [f"quotient {kind.value} (m={m}, n={n})"]
     lines += block("matrix", quotient.entries)
     lines.append(f"row sums: {' '.join(str(x) for x in quotient.row_sums())}")
-    lines += block("walk matrix (iterative)", routes.walk.entries)
+    lines += block("walk matrix (iterative)", routes.walk)
     if routes.walk_match:
         lines.append("walk matrix (closed form): identical")
     else:
-        lines += block("walk matrix (closed form)", routes.closed.entries)
+        lines += block("walk matrix (closed form)", routes.closed)
     if kind is QuotientKind.P:
         lines.append(
             "h coefficients: "

@@ -201,7 +201,7 @@ class _SupportGraph:
         if not _fills_cells(self):
             return None
         _, firsts, failing = _cell_counts(self)
-        return None if failing.size else tuple(tuple(row) for row in firsts.tolist())
+        return None if failing else tuple(firsts)
 
     def labels(self) -> tuple[str, ...]:
         """Each row's coordinates as text, comma-separated when m > 10."""
@@ -322,20 +322,27 @@ def _fills_cells(graph: _SupportGraph) -> bool:
     return not (sizes[0] or sizes[-1]) and all(graph.cell_sizes())
 
 
-def _cell_counts(graph: _SupportGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cell_counts(graph: _SupportGraph) -> tuple[np.ndarray, list[tuple[int, ...]], list[int]]:
     """(sums, firsts, failing): sums[s, j] is the number of neighbours a
     vertex of support s has in cell j + 1, for every support s; firsts[i]
-    is the row of the first support present in cell i + 1; failing holds
-    the 0-based cell of each support present whose row differs from its
-    cell's first."""
+    is the row of the first support present in cell i + 1, as ints;
+    failing lists, ascending, each 0-based cell where some support's row
+    differs from that first row.  The table is dropped once summed and
+    each cell compared on its own, so at most two 2**n x (n-1) tables
+    are held at once."""
     n, sizes = graph.n, graph.class_sizes
     present = np.flatnonzero(sizes)
     cell_of = n - 1 - np.bitwise_count(present)
     table = np.zeros((1 << n, n - 1), dtype=np.int64)
     table[present, cell_of] = sizes[present]
     sums = disjoint_sums(table, n)
-    firsts = sums[present[np.unique(cell_of, return_index=True)[1]]]
-    failing = cell_of[(sums[present] != firsts[cell_of]).any(axis=1)]
+    del table
+    firsts, failing = [], []
+    for i in range(n - 1):
+        rows = sums[present[cell_of == i]]
+        firsts.append(tuple(rows[0].tolist()))
+        if (rows != rows[0]).any():
+            failing.append(i)
     return sums, firsts, failing
 
 
@@ -368,7 +375,7 @@ def empirical_quotient(graph: _SupportGraph) -> tuple[tuple[int, ...], ...]:
             "and every zero count 1..n-1 a row"
         )
     sums, _, failing = _cell_counts(graph)
-    i = int(failing.min())
+    i = failing[0]
     rows = _cell_rows(graph, i + 1)
     row_sums = sums[graph.support_array[rows]]
     first = row_sums[0]

@@ -10,8 +10,10 @@ and a product formula for the determinant.  All arithmetic in this
 module is exact, in Python integers and fractions; floats never appear.
 Matrix products run on object-dtype numpy arrays of Python ints, which
 keeps the arbitrary-precision arithmetic and moves the loops into C.
-The exact rank, determinant and serializers take integer matrices only,
-under one entry check (`_integer_rows`).
+`QuotientMatrix` (kind P or Q) is the one labelled type; walk matrices
+are integer rows, nested tuples of Python ints.  The iterative walk,
+exact rank, determinant and serializers take any integer matrix as
+nested rows or an ndarray, under one entry check (`_integer_rows`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .fib import check_params, fib_values
 __all__ = [
     "QuotientKind",
     "QuotientMatrix",
-    "WalkMatrix",
     "WalkFactorization",
     "build_p",
     "build_q",
@@ -61,14 +62,6 @@ class QuotientMatrix:
     m: int
     n: int
     entries: IntMatrix
-
-    @property
-    def order(self) -> int:
-        return self.n - 1
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based accessor."""
-        return self.entries[i - 1][j - 1]
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.entries)
@@ -103,35 +96,17 @@ def build_q(m: int, n: int) -> QuotientMatrix:
     return QuotientMatrix(QuotientKind.Q, m, n, entries)
 
 
-@dataclass(frozen=True)
-class WalkMatrix:
-    """Columns e, Be, ..., B**(n-2) e of a quotient matrix B, row-major."""
-
-    kind: QuotientKind
-    m: int
-    n: int
-    entries: IntMatrix
-
-    @property
-    def order(self) -> int:
-        return self.n - 1
-
-    def column(self, k: int) -> tuple[int, ...]:
-        """Column k = B**k e, for k in 0..n-2."""
-        return tuple(row[k] for row in self.entries)
-
-
-def walk_matrix_iterative(quotient: QuotientMatrix) -> WalkMatrix:
-    """Walk matrix by repeated exact matrix-vector products, on an
+def walk_matrix_iterative(matrix: object) -> IntMatrix:
+    """Walk matrix [1, B1, ..., B**(r-1) 1] of a square integer matrix B
+    of order r, by repeated exact matrix-vector products on an
     object-dtype array of Python ints."""
-    r = quotient.order
-    matrix = np.array(quotient.entries, dtype=object)
+    matrix = np.array(_integer_rows(matrix, square=True), dtype=object)
+    r = len(matrix)
     walk = np.empty((r, r), dtype=object)
     walk[:, 0] = 1
     for k in range(1, r):
         walk[:, k] = matrix.dot(walk[:, k - 1])
-    entries = tuple(map(tuple, walk.tolist()))
-    return WalkMatrix(quotient.kind, quotient.m, quotient.n, entries)
+    return tuple(map(tuple, walk.tolist()))
 
 
 def h_coefficients(m: int, n: int) -> tuple[int, ...]:
@@ -148,7 +123,7 @@ def h_coefficients(m: int, n: int) -> tuple[int, ...]:
     return tuple(hs)
 
 
-def walk_matrix_closed_p(m: int, n: int) -> WalkMatrix:
+def walk_matrix_closed_p(m: int, n: int) -> IntMatrix:
     """P-kind walk matrix from the closed form
 
         entry(i, k) = F[k]**n * g[k]**i - sum_j h_j * F[k-j-1]**n * g[k-j-1]**i
@@ -170,24 +145,23 @@ def walk_matrix_closed_p(m: int, n: int) -> WalkMatrix:
                 for k in range(n - 1)
             )
         )
-    return WalkMatrix(QuotientKind.P, m, n, tuple(rows))
+    return tuple(rows)
 
 
-def walk_matrix_closed_q(m: int, n: int) -> WalkMatrix:
+def walk_matrix_closed_q(m: int, n: int) -> IntMatrix:
     """Q-kind walk matrix from the closed form, in its integer shape:
 
         entry(i, k) = (m-1)**k * F[k]**(n-i-1) * F[k+1]**(i-1)
     """
     check_params(m, n)
     fs = fib_values(m, n)
-    entries = tuple(
+    return tuple(
         tuple(
             (m - 1) ** k * fs[k] ** (n - i - 1) * fs[k + 1] ** (i - 1)
             for k in range(n - 1)
         )
         for i in range(1, n)
     )
-    return WalkMatrix(QuotientKind.Q, m, n, entries)
 
 
 @dataclass(frozen=True)
@@ -311,10 +285,8 @@ def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
 
 def _integer_rows(matrix: object, *, square: bool = False) -> list[list[int]]:
     """Fresh row lists of a non-empty rectangular (with `square`, square)
-    matrix given as nested sequences, an integer ndarray or an object with
-    `.entries`.  Any entry that is not a Python int raises ValueError."""
-    if hasattr(matrix, "entries"):
-        matrix = matrix.entries  # QuotientMatrix / WalkMatrix convenience
+    matrix given as nested sequences or an integer ndarray.  Any entry
+    that is not a Python int raises ValueError."""
     if isinstance(matrix, np.ndarray):
         matrix = matrix.tolist()
     rows = [list(row) for row in matrix]

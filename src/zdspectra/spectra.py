@@ -18,11 +18,11 @@ for the report: a failing check's detail or a printed exact eigenvalue;
 predicted floats are read straight off the integer pairs.  A graph's
 Krylov rank never forms the adjacency matrix; only the dense eigensolve
 does.  When the graph's zero-count partition is equitable, the rank is
-the exact rank of its quotient's (n - 1) x (n - 1) walk matrix (see
-krylov_rank for why); any other graph gets the exact loop on its
-support lattice, from the graph's class sizes alone (one entry per
-support present, see graph.disjoint_sums), which ranks Gram matrices
-in Python integers.
+the exact rank of the (n - 1) x (n - 1) walk matrix of the graph's own
+quotient rows, whichever graph they came from (see krylov_rank for
+why); any other graph gets the exact loop on its support lattice, from
+the graph's class sizes alone (one entry per support present, see
+graph.disjoint_sums), which ranks Gram matrices in Python integers.
 
 Each spectral claim has one path, a public function that returns one
 graph's checks in report order from precomputed predictions and eigen
@@ -52,7 +52,6 @@ from .fib import (
 )
 from .graph import adjacency_matrix, disjoint_sums, vertex_count
 from .quotient import (
-    QuotientKind,
     QuotientMatrix,
     build_p,
     build_q,
@@ -220,8 +219,8 @@ def krylov_rank(graph: object) -> int:
     When the graph's zero-count partition is equitable with its n - 1
     cells filled (`graph.equitable_quotient`, decided once per graph),
     the rank is the exact rank of the walk matrix [1, B1, ..., B**(n-2) 1]
-    of its quotient B.  Let E be the vertex-by-cell indicator matrix.  The
-    equitability check establishes A E = E B, and e = E 1, so
+    of its own quotient rows B.  Let E be the vertex-by-cell indicator
+    matrix.  The equitability check establishes A E = E B, and e = E 1, so
     A**k e = E B**k 1 for every k.  No cell is empty, so E has full
     column rank and the Krylov matrix of A has the rank of the walk
     matrix of B.  By Cayley-Hamilton, B**k 1 for k >= n - 1 lies in the
@@ -234,9 +233,7 @@ def krylov_rank(graph: object) -> int:
     quotient = graph.equitable_quotient
     if quotient is None:
         return _exact_krylov_rank(graph)
-    # the kind only labels the walk matrix; its rank reads the entries alone
-    walk = walk_matrix_iterative(QuotientMatrix(QuotientKind.P, graph.m, graph.n, quotient))
-    return exact_rank(walk)
+    return exact_rank(walk_matrix_iterative(quotient))
 
 
 def _exact_krylov_rank(graph: object) -> int:

@@ -64,18 +64,18 @@ def test_criterion_01_quotient_matrix_fidelity():
 
 def test_criterion_02_walk_matrix_fidelity():
     with criterion(2, "walk matrices exact; closed form equals iteration"):
-        assert walk_matrix_iterative(build_p(2, 4)).entries == (
+        assert walk_matrix_iterative(build_p(2, 4).entries) == (
             (1, 1, 7), (1, 3, 17), (1, 7, 31),
         )
-        assert walk_matrix_iterative(build_q(2, 4)).entries == (
+        assert walk_matrix_iterative(build_q(2, 4).entries) == (
             (1, 1, 4), (1, 2, 6), (1, 4, 9),
         )
         for m, n in WALK_GRID:
-            assert walk_matrix_closed_p(m, n).entries == (
-                walk_matrix_iterative(build_p(m, n)).entries
+            assert walk_matrix_closed_p(m, n) == (
+                walk_matrix_iterative(build_p(m, n).entries)
             )
-            assert walk_matrix_closed_q(m, n).entries == (
-                walk_matrix_iterative(build_q(m, n)).entries
+            assert walk_matrix_closed_q(m, n) == (
+                walk_matrix_iterative(build_q(m, n).entries)
             )
 
 
@@ -83,7 +83,7 @@ def test_criterion_03_walk_rank_theorem():
     with criterion(3, "walk-matrix ranks equal n-1 across the grid"):
         for m, n in WALK_GRID:
             for kind in KINDS:
-                walk = walk_matrix_iterative(build(kind, m, n))
+                walk = walk_matrix_iterative(build(kind, m, n).entries)
                 assert exact_rank(walk) == n - 1, (m, n, kind)
 
 
@@ -91,7 +91,7 @@ def test_criterion_04_determinant_corollaries():
     with criterion(4, "determinant formula matches exact elimination"):
         for m, n in WALK_GRID:
             for kind in KINDS:
-                walk = walk_matrix_iterative(build(kind, m, n))
+                walk = walk_matrix_iterative(build(kind, m, n).entries)
                 assert det_walk_formula(m, n, kind) == exact_det(walk), (m, n, kind)
         assert det_walk_formula(2, 4, QuotientKind.P) == -12
         assert det_walk_formula(2, 4, QuotientKind.Q) == -1
@@ -134,8 +134,8 @@ def test_criterion_07_main_spectrum_illustration(bundles):
         bip_mains = sorted(bundles(2, 4, "bipartite").report.main_values())
         expected_bip = sorted([-1.0, (3 - 5**0.5) / 2, (3 + 5**0.5) / 2])
         assert np.allclose(bip_mains, expected_bip, atol=1e-8)
-        assert exact_rank(walk_matrix_iterative(build_p(2, 4))) == 3
-        assert exact_rank(walk_matrix_iterative(build_q(2, 4))) == 3
+        assert exact_rank(walk_matrix_iterative(build_p(2, 4).entries)) == 3
+        assert exact_rank(walk_matrix_iterative(build_q(2, 4).entries)) == 3
 
 
 def test_criterion_08_correspondence_corollaries(bundles):

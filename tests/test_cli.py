@@ -10,7 +10,6 @@ import pytest
 
 from zdspectra import cli, spectra
 from zdspectra.quotient import (
-    WalkMatrix,
     build_p,
     build_q,
     exact_det,
@@ -83,7 +82,7 @@ def test_quotient_output_file(capsys, tmp_path):
 def test_quotient_renders_determinants_past_the_int_str_limit(capsys):
     # The walk determinant at (9, 16) has 834 digits.  Rendering lifts
     # Python's int-to-str limit for itself only, and puts it back after.
-    det = exact_det(walk_matrix_iterative(build_p(9, 16)))
+    det = exact_det(walk_matrix_iterative(build_p(9, 16).entries))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -260,10 +259,8 @@ def _walk_with_repeated_column(monkeypatch):
     """Make cli's iterative walk matrix repeat its first column."""
     real = cli.walk_matrix_iterative
 
-    def doctored(quotient):
-        walk = real(quotient)
-        rows = tuple((row[0], row[0]) + row[2:] for row in walk.entries)
-        return WalkMatrix(walk.kind, walk.m, walk.n, rows)
+    def doctored(rows):
+        return tuple((row[0], row[0]) + row[2:] for row in real(rows))
 
     monkeypatch.setattr(cli, "walk_matrix_iterative", doctored)
 

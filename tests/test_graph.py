@@ -424,6 +424,23 @@ def test_empirical_quotient_peak_memory_per_vertex(graphs, m, n):
         assert peak < 16 * g.vertex_count, (role, peak / g.vertex_count)
 
 
+def test_cell_counts_peak_is_below_three_lattice_tables(graphs):
+    # Summing the 2**n x (n-1) int64 cell table holds the table and its
+    # sums; the table is dropped once summed and the cells are compared
+    # one at a time, so no third table of that size is built.
+    n = 14
+    g = graphs(2, n)
+    g.class_sizes
+    table = (1 << n) * (n - 1) * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        graph_module._cell_counts(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table, peak / table
+
+
 def test_disjoint_sums_against_direct_sum():
     n = 4
     rng = np.random.default_rng(7)

@@ -55,11 +55,12 @@ def test_smallest_orders():
 
 
 def test_entry_accessor_is_one_based():
+    # Entry (i, j) of the 1-based statement sits at entries[i - 1][j - 1].
     p = build_p(2, 4)
-    assert p.entry(1, 3) == 1
-    assert p.entry(3, 1) == 1
-    assert p.entry(3, 3) == 3
-    assert p.order == 3
+    assert p.entries[1 - 1][3 - 1] == 1
+    assert p.entries[3 - 1][1 - 1] == 1
+    assert p.entries[3 - 1][3 - 1] == 3
+    assert len(p.entries) == 3
 
 
 def test_zero_pattern_above_the_antidiagonal():
@@ -70,9 +71,9 @@ def test_zero_pattern_above_the_antidiagonal():
                 for i in range(1, n):
                     for j in range(1, n):
                         if i + j < n:
-                            assert q.entry(i, j) == 0
+                            assert q.entries[i - 1][j - 1] == 0
                         else:
-                            assert q.entry(i, j) > 0
+                            assert q.entries[i - 1][j - 1] > 0
 
 
 def test_row_sums_follow_degree_laws():
@@ -94,8 +95,8 @@ def test_entries_match_binomial_closed_form():
                 for j in range(1, n):
                     if i + j >= n:
                         scale = (m - 1) ** (n - j)
-                        assert p.entry(i, j) == comb(i, n - j) * scale
-                        assert q.entry(i, j) == comb(i - 1, n - j - 1) * scale
+                        assert p.entries[i - 1][j - 1] == comb(i, n - j) * scale
+                        assert q.entries[i - 1][j - 1] == comb(i - 1, n - j - 1) * scale
 
 
 def test_build_validation():
@@ -115,38 +116,42 @@ def test_build_validation():
 def test_walk_columns_are_iterated_row_sums():
     for kind in KINDS:
         q = build(kind, 3, 5)
-        w = walk_matrix_iterative(q)
-        size = q.order
-        assert w.column(0) == (1,) * size
-        assert w.column(1) == q.row_sums()
+        w = walk_matrix_iterative(q.entries)
+        size = len(q.entries)
+
+        def column(k):
+            return tuple(row[k] for row in w)
+
+        assert column(0) == (1,) * size
+        assert column(1) == q.row_sums()
         # Column k+1 is the quotient applied to column k.
         for k in range(size - 1):
-            prev = w.column(k)
+            prev = column(k)
             nxt = tuple(
-                sum(q.entry(i, j) * prev[j - 1] for j in range(1, size + 1))
+                sum(q.entries[i - 1][j - 1] * prev[j - 1] for j in range(1, size + 1))
                 for i in range(1, size + 1)
             )
-            assert w.column(k + 1) == nxt
+            assert column(k + 1) == nxt
 
 
 def test_walk_fixed_values():
-    assert walk_matrix_iterative(build_p(2, 4)).entries == (
+    assert walk_matrix_iterative(build_p(2, 4).entries) == (
         (1, 1, 7),
         (1, 3, 17),
         (1, 7, 31),
     )
-    assert walk_matrix_iterative(build_q(2, 4)).entries == (
+    assert walk_matrix_iterative(build_q(2, 4).entries) == (
         (1, 1, 4),
         (1, 2, 6),
         (1, 4, 9),
     )
-    assert walk_matrix_iterative(build_q(3, 5)).entries == (
+    assert walk_matrix_iterative(build_q(3, 5).entries) == (
         (1, 2, 108, 1000),
         (1, 6, 180, 2200),
         (1, 18, 300, 4840),
         (1, 54, 500, 10648),
     )
-    assert walk_matrix_iterative(build_p(3, 5)).entries == (
+    assert walk_matrix_iterative(build_p(3, 5).entries) == (
         (1, 2, 160, 3104),
         (1, 8, 424, 9632),
         (1, 26, 856, 22976),
@@ -158,8 +163,8 @@ def test_closed_forms_agree_with_iteration():
     for kind in KINDS:
         for m in range(2, 6):
             for n in range(2, 10):
-                iterative = walk_matrix_iterative(build(kind, m, n))
-                assert closed_walk(kind, m, n).entries == iterative.entries
+                iterative = walk_matrix_iterative(build(kind, m, n).entries)
+                assert closed_walk(kind, m, n) == iterative
 
 
 def test_h_coefficient_values():
@@ -188,9 +193,9 @@ def test_factorization_reassembles_the_walk():
         for m in (2, 3, 4):
             for n in range(2, 8):
                 fact = factorize_walk(m, n, kind)
-                walk = walk_matrix_iterative(build(kind, m, n))
+                walk = walk_matrix_iterative(build(kind, m, n).entries)
                 produced = fact.product()
-                for prow, wrow in zip(produced, walk.entries):
+                for prow, wrow in zip(produced, walk):
                     assert tuple(prow) == wrow
 
 
@@ -230,10 +235,10 @@ def test_determinant_formula_and_spot_values():
     for kind in KINDS:
         for m in (2, 3, 4):
             for n in range(2, 8):
-                walk = walk_matrix_iterative(build(kind, m, n))
+                walk = walk_matrix_iterative(build(kind, m, n).entries)
                 formula = det_walk_formula(m, n, kind)
                 assert formula == exact_det(walk)
-                assert formula == det_cofactor([list(r) for r in walk.entries])
+                assert formula == det_cofactor([list(r) for r in walk])
 
 
 def test_determinant_splits_into_named_factors():
@@ -252,7 +257,9 @@ def test_integer_determinant_formula_against_elimination_and_factors():
             for n in range(2, 13):
                 formula = det_walk_formula(m, n, kind)
                 assert isinstance(formula, Fraction)
-                assert formula == exact_det(walk_matrix_iterative(build(kind, m, n)))
+                assert formula == exact_det(
+                    walk_matrix_iterative(build(kind, m, n).entries)
+                )
                 fact = factorize_walk(m, n, kind)
                 assert formula == fact.vandermonde_det() * fact.diagonal_det()
 
@@ -262,9 +269,9 @@ def test_iterative_walk_entries_are_python_ints():
     # plain ints, because walk routes compare tuples and JSON str()s them.
     for kind in KINDS:
         for m, n in ((2, 2), (3, 5), (9, 12)):
-            walk = walk_matrix_iterative(build(kind, m, n))
-            assert all(type(x) is int for row in walk.entries for x in row)
-            assert walk.entries == closed_walk(kind, m, n).entries
+            walk = walk_matrix_iterative(build(kind, m, n).entries)
+            assert all(type(x) is int for row in walk for x in row)
+            assert walk == closed_walk(kind, m, n)
 
 
 # === exact rank and determinant ===
@@ -273,7 +280,7 @@ def test_walk_rank_is_order_minus_one_tick():
     for kind in KINDS:
         for m in range(2, 6):
             for n in range(2, 10):
-                walk = walk_matrix_iterative(build(kind, m, n))
+                walk = walk_matrix_iterative(build(kind, m, n).entries)
                 assert exact_rank(walk) == n - 1
 
 
@@ -338,14 +345,14 @@ def test_det_big_integers_stay_exact():
 # === serialization helpers ===
 
 def test_csv_rendering():
-    assert matrix_to_csv(build_p(2, 4)) == "0,0,1\n0,1,2\n1,3,3\n"
+    assert matrix_to_csv(build_p(2, 4).entries) == "0,0,1\n0,1,2\n1,3,3\n"
     assert matrix_to_csv([[1, 2], [3, 4]]) == "1,2\n3,4\n"
 
 
 def test_json_entries_are_strings():
-    entries = matrix_json_entries(walk_matrix_iterative(build_q(3, 5)))
+    entries = matrix_json_entries(walk_matrix_iterative(build_q(3, 5).entries))
     assert entries[3][3] == "10648"
-    assert matrix_json_entries(build_p(2, 4)) == [
+    assert matrix_json_entries(build_p(2, 4).entries) == [
         ["0", "0", "1"], ["0", "1", "2"], ["1", "3", "3"]
     ]
 

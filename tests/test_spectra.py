@@ -19,6 +19,7 @@ from zdspectra import graph as graph_module
 from zdspectra import spectra
 from zdspectra.cli import DEFAULT_DENSE_CAP
 from zdspectra.graph import (
+    DEFAULT_SIZE_CAP,
     ZeroDivisorGraph,
     adjacency_matrix,
     build_bipartite,
@@ -27,7 +28,14 @@ from zdspectra.graph import (
     expected_cell_sizes,
     vertex_count,
 )
-from zdspectra.quotient import build_p, build_q, exact_rank, walk_matrix_iterative
+from zdspectra.quotient import (
+    build_p,
+    build_q,
+    exact_rank,
+    walk_matrix_closed_p,
+    walk_matrix_closed_q,
+    walk_matrix_iterative,
+)
 from zdspectra.spectra import (
     AmbiguousClassification,
     CheckResult,
@@ -344,11 +352,18 @@ def test_krylov_rank_reads_the_graphs_equitability_once(monkeypatch, graphs):
 
 
 def test_krylov_rank_matches_walk_rank(graphs):
-    # The graph's Krylov rank, read off its empirical quotient, equals
-    # the exact rank of the closed-form quotient's walk matrix.
-    for m, n in [(2, 4), (3, 3), (3, 4)]:
-        walk = walk_matrix_iterative(build_p(m, n))
-        assert krylov_rank(graphs(m, n)) == exact_rank(walk)
+    # The walk matrix of a graph's own quotient rows equals the closed
+    # form of its kind, and the graph's Krylov rank is that walk's rank.
+    closed = {"full": walk_matrix_closed_p, "bipartite": walk_matrix_closed_q}
+    for role, closed_walk in closed.items():
+        for m in range(2, 6):
+            for n in range(2, 8):
+                if vertex_count(m, n, role) > DEFAULT_SIZE_CAP:
+                    continue
+                g = graphs(m, n, role)
+                walk = walk_matrix_iterative(g.equitable_quotient)
+                assert walk == closed_walk(m, n), (role, m, n)
+                assert krylov_rank(g) == exact_rank(walk) == n - 1, (role, m, n)
 
 
 # === predictions ===
