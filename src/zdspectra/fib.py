@@ -66,9 +66,9 @@ def docagne_residual(m: int, l: int, r: int) -> int:
     l > r >= 0; the degenerate l == r case is rejected rather than
     silently reported as zero.
     """
-    if not isinstance(l, int) or not isinstance(r, int):
-        raise ValueError(f"indices must be integers, got l={l!r}, r={r!r}")
-    if r < 0 or l <= r:
+    check_integer(l, "index l", 0)
+    check_integer(r, "index r", 0)
+    if l <= r:
         raise ValueError(f"need l > r >= 0, got l={l}, r={r}")
     f = fib_values(m, l + 1)
     return f[l] * f[r + 1] - f[l + 1] * f[r] - (1 - m) ** (r + 1) * f[l - r - 1]

@@ -17,12 +17,9 @@ is tested for zero in integers.  Values become QuadraticNumbers only
 for the report: a failing check's detail or a printed exact eigenvalue;
 predicted floats are read straight off the integer pairs.  A graph's
 Krylov rank never forms the adjacency matrix; only the dense eigensolve
-does.  When the graph's zero-count partition is equitable, the rank is
-the exact rank of the (n - 1) x (n - 1) walk matrix of the graph's own
-quotient rows, whichever graph they came from (see krylov_rank for
-why); any other graph gets the exact loop on its support lattice, from
-the graph's class sizes alone (one entry per support present, see
-graph.disjoint_sums), which ranks Gram matrices in Python integers.
+does.  It is the exact rank of the (n - 1) x (n - 1) walk matrix of the
+graph's equitable quotient (see krylov_rank for why), and None for a
+graph whose zero-count partition is not equitable.
 
 Each spectral claim has one path, a public function that returns one
 graph's checks in report order from precomputed predictions and eigen
@@ -50,7 +47,7 @@ from .fib import (
     zphi_to_float,
     zphi_to_quadratic,
 )
-from .graph import adjacency_matrix, disjoint_sums, vertex_count
+from .graph import adjacency_matrix, vertex_count
 from .quotient import (
     QuotientMatrix,
     build_p,
@@ -211,69 +208,27 @@ def classify_main(matrix: object) -> SpectralReport:
 # -- exact Krylov rank ------------------------------------------------------
 
 
-def krylov_rank(graph: object) -> int:
+def krylov_rank(graph: object) -> int | None:
     """Rank of [e, Ae, A**2 e, ...] over the rationals, exactly, for the
     adjacency matrix A of a graph: its number of main eigenvalues.  A is
     never formed.
 
-    When the graph's zero-count partition is equitable with its n - 1
-    cells filled (`graph.equitable_quotient`, decided once per graph),
-    the rank is the exact rank of the walk matrix [1, B1, ..., B**(n-2) 1]
-    of its own quotient rows B.  Let E be the vertex-by-cell indicator
+    The rank is the exact rank of the walk matrix [1, B1, ..., B**(n-2) 1]
+    of the graph's equitable quotient B (`graph.equitable_quotient`,
+    decided once per graph).  Let E be the vertex-by-cell indicator
     matrix.  The equitability check establishes A E = E B, and e = E 1, so
     A**k e = E B**k 1 for every k.  No cell is empty, so E has full
     column rank and the Krylov matrix of A has the rank of the walk
     matrix of B.  By Cayley-Hamilton, B**k 1 for k >= n - 1 lies in the
     span of the first n - 1 columns, so those n - 1 columns suffice.
 
-    Any other graph (a partition that is not equitable, a row outside
-    the cells 1..n-1, or an empty cell) gets the exact loop on its
-    support lattice, `_exact_krylov_rank`.
+    Returns None when the zero-count partition is not equitable with its
+    n - 1 cells filled.  Every built graph's partition is; only hand-made
+    or faulty coordinates reach None, which fails any comparison with a
+    main count.
     """
     quotient = graph.equitable_quotient
-    if quotient is None:
-        return _exact_krylov_rank(graph)
-    return exact_rank(walk_matrix_iterative(quotient))
-
-
-def _exact_krylov_rank(graph: object) -> int:
-    """Krylov rank by exact arithmetic in Python integers, on any graph.
-
-    Columns extend until two consecutive ranks agree (the rank can never
-    grow again after that).  The rank starts at 1, grows by at most 1 per
-    column and never exceeds the number of supports present, so that
-    happens by that number + 1.
-
-    Each step ranks the Gram matrix G[i][j] = v_i . v_j of the Krylov
-    vectors v_0..v_k built so far, one (k+1) x (k+1) exact_rank call,
-    instead of the k+1 vectors themselves.  A real matrix V has the rank
-    of V V^T.  A lattice vector x stands for the vertex vector E x, where
-    E maps each support to its vertices; every support present has a
-    vertex, so E has full column rank and E X has the rank of X.  The
-    plain dot products of the lattice vectors therefore suffice, without
-    class-size weights.
-    """
-    sizes = graph.class_sizes
-    present = np.flatnonzero(sizes)
-    weights = sizes[present].astype(object)
-    table = np.zeros(len(sizes), dtype=object)
-    vec = np.ones(len(present), dtype=object)
-    vectors = [vec]
-    gram = [[len(present)]]
-    rank = 1
-    while True:
-        # (A x)[u] sums size(t) * x[t] over the supports t disjoint from u's
-        table[present] = weights * vec
-        vec = disjoint_sums(table, graph.n)[present]
-        vectors.append(vec)
-        dots = [v.dot(vec) for v in vectors]
-        for row, dot in zip(gram, dots):
-            row.append(dot)
-        gram.append(dots)
-        new_rank = exact_rank(gram)
-        if new_rank == rank:
-            return rank
-        rank = new_rank
+    return None if quotient is None else exact_rank(walk_matrix_iterative(quotient))
 
 
 # -- predictions ------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from zdspectra import cli, spectra
+from zdspectra.graph import DEFAULT_SIZE_CAP, ZeroDivisorGraph
 from zdspectra.quotient import (
     build_p,
     build_q,
@@ -379,6 +380,39 @@ def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
         "exact Krylov rank of the subgraph equals its main count",
     ):
         assert verdicts[name] is True
+
+
+def test_dropped_vertex_fails_the_structure_and_krylov_checks(monkeypatch, capsys):
+    # Fault injection: the full graph of (3,4) loses its first vertex, so
+    # its zero-count partition is no longer equitable.  Both the dense and
+    # the capped battery must catch it on the cell sizes, the empirical
+    # quotient and the Krylov rank, which has no quotient to rank.
+    build = cli.build_graph
+
+    def dropped(m, n, size_cap=DEFAULT_SIZE_CAP):
+        g = build(m, n, size_cap=size_cap)
+        return ZeroDivisorGraph(g.m, g.n, g.coords[1:])
+
+    monkeypatch.setattr(cli, "build_graph", dropped)
+    faulted = [
+        "cell sizes follow the closed form (full graph)",
+        "empirical quotient equals the closed form (full graph)",
+    ]
+    krylov = {
+        cli.DEFAULT_DENSE_CAP: "exact Krylov rank of the graph equals its main count",
+        1: "exact Krylov rank equals n-1 (full graph)",
+    }
+    for cap, krylov_name in krylov.items():
+        battery = cli.run_battery(3, 4, DEFAULT_SIZE_CAP, cap)
+        failed = {c.name: c for role, c in battery.failures if role == "full"}
+        assert set(faulted + [krylov_name]) <= set(failed), cap
+        assert "rank None" in failed[krylov_name].detail, cap
+    code, _, err = run(capsys, "report", "--m", "3", "--n", "4")
+    assert code == 1
+    assert "Traceback" not in err
+    listed = err.split("check failures:\n", 1)[1].splitlines()
+    for name in faulted + [krylov[cli.DEFAULT_DENSE_CAP]]:
+        assert f"  full: {name}" in listed, name
 
 
 def test_verify_range_validation(capsys):

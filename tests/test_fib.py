@@ -123,6 +123,11 @@ def test_residual_rejects_bad_indices():
         docagne_residual(3, 0, 0)
     with pytest.raises(ValueError):
         docagne_residual(3, 2.0, 1)
+    # bools are ints to isinstance, but not indices
+    with pytest.raises(ValueError):
+        docagne_residual(3, True, 0)
+    with pytest.raises(ValueError):
+        docagne_residual(3, 2, False)
 
 
 # === quadratic numbers ===

@@ -145,7 +145,11 @@ def test_path_graph_has_two_main_values():
     # the same path on coordinates: 011 -- 100 -- 010
     path = ZeroDivisorGraph(2, 3, np.array([[0, 1, 1], [1, 0, 0], [0, 1, 0]]))
     assert np.array_equal(adjacency_matrix(path), PATH3)
-    assert krylov_rank(path) == 2
+    assert len(classify_main(adjacency_matrix(path).astype(float)).main_values()) == 2
+    # 100 and 010 share a cell, but only 100 is adjacent to 011: the
+    # partition is not equitable, so there is no quotient to rank
+    assert path.equitable_quotient is None
+    assert krylov_rank(path) is None
 
 
 def test_groups_carry_source_and_flags(graphs):
@@ -201,7 +205,6 @@ def test_krylov_rank_small_cases():
     cases = [  # (m, n, rows of hand-made coordinates, Krylov rank)
         (2, 2, [[1, 0], [0, 1]], 1),  # K2
         (3, 2, [[1, 0], [2, 0], [0, 1], [0, 2]], 1),  # two twin pairs: the 4-cycle
-        (2, 3, [[1, 0, 0], [0, 1, 1], [0, 1, 0]], 2),  # a star: 011 and 010 share a bit
         (2, 3, [[1, 1, 0], [0, 1, 1], [0, 1, 0]], 1),  # every row holds bit 1: no edges
         # equitable, quotient ((0,0,0),(0,0,1),(0,1,0)): a nonzero quotient
         # whose walk matrix [1, B1, B**2 1] is singular
@@ -210,6 +213,10 @@ def test_krylov_rank_small_cases():
     for m, n, rows, rank in cases:
         g = ZeroDivisorGraph(m, n, np.array(rows))
         assert krylov_rank(g) == krylov_rank_rows(brute_adjacency(rows)) == rank, rows
+    # a star: 100 and 010 share a cell, and only 100 is adjacent to 011
+    star = ZeroDivisorGraph(2, 3, np.array([[1, 0, 0], [0, 1, 1], [0, 1, 0]]))
+    assert star.equitable_quotient is None
+    assert krylov_rank(star) is None
 
 
 def test_krylov_rank_of_built_graphs_is_the_quotient_rank():
@@ -240,32 +247,16 @@ def test_krylov_rank_of_graph_matches_its_adjacency(graphs, role):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_krylov_rank_on_irregular_vertex_subsets(monkeypatch, graphs, seed):
+def test_krylov_rank_on_irregular_vertex_subsets(graphs, seed):
     # Induced subgraphs on random vertex subsets have uneven support
-    # classes and a zero-count partition that is not equitable, so the
-    # rank comes from the exact loop, which weights each class by its size.
+    # classes and a zero-count partition that is not equitable, so they
+    # have no quotient whose walk rank is their Krylov rank.
     g = graphs(3, 4)
     rng = np.random.default_rng(seed)
     keep = sorted(rng.choice(g.vertex_count, size=25, replace=False).tolist())
     sub = ZeroDivisorGraph(g.m, g.n, g.coords[keep])
-    rows = brute_adjacency(sub.coords.tolist())
-    exact_loops = _spy_exact_loop(monkeypatch)
     assert sub.equitable_quotient is None
-    assert krylov_rank(sub) == krylov_rank_rows(rows)
-    assert exact_loops == [sub]
-
-
-def _spy_exact_loop(monkeypatch):
-    """Record each graph that krylov_rank hands to the exact loop."""
-    seen = []
-    exact_loop = spectra._exact_krylov_rank
-
-    def recording_loop(graph):
-        seen.append(graph)
-        return exact_loop(graph)
-
-    monkeypatch.setattr(spectra, "_exact_krylov_rank", recording_loop)
-    return seen
+    assert krylov_rank(sub) is None
 
 
 def _spy_ranks(monkeypatch):
@@ -284,13 +275,10 @@ def _spy_ranks(monkeypatch):
 def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
     # 1022 vertices with one support each: the rank takes one exact_rank,
     # of the (n-1) x (n-1) walk matrix of the graph's equitable quotient
-    # (no Gram matrix either, despite the name), never of rows of 1022,
-    # and the exact loop never runs.
+    # (no Gram matrix either, despite the name), never of rows of 1022.
     shapes = _spy_ranks(monkeypatch)
-    exact_loops = _spy_exact_loop(monkeypatch)
     assert krylov_rank(build_graph(2, 10)) == 9
     assert shapes == [(9, 9)]
-    assert exact_loops == []
 
 
 def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, bundles):
@@ -299,9 +287,8 @@ def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, bundles):
     # Every graph of the default verify grid (the 29 within the dense cap
     # through the main check, the one above it directly) and (2,10) gets
     # rank n-1 from one exact_rank of its quotient's walk matrix, of
-    # order n-1, without the exact loop.
+    # order n-1.
     shapes = _spy_ranks(monkeypatch)
-    exact_loops = _spy_exact_loop(monkeypatch)
     dense = 0
     for m in range(2, 5):
         for n in range(2, 7):
@@ -319,7 +306,6 @@ def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, bundles):
     shapes.clear()
     assert krylov_rank(graphs(2, 10)) == 9
     assert shapes == [(9, 9)]
-    assert exact_loops == []
 
 
 def test_krylov_rank_reads_the_graphs_equitability_once(monkeypatch, graphs):
@@ -337,14 +323,13 @@ def test_krylov_rank_reads_the_graphs_equitability_once(monkeypatch, graphs):
     assert empirical_quotient(g) == build_p(3, 5).entries
     # with the quotient cached, the rank makes no lattice sum at all
     sums = []
-    for module in (graph_module, spectra):
-        transform = module.disjoint_sums
+    transform = graph_module.disjoint_sums
 
-        def recording_sums(table, n, transform=transform):
-            sums.append(n)
-            return transform(table, n)
+    def recording_sums(table, n):
+        sums.append(n)
+        return transform(table, n)
 
-        monkeypatch.setattr(module, "disjoint_sums", recording_sums)
+    monkeypatch.setattr(graph_module, "disjoint_sums", recording_sums)
     assert krylov_rank(g) == 4
     assert sums == []
     assert empirical_quotient(g) == build_p(3, 5).entries
