@@ -7,9 +7,10 @@ under the graph it describes ("full" or "bipartite"); each spectral
 verify function returns the checks of one graph.
 
 Each cap is decided once per graph, here: a graph above the size cap is
-never built (the builders refuse it too), and one above the dense cap
-gets its exact Krylov rank instead of a dense eigen bundle.  The spectra
-module only receives bundles ready-made.
+never built (the builders refuse it too).  Every built graph gets its
+structure checks and one exact Krylov check, and one within the dense
+cap also gets its dense spectral report.  The spectra module only
+receives reports ready-made.
 
 Exit statuses: 0 success, 1 check failure, 2 usage error, 3 resource cap
 exceeded.  Identical invocations produce byte-identical output.  The
@@ -65,8 +66,8 @@ from .quotient import (
 from .spectra import (
     AmbiguousClassification,
     CheckResult,
-    EigenBundle,
     PredictedSpectrum,
+    SpectralReport,
     eigen_bundle,
     krylov_rank,
     predicted_spectrum,
@@ -277,10 +278,11 @@ def _graph_checks(
     dense_cap: int,
     checks: list[CheckResult],
     skipped: list[str],
-) -> EigenBundle | None:
+) -> SpectralReport | None:
     """Graph-level work for one role, appended to `checks` and `skipped`:
-    nothing above the size cap; else the structure checks, then the dense
-    eigen bundle (returned), or the exact Krylov rank above the dense cap.
+    nothing above the size cap; else the structure checks, the exact
+    Krylov rank against n-1, and the dense spectral report (returned)
+    unless the graph is above the dense cap.
     """
     m, n = quotient.m, quotient.n
     tag, everything = _ROLE_NAMES[role]
@@ -292,11 +294,6 @@ def _graph_checks(
         return None
     graph_obj = build(m, n, size_cap=size_cap)
     checks += _structure_checks(graph_obj, quotient, tag)
-    if count <= dense_cap:
-        return eigen_bundle(graph_obj)
-    skipped.append(
-        f"dense spectrum checks: vertex count {count} exceeds dense cap {dense_cap}"
-    )
     rank = krylov_rank(graph_obj)
     checks.append(
         CheckResult(
@@ -305,6 +302,11 @@ def _graph_checks(
             None,
             f"rank {rank} vs {n - 1}",
         )
+    )
+    if count <= dense_cap:
+        return eigen_bundle(graph_obj)
+    skipped.append(
+        f"dense spectrum checks: vertex count {count} exceeds dense cap {dense_cap}"
     )
     return None
 
@@ -320,7 +322,7 @@ class Battery:
     q_spectrum: tuple[float, ...]
     checks: dict[str, list[CheckResult]]
     skipped: dict[str, list[str]]
-    bundles: dict[str, EigenBundle | None]
+    reports: dict[str, SpectralReport | None]
     capped: bool
 
     @property
@@ -349,34 +351,34 @@ def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
 
     checks["bipartite"] += q_eigen_exact_check(m, n).checks
 
-    bundles = {
+    reports = {
         role: _graph_checks(
             role, quotients[role], size_cap, dense_cap, checks[role], skipped[role]
         )
         for role in ROLES
     }
-    if bundles["full"] is not None:
-        checks["full"] += verify_spectrum_theorem(prediction, bundles["full"]).checks
-    if bundles["bipartite"] is not None:
+    if reports["full"] is not None:
+        checks["full"] += verify_spectrum_theorem(prediction, reports["full"]).checks
+    if reports["bipartite"] is not None:
         checks["bipartite"] += verify_main_correspondences(
-            prediction, q_spectrum, bundles["bipartite"], bundles["full"]
+            prediction, q_spectrum, reports["bipartite"], reports["full"]
         ).checks
 
     capped = vertex_count(m, n, "full") > size_cap
-    return Battery(m, n, prediction, q_spectrum, checks, skipped, bundles, capped)
+    return Battery(m, n, prediction, q_spectrum, checks, skipped, reports, capped)
 
 
 # -- report assembly --------------------------------------------------------
 
 
 def _graph_entry(battery: Battery, role: str, predicted: dict) -> dict:
-    bundle = battery.bundles[role]
+    report = battery.reports[role]
     entry = {
         "m": battery.m,
         "n": battery.n,
         "graph": role,
         "vertices": json_safe_int(vertex_count(battery.m, battery.n, role)),
-        "eigenvalues": bundle.report.eigenvalue_json_entries() if bundle else [],
+        "eigenvalues": report.eigenvalue_json_entries() if report else [],
         "predicted": predicted,
         "checks": [c.json_entry() for c in battery.checks[role]],
     }

@@ -300,7 +300,8 @@ def _integer_rows(matrix: object, *, square: bool = False) -> list[list[int]]:
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination in place.
+    """Fraction-free elimination in place.  Entries below a pivot are left
+    uncleared, since no later step reads a pivot's column.
 
     Returns (rank, signed last pivot); for a square matrix of full rank
     the signed last pivot is its determinant.  Pivoting is the first
@@ -336,7 +337,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
                 if rem:
                     raise ArithmeticError("fraction-free elimination lost exactness")
                 row_r[c] = q
-            row_r[col] = 0
         prev = p
         pivot_row += 1
     return pivot_row, sign * prev

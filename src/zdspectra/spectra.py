@@ -22,25 +22,25 @@ graph's equitable quotient (see krylov_rank for why), and None for a
 graph whose zero-count partition is not equitable.
 
 Each spectral claim has one path, a public function that returns one
-graph's checks in report order from precomputed predictions and eigen
-bundles: verify_spectrum_theorem the full graph's, and
+graph's checks in report order from precomputed predictions and spectral
+reports: verify_spectrum_theorem the full graph's, and
 verify_main_correspondences the two-sided subgraph's.  The command-line
-battery calls these same functions.  This module never builds a graph,
-so the size caps live with the builders and the command line.  Every
-threshold of a floating-point verdict (value matching, grouping, main
-classification) is one module constant below, read when a check runs.
+battery calls these same functions, and decides each graph's Krylov
+check itself.  Only eigen_bundle and krylov_rank read a graph; this
+module never builds one, so the size caps live with the builders and
+the command line.  Every threshold of a floating-point verdict (value
+matching, grouping, main classification) is one module constant below,
+read when a check runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .fib import (
-    QuadraticNumber,
     pair_powers,
     zphi_is_zero,
     zphi_mul,
@@ -70,7 +70,6 @@ __all__ = [
     "VerificationReport",
     "QEigenvalue",
     "PredictedSpectrum",
-    "EigenBundle",
     "symmetric_eigen",
     "classify_main",
     "krylov_rank",
@@ -224,8 +223,8 @@ def krylov_rank(graph: object) -> int | None:
 
     Returns None when the zero-count partition is not equitable with its
     n - 1 cells filled.  Every built graph's partition is; only hand-made
-    or faulty coordinates reach None, which fails any comparison with a
-    main count.
+    or faulty coordinates reach None, which fails any comparison with
+    n - 1.
     """
     quotient = graph.equitable_quotient
     return None if quotient is None else exact_rank(walk_matrix_iterative(quotient))
@@ -260,18 +259,12 @@ def quotient_eigenvalues(quotient: QuotientMatrix) -> tuple[float, ...]:
 class QEigenvalue:
     """One sign-flipped eigenvalue contributed by the bipartite quotient:
     the pair power phi**index * xi**(n-index), held as its Z[phi] pair
-    (a, b) meaning a + b*phi for weight m."""
+    (a, b) meaning a + b*phi for the spectrum's weight m."""
 
     index: int
     pair: tuple[int, int]
-    m: int
     value: float
     multiplicity: int
-
-    @cached_property
-    def exact(self) -> QuadraticNumber:
-        """The pair power in the quadratic field, built when first read."""
-        return zphi_to_quadratic(self.m, self.pair)
 
 
 @dataclass(frozen=True)
@@ -313,7 +306,7 @@ class PredictedSpectrum:
             "q_derived": [
                 {
                     "index": q.index,
-                    "exact": str(q.exact),
+                    "exact": str(zphi_to_quadratic(self.m, q.pair)),
                     "value": q.value,
                     "multiplicity": json_safe_int(q.multiplicity),
                 }
@@ -328,7 +321,7 @@ def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
     """Assemble the predicted full-graph spectrum for (m, n)."""
     p_values = quotient_eigenvalues(build_p(m, n))
     q_values = [
-        QEigenvalue(i, pair, m, zphi_to_float(m, pair), math.comb(n, i) - 1)
+        QEigenvalue(i, pair, zphi_to_float(m, pair), math.comb(n, i) - 1)
         for i, pair in enumerate(pair_powers(m, n), start=1)
     ]
     zero = m**n - (m - 1) ** n - 2**n + 1
@@ -369,17 +362,10 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-@dataclass
-class EigenBundle:
-    """One graph with the classification of its dense spectrum."""
-
-    graph: object
-    report: SpectralReport
-
-
-def eigen_bundle(graph: object) -> EigenBundle:
-    """Decompose a graph's adjacency matrix once, for reuse across checks."""
-    return EigenBundle(graph, classify_main(adjacency_matrix(graph).astype(np.float64)))
+def eigen_bundle(graph: object) -> SpectralReport:
+    """Classify a graph's dense spectrum: its adjacency matrix is
+    decomposed once, and the report is reused across checks."""
+    return classify_main(adjacency_matrix(graph).astype(np.float64))
 
 
 def _match_sorted(
@@ -396,25 +382,13 @@ def _match_sorted(
     return residual <= tolerance, residual
 
 
-def _krylov_main_check(bundle: EigenBundle, what: str) -> CheckResult:
-    main = len(bundle.report.main_values())
-    rank = krylov_rank(bundle.graph)
-    return CheckResult(
-        f"exact Krylov rank of the {what} equals its main count",
-        rank == main,
-        None,
-        f"rank {rank} vs {main} main",
-    )
-
-
 def verify_spectrum_theorem(
-    prediction: PredictedSpectrum, full_bundle: EigenBundle
+    prediction: PredictedSpectrum, full: SpectralReport
 ) -> VerificationReport:
     """The full graph's spectral checks against its prediction, in report
     order: the distinct eigenvalue count, one check per predicted
     eigenvalue (value within MATCH, exactly the predicted multiplicity),
-    the main values against the full quotient's spectrum, and the exact
-    Krylov rank against the main count.
+    and the main values against the full quotient's spectrum.
     """
     tolerance = MATCH
     predicted_items = prediction.multiset()
@@ -427,7 +401,7 @@ def verify_spectrum_theorem(
             f"predicted eigenvalues only {spacing:.3e} apart; "
             f"cannot match at tolerance {tolerance:.3e}"
         )
-    computed_items = [(g.value, g.multiplicity) for g in full_bundle.report.groups]
+    computed_items = [(g.value, g.multiplicity) for g in full.groups]
     checks = [
         CheckResult(
             "distinct eigenvalue count",
@@ -447,7 +421,7 @@ def verify_spectrum_theorem(
                     f"computed {cv:.12g} x{cm}",
                 )
             )
-    main_full = full_bundle.report.main_values()
+    main_full = full.main_values()
     ok, res = _match_sorted(list(prediction.p_eigenvalues), list(main_full), tolerance)
     checks.append(
         CheckResult(
@@ -457,27 +431,25 @@ def verify_spectrum_theorem(
             f"{len(main_full)} main vs {len(prediction.p_eigenvalues)} predicted",
         )
     )
-    checks.append(_krylov_main_check(full_bundle, "graph"))
     return VerificationReport(tuple(checks))
 
 
 def verify_main_correspondences(
     prediction: PredictedSpectrum,
     q_spectrum: tuple[float, ...],
-    bipartite_bundle: EigenBundle,
-    full_bundle: EigenBundle | None,
+    bipartite: SpectralReport,
+    full: SpectralReport | None,
 ) -> VerificationReport:
     """The two-sided subgraph's main-eigenvalue checks, in report order;
     values match within MATCH.
 
     Its main values against the bipartite quotient's spectrum `q_spectrum`;
-    then, with the full graph's bundle, the full graph's nonzero non-main
+    then, with the full graph's report, the full graph's nonzero non-main
     values against the negated subgraph mains and both main counts
-    against n-1, or without it the subgraph's main count alone; then the
-    subgraph's exact Krylov rank against its main count.
+    against n-1, or without it the subgraph's main count alone.
     """
     n, tolerance = prediction.n, MATCH
-    main_bip = list(bipartite_bundle.report.main_values())
+    main_bip = list(bipartite.main_values())
     ok, res = _match_sorted(list(q_spectrum), main_bip, tolerance)
     checks = [
         CheckResult(
@@ -487,7 +459,7 @@ def verify_main_correspondences(
             f"{len(main_bip)} main vs {len(q_spectrum)} predicted",
         )
     ]
-    if full_bundle is None:
+    if full is None:
         checks.append(
             CheckResult(
                 "subgraph main count equals n-1",
@@ -497,8 +469,8 @@ def verify_main_correspondences(
             )
         )
     else:
-        main_full = full_bundle.report.main_values()
-        nonmain = [g for g in full_bundle.report.groups if not g.is_main]
+        main_full = full.main_values()
+        nonmain = [g for g in full.groups if not g.is_main]
         if prediction.zero_multiplicity and nonmain:
             zero_group = min(nonmain, key=lambda g: abs(g.value))
             nonmain = [g for g in nonmain if g is not zero_group]
@@ -521,7 +493,6 @@ def verify_main_correspondences(
                 f"full {len(main_full)}, subgraph {len(main_bip)}, n-1 = {n - 1}",
             )
         )
-    checks.append(_krylov_main_check(bipartite_bundle, "subgraph"))
     return VerificationReport(tuple(checks))
 
 

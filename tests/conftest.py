@@ -25,8 +25,8 @@ def graphs():
 
 
 @pytest.fixture(scope="session")
-def bundles(graphs):
-    """Memoized eigendecompositions, shared by every test that reads a cell."""
+def reports(graphs):
+    """Memoized dense spectral reports, shared by every test that reads a cell."""
     cache = {}
 
     def get(m, n, role="full"):

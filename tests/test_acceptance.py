@@ -2,7 +2,7 @@
 
 Run with `pytest -rA` to see the verdict lines for passing criteria too.
 Grids follow the stated bounds; dense eigenwork is shared through the
-session-scoped bundle cache, so the whole gate stays fast.
+session-scoped spectral-report cache, so the whole gate stays fast.
 """
 
 import random
@@ -25,6 +25,7 @@ from zdspectra.quotient import (
     walk_matrix_iterative,
 )
 from zdspectra.spectra import (
+    krylov_rank,
     predicted_spectrum,
     q_eigen_exact_check,
     quotient_eigenvalues,
@@ -114,10 +115,10 @@ def test_criterion_05_equitable_quotients(graphs):
             )
 
 
-def test_criterion_06_spectrum_theorem(bundles):
+def test_criterion_06_spectrum_theorem(reports):
     with criterion(6, "full spectra match predictions; zero block counted"):
         for m, n in dense_grid():
-            report = verify_spectrum_theorem(predicted_spectrum(m, n), bundles(m, n))
+            report = verify_spectrum_theorem(predicted_spectrum(m, n), reports(m, n))
             assert report.passed, (m, n, report.failures)
         for m, n in GRAPH_GRID:
             zero = predicted_spectrum(m, n).zero_multiplicity
@@ -126,28 +127,31 @@ def test_criterion_06_spectrum_theorem(bundles):
                 assert zero == 0
 
 
-def test_criterion_07_main_spectrum_illustration(bundles):
+def test_criterion_07_main_spectrum_illustration(reports):
     with criterion(7, "illustration main sets and walk ranks reproduced"):
-        full_mains = sorted(bundles(2, 4).report.main_values())
+        full_mains = sorted(reports(2, 4).main_values())
         expected = sorted([-1.0, (5 - 21**0.5) / 2, (5 + 21**0.5) / 2])
         assert np.allclose(full_mains, expected, atol=1e-8)
-        bip_mains = sorted(bundles(2, 4, "bipartite").report.main_values())
+        bip_mains = sorted(reports(2, 4, "bipartite").main_values())
         expected_bip = sorted([-1.0, (3 - 5**0.5) / 2, (3 + 5**0.5) / 2])
         assert np.allclose(bip_mains, expected_bip, atol=1e-8)
         assert exact_rank(walk_matrix_iterative(build_p(2, 4).entries)) == 3
         assert exact_rank(walk_matrix_iterative(build_q(2, 4).entries)) == 3
 
 
-def test_criterion_08_correspondence_corollaries(bundles):
+def test_criterion_08_correspondence_corollaries(graphs, reports):
     with criterion(8, "main sets equal quotient spectra; Krylov counts agree"):
         for m, n in dense_grid():
             report = verify_main_correspondences(
                 predicted_spectrum(m, n),
                 quotient_eigenvalues(build_q(m, n)),
-                bipartite_bundle=bundles(m, n, "bipartite"),
-                full_bundle=bundles(m, n),
+                bipartite=reports(m, n, "bipartite"),
+                full=reports(m, n),
             )
             assert report.passed, (m, n, report.failures)
+            for role in ("full", "bipartite"):
+                main = len(reports(m, n, role).main_values())
+                assert krylov_rank(graphs(m, n, role)) == main, (m, n, role)
 
 
 def test_criterion_09_exact_annihilation():

@@ -159,6 +159,33 @@ def test_report_size_cap_exit(capsys):
     assert any("walk" in c["name"] for c in full["checks"])
 
 
+@pytest.mark.parametrize("cap, code", [("6", 0), ("5", 3)])
+def test_size_cap_admits_a_graph_of_exactly_its_size(capsys, cap, code):
+    # (2,3): the full graph has 6 vertices and the subgraph 4.  A graph
+    # whose vertex count equals the cap is built and checked; one above
+    # it is not, while the smaller subgraph still is.
+    got, out, err = run(capsys, "report", "--m", "2", "--n", "3", "--size-cap", cap)
+    assert got == code
+    assert ("size cap" in err) == (code == 3)
+    full, bip = json.loads(out)
+    assert sum(g["multiplicity"] for g in bip["eigenvalues"]) == 4
+    assert "skipped" not in bip
+    assert "exact Krylov rank equals n-1 (bipartite subgraph)" in [
+        c["name"] for c in bip["checks"]
+    ]
+    full_names = [c["name"] for c in full["checks"]]
+    if code == 0:
+        assert sum(g["multiplicity"] for g in full["eigenvalues"]) == 6
+        assert "skipped" not in full
+        assert "exact Krylov rank equals n-1 (full graph)" in full_names
+    else:
+        assert full["eigenvalues"] == []
+        assert full["skipped"] == [
+            "all graph-level checks: vertex count 6 exceeds size cap 5"
+        ]
+        assert not any("Krylov" in name for name in full_names)
+
+
 def test_report_dense_cap_skips_eigen_work(capsys):
     code, out, _ = run(capsys, "report", "--m", "2", "--n", "4",
                        "--dense-cap", "10")
@@ -188,6 +215,7 @@ _QUOTIENT_CHECKS = [
 _STRUCTURE_CHECKS = [
     "cell sizes follow the closed form ({})",
     "empirical quotient equals the closed form ({})",
+    "exact Krylov rank equals n-1 ({})",
 ]
 _ANNIHILATION_M2_N5 = [
     f"pair power i={i} annihilates the bipartite quotient" for i in (1, 2, 3, 4)
@@ -217,32 +245,24 @@ _FULL_SPECTRUM_M2_N5 = ["distinct eigenvalue count"] + [
             None,
             _FULL_PREFIX + _FULL_SPECTRUM_M2_N5 + [
                 "main eigenvalues equal the full quotient spectrum",
-                "exact Krylov rank of the graph equals its main count",
             ],
             _BIP_PREFIX + [
                 "subgraph main eigenvalues equal the bipartite quotient spectrum",
                 "nonzero non-main values equal the negated subgraph mains",
                 "main counts equal n-1 on both graphs",
-                "exact Krylov rank of the subgraph equals its main count",
             ],
             id="both-dense",
         ),
         pytest.param(
             "20",  # 30 full-graph vertices, 16 subgraph vertices
-            _FULL_PREFIX + ["exact Krylov rank equals n-1 (full graph)"],
+            _FULL_PREFIX,
             _BIP_PREFIX + [
                 "subgraph main eigenvalues equal the bipartite quotient spectrum",
                 "subgraph main count equals n-1",
-                "exact Krylov rank of the subgraph equals its main count",
             ],
             id="subgraph-dense",
         ),
-        pytest.param(
-            "1",
-            _FULL_PREFIX + ["exact Krylov rank equals n-1 (full graph)"],
-            _BIP_PREFIX + ["exact Krylov rank equals n-1 (bipartite subgraph)"],
-            id="neither-dense",
-        ),
+        pytest.param("1", _FULL_PREFIX, _BIP_PREFIX, id="neither-dense"),
     ],
 )
 def test_report_places_each_check_in_its_graph(capsys, dense_cap, full_names, bip_names):
@@ -376,8 +396,8 @@ def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
     for name in (
         "distinct eigenvalue count",
         "main counts equal n-1 on both graphs",
-        "exact Krylov rank of the graph equals its main count",
-        "exact Krylov rank of the subgraph equals its main count",
+        "exact Krylov rank equals n-1 (full graph)",
+        "exact Krylov rank equals n-1 (bipartite subgraph)",
     ):
         assert verdicts[name] is True
 
@@ -397,21 +417,18 @@ def test_dropped_vertex_fails_the_structure_and_krylov_checks(monkeypatch, capsy
     faulted = [
         "cell sizes follow the closed form (full graph)",
         "empirical quotient equals the closed form (full graph)",
+        "exact Krylov rank equals n-1 (full graph)",
     ]
-    krylov = {
-        cli.DEFAULT_DENSE_CAP: "exact Krylov rank of the graph equals its main count",
-        1: "exact Krylov rank equals n-1 (full graph)",
-    }
-    for cap, krylov_name in krylov.items():
+    for cap in (cli.DEFAULT_DENSE_CAP, 1):
         battery = cli.run_battery(3, 4, DEFAULT_SIZE_CAP, cap)
         failed = {c.name: c for role, c in battery.failures if role == "full"}
-        assert set(faulted + [krylov_name]) <= set(failed), cap
-        assert "rank None" in failed[krylov_name].detail, cap
+        assert set(faulted) <= set(failed), cap
+        assert "rank None" in failed[faulted[-1]].detail, cap
     code, _, err = run(capsys, "report", "--m", "3", "--n", "4")
     assert code == 1
     assert "Traceback" not in err
     listed = err.split("check failures:\n", 1)[1].splitlines()
-    for name in faulted + [krylov[cli.DEFAULT_DENSE_CAP]]:
+    for name in faulted:
         assert f"  full: {name}" in listed, name
 
 

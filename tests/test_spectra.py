@@ -50,7 +50,7 @@ from zdspectra.spectra import (
     verify_main_correspondences,
     verify_spectrum_theorem,
 )
-from zdspectra.spectra import _char_poly, _det_shifted, _krylov_main_check
+from zdspectra.spectra import _char_poly, _det_shifted
 
 from conftest import dense_grid
 from oracles import brute_adjacency, char_poly_faddeev, det_cofactor, krylov_rank_rows
@@ -178,13 +178,13 @@ def test_classification_is_invariant_under_relabelling(graphs, m, n):
         assert abs(h.value - g.value) <= 1e-10
 
 
-def test_illustration_main_sets(bundles):
+def test_illustration_main_sets(reports):
     # Full graph mains: -1 and (5 +- sqrt(21))/2; subgraph mains: -1 and
     # (3 +- sqrt(5))/2.
-    full = bundles(2, 4).report.main_values()
+    full = reports(2, 4).main_values()
     expected_full = sorted([-1.0, (5 - 21**0.5) / 2, (5 + 21**0.5) / 2])
     assert np.allclose(sorted(full), expected_full, atol=1e-8)
-    bip = bundles(2, 4, "bipartite").report.main_values()
+    bip = reports(2, 4, "bipartite").main_values()
     expected_bip = sorted([-1.0, (3 - 5**0.5) / 2, (3 + 5**0.5) / 2])
     assert np.allclose(sorted(bip), expected_bip, atol=1e-8)
 
@@ -281,27 +281,23 @@ def test_krylov_rank_ranks_gram_matrices_not_krylov_rows(monkeypatch):
     assert shapes == [(9, 9)]
 
 
-def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, bundles):
-    # The main check once capped its Krylov vectors at (groups + 1); the
+def test_krylov_main_check_needs_no_column_cap(monkeypatch, graphs, reports):
+    # The Krylov check once capped its Krylov vectors at (groups + 1); the
     # rank now reads n-1 walk columns, no more than the n-1 main values.
-    # Every graph of the default verify grid (the 29 within the dense cap
-    # through the main check, the one above it directly) and (2,10) gets
-    # rank n-1 from one exact_rank of its quotient's walk matrix, of
-    # order n-1.
+    # Every graph of the default verify grid gets rank n-1, its dense
+    # main count, from one exact_rank of its quotient's walk matrix, of
+    # order n-1; 29 of the 30 are within the dense cap.  So does (2,10).
     shapes = _spy_ranks(monkeypatch)
     dense = 0
     for m in range(2, 5):
         for n in range(2, 7):
             for role in ("full", "bipartite"):
+                report = reports(m, n, role)
                 shapes.clear()
-                if vertex_count(m, n, role) <= DEFAULT_DENSE_CAP:
-                    bundle = bundles(m, n, role)
-                    assert len(bundle.report.main_values()) == n - 1, (m, n, role)
-                    assert _krylov_main_check(bundle, role).passed, (m, n, role)
-                    dense += 1
-                else:
-                    assert krylov_rank(graphs(m, n, role)) == n - 1, (m, n, role)
+                rank = krylov_rank(graphs(m, n, role))
+                assert rank == len(report.main_values()) == n - 1, (m, n, role)
                 assert shapes == [(n - 1, n - 1)], (m, n, role)
+                dense += vertex_count(m, n, role) <= DEFAULT_DENSE_CAP
     assert dense == 29
     shapes.clear()
     assert krylov_rank(graphs(2, 10)) == 9
@@ -395,7 +391,7 @@ def test_predicted_exact_forms_match_floats():
     pred = predicted_spectrum(2, 5)
     for q in pred.q_derived:
         exact = phi**q.index * xi ** (5 - q.index)
-        assert q.exact == exact
+        assert zphi_to_quadratic(2, q.pair) == exact
         assert abs(float(exact) - q.value) < 1e-12
 
 
@@ -409,7 +405,7 @@ def test_predicted_floats_are_those_of_the_exact_forms():
         for q, entry in zip(pred.q_derived, entries, strict=True):
             exact = zphi_to_quadratic(m, pair_power(m, q.index, n - q.index))
             assert q.value == float(exact), (m, n, q.index)
-            assert q.exact == exact
+            assert zphi_to_quadratic(m, q.pair) == exact
             assert entry["exact"] == str(exact)
             assert entry["value"] == q.value
 
@@ -439,48 +435,59 @@ def test_predicted_json_uses_exact_strings():
 
 # === verification drivers ===
 
-def _theorem(m, n, bundles):
-    return verify_spectrum_theorem(predicted_spectrum(m, n), bundles(m, n))
+def _theorem(m, n, reports):
+    return verify_spectrum_theorem(predicted_spectrum(m, n), reports(m, n))
 
 
-def _correspondences(m, n, bundles, full=True):
+def _correspondences(m, n, reports, full=True):
     return verify_main_correspondences(
         predicted_spectrum(m, n),
         quotient_eigenvalues(build_q(m, n)),
-        bundles(m, n, "bipartite"),
-        bundles(m, n) if full else None,
+        reports(m, n, "bipartite"),
+        reports(m, n) if full else None,
     )
 
 
-def test_spectrum_theorem_small_cases(bundles):
+def test_spectrum_theorem_small_cases(reports):
     for m, n in [(2, 2), (2, 4), (3, 2), (3, 3)]:
-        report = _theorem(m, n, bundles)
+        report = _theorem(m, n, reports)
         assert report.passed
         names = [c.name for c in report.checks]
         assert names[0] == "distinct eigenvalue count"
-        assert all(name.startswith("eigenvalue ") for name in names[1:-2])
-        assert names[-2:] == [
-            "main eigenvalues equal the full quotient spectrum",
-            "exact Krylov rank of the graph equals its main count",
-        ]
+        assert all(name.startswith("eigenvalue ") for name in names[1:-1])
+        assert names[-1] == "main eigenvalues equal the full quotient spectrum"
 
 
-def test_spectrum_theorem_residuals_are_small(bundles):
-    report = _theorem(2, 4, bundles)
+def test_spectrum_theorem_residuals_are_small(reports):
+    report = _theorem(2, 4, reports)
     residuals = [c.residual for c in report.checks if c.residual is not None]
     assert residuals and max(residuals) < 1e-10
 
 
-def test_spectrum_theorem_unreachable_tolerance_fails(monkeypatch, bundles):
+def test_spectrum_theorem_unreachable_tolerance_fails(monkeypatch, reports):
     monkeypatch.setattr(spectra, "MATCH", 1e-300)
-    report = _theorem(3, 3, bundles)
+    report = _theorem(3, 3, reports)
     assert not report.passed
 
 
-def test_correspondence_check_names_are_stable(bundles):
+@pytest.mark.parametrize("spacing, raises", [(1.5, True), (2.5, False)])
+def test_spectrum_theorem_refuses_predictions_closer_than_twice_match(spacing, raises):
+    # Two predicted values within 2 * MATCH of each other could both match
+    # one computed value, so the theorem refuses to compare them.
+    values = (0.0, spacing * spectra.MATCH, 5.0)
+    prediction = spectra.PredictedSpectrum(2, 3, values, (), 0)
+    computed = classify_main(np.diag(values))
+    if raises:
+        with pytest.raises(ArithmeticError, match="apart"):
+            verify_spectrum_theorem(prediction, computed)
+    else:
+        assert verify_spectrum_theorem(prediction, computed).checks
+
+
+def test_correspondence_check_names_are_stable(reports):
     # The names and their order are the contract of each graph's report,
     # which the command line files check by check under that graph.
-    full = _theorem(2, 4, bundles)
+    full = _theorem(2, 4, reports)
     assert full.passed
     assert [c.name for c in full.checks] == [
         "distinct eigenvalue count",
@@ -491,46 +498,41 @@ def test_correspondence_check_names_are_stable(bundles):
         "eigenvalue 1 x5",
         "eigenvalue 4.79128784748 x1",
         "main eigenvalues equal the full quotient spectrum",
-        "exact Krylov rank of the graph equals its main count",
     ]
-    report = _correspondences(2, 4, bundles)
+    report = _correspondences(2, 4, reports)
     assert report.passed
     assert [c.name for c in report.checks] == [
         "subgraph main eigenvalues equal the bipartite quotient spectrum",
         "nonzero non-main values equal the negated subgraph mains",
         "main counts equal n-1 on both graphs",
-        "exact Krylov rank of the subgraph equals its main count",
     ]
-    alone = _correspondences(2, 4, bundles, full=False)
+    alone = _correspondences(2, 4, reports, full=False)
     assert alone.passed
     assert [c.name for c in alone.checks] == [
         "subgraph main eigenvalues equal the bipartite quotient spectrum",
         "subgraph main count equals n-1",
-        "exact Krylov rank of the subgraph equals its main count",
     ]
 
 
-def test_correspondences_with_zero_block(bundles):
+def test_correspondences_with_zero_block(reports):
     # m = 3 exercises the branch that discards the zero eigenvalue group
     # before negation matching.
-    assert _correspondences(3, 4, bundles).passed
+    assert _correspondences(3, 4, reports).passed
 
 
-def test_correspondences_fail_at_unreachable_match_tolerance(monkeypatch, bundles):
+def test_correspondences_fail_at_unreachable_match_tolerance(monkeypatch, reports):
     # Rounding keeps every computed value off its prediction by more than
-    # 1e-300, so each value match fails; the counts and the exact Krylov
-    # ranks do not depend on the tolerance and still pass.
+    # 1e-300, so each value match fails; the counts do not depend on the
+    # tolerance and still pass.
     monkeypatch.setattr(spectra, "MATCH", 1e-300)
-    full = _theorem(3, 4, bundles)
-    report = _correspondences(3, 4, bundles)
-    verdicts = {c.name: c.passed for c in full.checks[-2:] + report.checks}
+    full = _theorem(3, 4, reports)
+    report = _correspondences(3, 4, reports)
+    verdicts = {c.name: c.passed for c in full.checks[-1:] + report.checks}
     assert verdicts == {
         "main eigenvalues equal the full quotient spectrum": False,
         "subgraph main eigenvalues equal the bipartite quotient spectrum": False,
         "nonzero non-main values equal the negated subgraph mains": False,
         "main counts equal n-1 on both graphs": True,
-        "exact Krylov rank of the graph equals its main count": True,
-        "exact Krylov rank of the subgraph equals its main count": True,
     }
     for check in full.failures + report.failures:
         assert check.residual is not None and check.residual > 1e-300
@@ -746,13 +748,13 @@ def test_annihilation_is_exact_not_numeric():
     assert not det.is_zero
 
 
-# === bundles ===
+# === spectral reports ===
 
-def test_bundle_reuse_is_equivalent(graphs, bundles):
-    bundle = bundles(3, 3)
+def test_bundle_reuse_is_equivalent(graphs, reports):
+    cached = reports(3, 3)
     fresh = eigen_bundle(graphs(3, 3))
-    assert bundle.report == fresh.report
-    report_a = verify_spectrum_theorem(predicted_spectrum(3, 3), bundle)
+    assert cached == fresh
+    report_a = verify_spectrum_theorem(predicted_spectrum(3, 3), cached)
     report_b = verify_spectrum_theorem(predicted_spectrum(3, 3), fresh)
     assert report_a.passed and report_b.passed
     assert [c.name for c in report_a.checks] == [c.name for c in report_b.checks]
