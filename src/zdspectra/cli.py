@@ -72,7 +72,6 @@ from .spectra import (
     krylov_rank,
     predicted_spectrum,
     q_eigen_exact_check,
-    quotient_eigenvalues,
     verify_main_correspondences,
     verify_spectrum_theorem,
 )
@@ -272,17 +271,12 @@ def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
 
 
 def _graph_checks(
-    role: str,
-    quotient: QuotientMatrix,
-    size_cap: int,
-    dense_cap: int,
-    checks: list[CheckResult],
-    skipped: list[str],
-) -> SpectralReport | None:
-    """Graph-level work for one role, appended to `checks` and `skipped`:
-    nothing above the size cap; else the structure checks, the exact
-    Krylov rank against n-1, and the dense spectral report (returned)
-    unless the graph is above the dense cap.
+    role: str, quotient: QuotientMatrix, size_cap: int, dense_cap: int
+) -> tuple[list[CheckResult], list[str], SpectralReport | None]:
+    """Graph-level work for one role, as (checks, skip notes, dense
+    spectral report): nothing above the size cap; else the structure
+    checks, the exact Krylov rank against n-1, and the dense spectral
+    report unless the graph is above the dense cap.
     """
     m, n = quotient.m, quotient.n
     tag, everything = _ROLE_NAMES[role]
@@ -290,10 +284,10 @@ def _graph_checks(
     build = build_graph if role == "full" else build_bipartite
     count = vertex_count(m, n, role)
     if count > size_cap:
-        skipped.append(f"{everything}: vertex count {count} exceeds size cap {size_cap}")
-        return None
+        note = f"{everything}: vertex count {count} exceeds size cap {size_cap}"
+        return [], [note], None
     graph_obj = build(m, n, size_cap=size_cap)
-    checks += _structure_checks(graph_obj, quotient, tag)
+    checks = _structure_checks(graph_obj, quotient, tag)
     rank = krylov_rank(graph_obj)
     checks.append(
         CheckResult(
@@ -304,11 +298,9 @@ def _graph_checks(
         )
     )
     if count <= dense_cap:
-        return eigen_bundle(graph_obj)
-    skipped.append(
-        f"dense spectrum checks: vertex count {count} exceeds dense cap {dense_cap}"
-    )
-    return None
+        return checks, [], eigen_bundle(graph_obj)
+    note = f"dense spectrum checks: vertex count {count} exceeds dense cap {dense_cap}"
+    return checks, [note], None
 
 
 @dataclass
@@ -316,10 +308,7 @@ class Battery:
     """All checks for one (m, n), keyed by the role of the graph they
     describe ("full" or "bipartite")."""
 
-    m: int
-    n: int
     prediction: PredictedSpectrum
-    q_spectrum: tuple[float, ...]
     checks: dict[str, list[CheckResult]]
     skipped: dict[str, list[str]]
     reports: dict[str, SpectralReport | None]
@@ -335,49 +324,44 @@ class Battery:
 def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
     """Run every check that fits under the caps for one parameter cell.
 
-    P and Q are built here for the quotient and graph checks, and each
-    quotient spectrum is computed once (P's is the prediction's).  Two
-    checks build their own copy of a quotient: `predicted_spectrum`
-    builds P, and `q_eigen_exact_check` builds Q for its characteristic
-    polynomial.  The copies are (n-1) x (n-1) integer matrices, and each
-    is built inside the step that uses it.
+    `predicted_spectrum` builds the cell's quotients, their spectra and
+    the pair powers once; every check reads them from the prediction.
     """
     prediction = predicted_spectrum(m, n)
-    quotients = {"full": build_p(m, n), "bipartite": build_q(m, n)}
-    q_spectrum = quotient_eigenvalues(quotients["bipartite"])
-    values = {"full": prediction.p_eigenvalues, "bipartite": q_spectrum}
+    quotients = {"full": prediction.p, "bipartite": prediction.q}
+    values = {"full": prediction.p_eigenvalues, "bipartite": prediction.q_eigenvalues}
     checks = {role: _quotient_checks(quotients[role], values[role]) for role in ROLES}
-    skipped: dict[str, list[str]] = {role: [] for role in ROLES}
+    checks["bipartite"] += q_eigen_exact_check(prediction).checks
 
-    checks["bipartite"] += q_eigen_exact_check(m, n).checks
-
-    reports = {
-        role: _graph_checks(
-            role, quotients[role], size_cap, dense_cap, checks[role], skipped[role]
+    skipped: dict[str, list[str]] = {}
+    reports: dict[str, SpectralReport | None] = {}
+    for role in ROLES:
+        graph_checks, skipped[role], reports[role] = _graph_checks(
+            role, quotients[role], size_cap, dense_cap
         )
-        for role in ROLES
-    }
+        checks[role] += graph_checks
     if reports["full"] is not None:
         checks["full"] += verify_spectrum_theorem(prediction, reports["full"]).checks
     if reports["bipartite"] is not None:
         checks["bipartite"] += verify_main_correspondences(
-            prediction, q_spectrum, reports["bipartite"], reports["full"]
+            prediction, reports["bipartite"], reports["full"]
         ).checks
 
     capped = vertex_count(m, n, "full") > size_cap
-    return Battery(m, n, prediction, q_spectrum, checks, skipped, reports, capped)
+    return Battery(prediction, checks, skipped, reports, capped)
 
 
 # -- report assembly --------------------------------------------------------
 
 
 def _graph_entry(battery: Battery, role: str, predicted: dict) -> dict:
+    m, n = battery.prediction.m, battery.prediction.n
     report = battery.reports[role]
     entry = {
-        "m": battery.m,
-        "n": battery.n,
+        "m": m,
+        "n": n,
         "graph": role,
-        "vertices": json_safe_int(vertex_count(battery.m, battery.n, role)),
+        "vertices": json_safe_int(vertex_count(m, n, role)),
         "eigenvalues": report.eigenvalue_json_entries() if report else [],
         "predicted": predicted,
         "checks": [c.json_entry() for c in battery.checks[role]],
@@ -393,7 +377,10 @@ def assemble_report(
     battery = run_battery(m, n, size_cap, dense_cap)
     predicted = {
         "full": battery.prediction.json_entries(),
-        "bipartite": {"main_eigenvalues": list(battery.q_spectrum), "main_count": n - 1},
+        "bipartite": {
+            "main_eigenvalues": list(battery.prediction.q_eigenvalues),
+            "main_count": n - 1,
+        },
     }
     entries = [_graph_entry(battery, role, predicted[role]) for role in ROLES]
     return entries, battery

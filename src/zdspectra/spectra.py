@@ -21,10 +21,13 @@ does.  It is the exact rank of the (n - 1) x (n - 1) walk matrix of the
 graph's equitable quotient (see krylov_rank for why), and None for a
 graph whose zero-count partition is not equitable.
 
-Each spectral claim has one path, a public function that returns one
-graph's checks in report order from precomputed predictions and spectral
-reports: verify_spectrum_theorem the full graph's, and
-verify_main_correspondences the two-sided subgraph's.  The command-line
+A cell's exact data is built once, by predicted_spectrum: the quotients
+P and Q of the full graph and of the two-sided subgraph, their spectra
+and the pair powers.  Each spectral claim has one path, a public
+function that returns one graph's checks in report order from that
+prediction and the spectral reports: verify_spectrum_theorem the full
+graph's, verify_main_correspondences the two-sided subgraph's, and
+q_eigen_exact_check the exact annihilation of Q.  The command-line
 battery calls these same functions, and decides each graph's Krylov
 check itself.  Only eigen_bundle and krylov_rank read a graph; this
 module never builds one, so the size caps live with the builders and
@@ -162,14 +165,9 @@ class SpectralReport:
 
 
 def _group_bounds(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
-    bounds = []
-    start = 0
-    for i in range(1, len(w)):
-        if float(w[i] - w[i - 1]) >= gap:
-            bounds.append((start, i))
-            start = i
-    bounds.append((start, len(w)))
-    return bounds
+    """[start, stop) of each run of ascending w with steps below `gap`."""
+    cuts = [0, *(np.flatnonzero(np.diff(w) >= gap) + 1).tolist(), len(w)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def classify_main(matrix: object) -> SpectralReport:
@@ -269,18 +267,24 @@ class QEigenvalue:
 
 @dataclass(frozen=True)
 class PredictedSpectrum:
-    """Predicted spectrum of the full graph.
+    """The exact data of one (m, n) cell and the spectra predicted from it.
 
-    The quotient eigenvalues appear once each, the pair powers
-    phi**i * xi**(n-i) appear with multiplicity C(n, i) - 1, and zero
-    fills the remainder: its multiplicity is derived from the counting
+    `p` is the full graph's equitable quotient and `q` the two-sided
+    subgraph's, with ascending spectra `p_eigenvalues` and `q_eigenvalues`.
+    The subgraph's main eigenvalues are Q's spectrum.  The full graph's
+    spectrum is P's eigenvalues once each, the pair powers
+    phi**i * xi**(n-i) (`q_derived`) with multiplicity C(n, i) - 1, and
+    zero for the remainder: its multiplicity is derived from the counting
     identity (vertex count minus everything else), which simplifies to
     m**n - (m-1)**n - 2**n + 1 and vanishes exactly when m = 2.
     """
 
     m: int
     n: int
+    p: QuotientMatrix
+    q: QuotientMatrix
     p_eigenvalues: tuple[float, ...]
+    q_eigenvalues: tuple[float, ...]
     q_derived: tuple[QEigenvalue, ...]
     zero_multiplicity: int
 
@@ -318,14 +322,19 @@ class PredictedSpectrum:
 
 
 def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
-    """Assemble the predicted full-graph spectrum for (m, n)."""
-    p_values = quotient_eigenvalues(build_p(m, n))
-    q_values = [
+    """Build P, Q, their spectra and the pair powers for (m, n), once each,
+    and assemble the predicted spectra of both graphs."""
+    p = build_p(m, n)
+    p_values = quotient_eigenvalues(p)
+    q_derived = tuple(
         QEigenvalue(i, pair, zphi_to_float(m, pair), math.comb(n, i) - 1)
         for i, pair in enumerate(pair_powers(m, n), start=1)
-    ]
+    )
     zero = m**n - (m - 1) ** n - 2**n + 1
-    prediction = PredictedSpectrum(m, n, p_values, tuple(q_values), zero)
+    q = build_q(m, n)
+    prediction = PredictedSpectrum(
+        m, n, p, q, p_values, quotient_eigenvalues(q), q_derived, zero
+    )
     count = vertex_count(m, n, "full")
     if prediction.total_multiplicity != count:
         raise ArithmeticError(
@@ -436,27 +445,27 @@ def verify_spectrum_theorem(
 
 def verify_main_correspondences(
     prediction: PredictedSpectrum,
-    q_spectrum: tuple[float, ...],
     bipartite: SpectralReport,
     full: SpectralReport | None,
 ) -> VerificationReport:
     """The two-sided subgraph's main-eigenvalue checks, in report order;
     values match within MATCH.
 
-    Its main values against the bipartite quotient's spectrum `q_spectrum`;
-    then, with the full graph's report, the full graph's nonzero non-main
-    values against the negated subgraph mains and both main counts
-    against n-1, or without it the subgraph's main count alone.
+    Its main values against the bipartite quotient's spectrum
+    (`prediction.q_eigenvalues`); then, with the full graph's report, the
+    full graph's nonzero non-main values against the negated subgraph
+    mains and both main counts against n-1, or without it the subgraph's
+    main count alone.
     """
     n, tolerance = prediction.n, MATCH
     main_bip = list(bipartite.main_values())
-    ok, res = _match_sorted(list(q_spectrum), main_bip, tolerance)
+    ok, res = _match_sorted(list(prediction.q_eigenvalues), main_bip, tolerance)
     checks = [
         CheckResult(
             "subgraph main eigenvalues equal the bipartite quotient spectrum",
             ok,
             res,
-            f"{len(main_bip)} main vs {len(q_spectrum)} predicted",
+            f"{len(main_bip)} main vs {len(prediction.q_eigenvalues)} predicted",
         )
     ]
     if full is None:
@@ -538,9 +547,10 @@ def _det_shifted(m: int, coeffs: list[int], value: tuple[int, int]) -> tuple[int
     return acc if order % 2 == 0 else (-acc[0], -acc[1])
 
 
-def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
+def q_eigen_exact_check(prediction: PredictedSpectrum) -> VerificationReport:
     """Exactly verify that every pair power phi**i * xi**(n-i) annihilates
-    the bipartite quotient: det(Q + value * I) == 0.
+    the bipartite quotient: det(Q + value * I) == 0, for the quotient
+    `prediction.q` and the pairs in `prediction.q_derived`.
 
     The pair powers are algebraic integers a + b*phi, so the check runs in
     integer Z[phi] arithmetic: the integer characteristic polynomial of Q
@@ -551,11 +561,12 @@ def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
     check per index i; a failing check carries the exact determinant in
     its detail.
     """
-    coeffs = _char_poly(build_q(m, n).entries)
+    m = prediction.m
+    coeffs = _char_poly(prediction.q.entries)
     checks = []
-    for i, value in enumerate(pair_powers(m, n), start=1):
-        name = f"pair power i={i} annihilates the bipartite quotient"
-        det = _det_shifted(m, coeffs, value)
+    for q in prediction.q_derived:
+        name = f"pair power i={q.index} annihilates the bipartite quotient"
+        det = _det_shifted(m, coeffs, q.pair)
         if zphi_is_zero(m, det):
             checks.append(CheckResult(name, True, 0.0))
             continue
@@ -565,7 +576,7 @@ def q_eigen_exact_check(m: int, n: int) -> VerificationReport:
                 name,
                 False,
                 abs(float(exact)),
-                f"det(Q + ({zphi_to_quadratic(m, value)}) I) = {exact}",
+                f"det(Q + ({zphi_to_quadratic(m, q.pair)}) I) = {exact}",
             )
         )
     return VerificationReport(tuple(checks))

@@ -378,6 +378,43 @@ def test_battery_annihilates_past_n_ten():
     assert not any("annihilation" in note for note in notes)
 
 
+@pytest.mark.parametrize(
+    "m, n, size_cap, dense_cap",
+    [(3, 4, DEFAULT_SIZE_CAP, cli.DEFAULT_DENSE_CAP), (3, 4, DEFAULT_SIZE_CAP, 1),
+     (2, 11, 1, cli.DEFAULT_DENSE_CAP)],
+)
+def test_battery_builds_each_quotient_once(monkeypatch, m, n, size_cap, dense_cap):
+    # predicted_spectrum builds P, Q and the pair powers once and takes
+    # each quotient's spectrum once; the battery only reads them.
+    calls = {}
+
+    def spy(module, name):
+        original = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("build_p", "build_q", "pair_powers", "quotient_eigenvalues"):
+        spy(spectra, name)
+    for name in ("build_p", "build_q"):
+        spy(cli, name)
+    battery = cli.run_battery(m, n, size_cap, dense_cap)
+    assert not battery.failures
+    assert calls == {
+        "zdspectra.spectra.build_p": 1,
+        "zdspectra.spectra.build_q": 1,
+        "zdspectra.spectra.pair_powers": 1,
+        "zdspectra.spectra.quotient_eigenvalues": 2,
+        "zdspectra.cli.build_p": 0,
+        "zdspectra.cli.build_q": 0,
+    }
+
+
 def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
     # Rounding keeps every computed value off its prediction by more than
     # 1e-300, so each value match fails; the counts and the exact ranks,

@@ -189,6 +189,44 @@ def test_illustration_main_sets(reports):
     assert np.allclose(sorted(bip), expected_bip, atol=1e-8)
 
 
+def _group_bounds_loop(w, gap):
+    """Reference grouping: one subtraction per neighbouring pair."""
+    bounds = []
+    start = 0
+    for i in range(1, len(w)):
+        if float(w[i] - w[i - 1]) >= gap:
+            bounds.append((start, i))
+            start = i
+    bounds.append((start, len(w)))
+    return bounds
+
+
+def test_group_bounds_cut_where_the_loop_cuts(graphs):
+    # A step of exactly `gap` starts a new group; a step one ulp below it
+    # does not.
+    gap = spectra.GROUPING_GAP
+    below = np.nextafter(gap, 0.0)
+    for w in (
+        np.array([0.0]),
+        np.array([-below, 0.0, gap]),
+        np.array([-gap, 0.0, below, 1.0, 1.0 + gap]),
+    ):
+        assert spectra._group_bounds(w, gap) == _group_bounds_loop(w, gap), w
+    assert spectra._group_bounds(np.array([-below, 0.0, gap]), gap) == [(0, 2), (2, 3)]
+    # Every spectrum the default verify decomposes, at classify_main's gap.
+    for m in range(2, 5):
+        for n in range(2, 7):
+            for role in ("full", "bipartite"):
+                if vertex_count(m, n, role) > DEFAULT_DENSE_CAP:
+                    continue
+                A = adjacency_matrix(graphs(m, n, role)).astype(np.float64)
+                w = np.linalg.eigvalsh(A)
+                scale = spectra.GROUPING_GAP_REL * float(np.linalg.norm(A))
+                gap = max(spectra.GROUPING_GAP, scale)
+                bounds = spectra._group_bounds(w, gap)
+                assert bounds == _group_bounds_loop(w, gap), (m, n, role)
+
+
 def test_dead_band_raises(monkeypatch):
     monkeypatch.setattr(spectra, "PROJECTION_THRESHOLD", 2.0)
     with pytest.raises(AmbiguousClassification) as info:
@@ -417,6 +455,14 @@ def test_zero_multiplicity_vanishes_only_for_binary_fields():
     assert predicted_spectrum(4, 3).zero_multiplicity == 30
 
 
+def test_prediction_carries_the_bipartite_quotient_spectrum():
+    for m in range(2, 10):
+        for n in range(2, 11):
+            prediction = predicted_spectrum(m, n)
+            assert prediction.q_eigenvalues == quotient_eigenvalues(build_q(m, n))
+            assert prediction.p == build_p(m, n) and prediction.q == build_q(m, n)
+
+
 def test_predicted_sum_matches_quotient_traces():
     # Spectrum sum must equal trace(adjacency) = 0.
     for m, n in [(2, 4), (3, 4), (4, 3)]:
@@ -442,7 +488,6 @@ def _theorem(m, n, reports):
 def _correspondences(m, n, reports, full=True):
     return verify_main_correspondences(
         predicted_spectrum(m, n),
-        quotient_eigenvalues(build_q(m, n)),
         reports(m, n, "bipartite"),
         reports(m, n) if full else None,
     )
@@ -475,7 +520,9 @@ def test_spectrum_theorem_refuses_predictions_closer_than_twice_match(spacing, r
     # Two predicted values within 2 * MATCH of each other could both match
     # one computed value, so the theorem refuses to compare them.
     values = (0.0, spacing * spectra.MATCH, 5.0)
-    prediction = spectra.PredictedSpectrum(2, 3, values, (), 0)
+    prediction = spectra.PredictedSpectrum(
+        2, 3, build_p(2, 3), build_q(2, 3), values, (), (), 0
+    )
     computed = classify_main(np.diag(values))
     if raises:
         with pytest.raises(ArithmeticError, match="apart"):
@@ -561,7 +608,7 @@ def test_verification_report_mechanics():
 
 def test_annihilation_rational_case():
     # m = 3 collapses to plain rational arithmetic.
-    report = q_eigen_exact_check(3, 4)
+    report = q_eigen_exact_check(predicted_spectrum(3, 4))
     assert report.passed
     assert [c.name for c in report.checks] == [
         f"pair power i={i} annihilates the bipartite quotient" for i in (1, 2, 3)
@@ -569,14 +616,14 @@ def test_annihilation_rational_case():
 
 
 def test_annihilation_irrational_case():
-    assert q_eigen_exact_check(2, 5).passed
-    assert q_eigen_exact_check(5, 3).passed
+    assert q_eigen_exact_check(predicted_spectrum(2, 5)).passed
+    assert q_eigen_exact_check(predicted_spectrum(5, 3)).passed
 
 
 @pytest.mark.parametrize("m,n", [(2, 24), (3, 20), (7, 16), (9, 24)])
 def test_annihilation_at_large_n(m, n):
     # m = 3 and m = 7 have perfect-square radicands 4m - 3.
-    report = q_eigen_exact_check(m, n)
+    report = q_eigen_exact_check(predicted_spectrum(m, n))
     assert report.passed
     assert len(report.checks) == n - 1
 
@@ -639,19 +686,19 @@ def test_annihilation_matches_quadratic_elimination():
     # a vanishing determinant carries no detail.
     for m in range(2, 10):
         for n in range(2, 11):
-            assert q_eigen_exact_check(m, n).checks == _reference_annihilation(
+            prediction = predicted_spectrum(m, n)
+            assert q_eigen_exact_check(prediction).checks == _reference_annihilation(
                 build_q(m, n).entries, m, n
             ), (m, n)
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (3, 6)])
-def test_annihilation_failure_carries_exact_determinant(monkeypatch, m, n):
-    genuine = build_q(m, n)
-    entries = [list(row) for row in genuine.entries]
+def test_annihilation_failure_carries_exact_determinant(m, n):
+    prediction = predicted_spectrum(m, n)
+    entries = [list(row) for row in prediction.q.entries]
     entries[0][0] += 1
-    doctored = replace(genuine, entries=tuple(tuple(row) for row in entries))
-    monkeypatch.setattr("zdspectra.spectra.build_q", lambda *_: doctored)
-    report = q_eigen_exact_check(m, n)
+    doctored = replace(prediction.q, entries=tuple(tuple(row) for row in entries))
+    report = q_eigen_exact_check(replace(prediction, q=doctored))
     assert not report.passed
     assert len(report.failures) == n - 1
     assert report.checks == _reference_annihilation(doctored.entries, m, n)
