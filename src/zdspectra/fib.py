@@ -74,6 +74,26 @@ def docagne_residual(m: int, l: int, r: int) -> int:
     return f[l] * f[r + 1] - f[l + 1] * f[r] - (1 - m) ** (r + 1) * f[l - r - 1]
 
 
+def _sqrt_form_to_float(a: int, b: int, d: int, den: int) -> float:
+    """(a + b*sqrt(d)) / den as a float, for integers a, b and den > 0: the
+    package's one conversion of a quadratic-field value.
+
+    When a and b*sqrt(d) have opposite signs their sum would cancel, so
+    the value is read as N / (den**2 * c): the norm N = a**2 - b**2 * d
+    is exact, and the conjugate c = (a - b*sqrt(d)) / den has terms of
+    one sign.  N may lie beyond the float range where the value does not
+    ((1 - m)**n for a pair power), so it is divided in integers by c's
+    float taken as an integer ratio.
+    """
+    if b == 0:
+        return a / den
+    root = math.sqrt(d)
+    if a * b >= 0:
+        return a / den + b / den * root
+    num, ratio_den = (a / den - b / den * root).as_integer_ratio()
+    return (a * a - b * b * d) * ratio_den / (den * den * num)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticNumber:
     """Exact a + b*sqrt(d) with rational a, b and integer d >= 0.
@@ -120,7 +140,8 @@ class QuadraticNumber:
         return QuadraticNumber(self.a, -self.b, self.d)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        den = math.lcm(self.a.denominator, self.b.denominator)
+        return _sqrt_form_to_float(int(self.a * den), int(self.b * den), self.d, den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -307,19 +328,15 @@ def zphi_is_zero(m: int, x: tuple[int, int]) -> bool:
 
 
 def zphi_to_float(m: int, x: tuple[int, int]) -> float:
-    """float(zphi_to_quadratic(m, x)), bit for bit, without building it.
-
-    Both take the canonical a' + b'*sqrt(4m-3) with a' = (2a + b)/2 and
-    b' = b/2 (folded into a' when 4m-3 = r**2) and make the same
-    correctly rounded operations: int/int true division, one sqrt, one
-    product and one sum.
-    """
+    """float(zphi_to_quadratic(m, x)), bit for bit, without building it:
+    both convert the canonical a' + b'*sqrt(4m-3), a' = (2a + b)/2 and
+    b' = b/2 (folded into a' when 4m-3 = r**2), by _sqrt_form_to_float."""
     a, b = x
     d = 4 * m - 3
     r = math.isqrt(d)
     if b == 0 or r * r == d:
-        return (2 * a + b + b * r) / 2
-    return (2 * a + b) / 2 + (b / 2) * math.sqrt(d)
+        return _sqrt_form_to_float(2 * a + b + b * r, 0, 0, 2)
+    return _sqrt_form_to_float(2 * a + b, b, d, 2)
 
 
 def zphi_to_quadratic(m: int, x: tuple[int, int]) -> QuadraticNumber:

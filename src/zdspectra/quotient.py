@@ -199,20 +199,6 @@ class WalkFactorization:
             for i in range(r)
         )
 
-    def vandermonde_det(self) -> Fraction:
-        """Product of pairwise node differences g[l] - g[r] over l > r."""
-        det = Fraction(1)
-        for r in range(self.n - 1):
-            for l in range(r + 1, self.n - 1):
-                det *= self.ratios[l] - self.ratios[r]
-        return det
-
-    def diagonal_det(self) -> Fraction:
-        det = Fraction(1)
-        for x in self.diagonal:
-            det *= x
-        return det
-
 
 def factorize_walk(m: int, n: int, kind: QuotientKind) -> WalkFactorization:
     """Factor the walk matrix of the chosen kind as V * diag(D) * U.

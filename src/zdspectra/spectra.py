@@ -22,12 +22,13 @@ graph's equitable quotient (see krylov_rank for why), and None for a
 graph whose zero-count partition is not equitable.
 
 A cell's exact data is built once, by predicted_spectrum: the quotients
-P and Q of the full graph and of the two-sided subgraph, their spectra
-and the pair powers.  Each spectral claim has one path, a public
-function that returns one graph's checks in report order from that
-prediction and the spectral reports: verify_spectrum_theorem the full
-graph's, verify_main_correspondences the two-sided subgraph's, and
-q_eigen_exact_check the exact annihilation of Q.  The command-line
+P and Q of the full graph and of the two-sided subgraph, P's spectrum
+and the pair powers, whose negations are Q's spectrum.  Each spectral
+claim has one path, a public function that returns one graph's checks
+in report order from that prediction and the spectral reports:
+verify_spectrum_theorem the full graph's, verify_main_correspondences
+the two-sided subgraph's, and q_eigen_exact_check the exact
+annihilation of Q.  The command-line
 battery calls these same functions, and decides each graph's Krylov
 check itself.  Only eigen_bundle and krylov_rank read a graph; this
 module never builds one, so the size caps live with the builders and
@@ -276,7 +277,9 @@ class PredictedSpectrum:
     phi**i * xi**(n-i) (`q_derived`) with multiplicity C(n, i) - 1, and
     zero for the remainder: its multiplicity is derived from the counting
     identity (vertex count minus everything else), which simplifies to
-    m**n - (m-1)**n - 2**n + 1 and vanishes exactly when m = 2.
+    m**n - (m-1)**n - 2**n + 1 and vanishes exactly when m = 2.  Q's
+    spectrum is the n - 1 negated pair powers, pairwise distinct, each
+    proved a root of Q's characteristic polynomial by q_eigen_exact_check.
     """
 
     m: int
@@ -284,9 +287,13 @@ class PredictedSpectrum:
     p: QuotientMatrix
     q: QuotientMatrix
     p_eigenvalues: tuple[float, ...]
-    q_eigenvalues: tuple[float, ...]
     q_derived: tuple[QEigenvalue, ...]
     zero_multiplicity: int
+
+    @property
+    def q_eigenvalues(self) -> tuple[float, ...]:
+        """Q's ascending spectrum, the negated pair powers."""
+        return tuple(sorted(-q.value for q in self.q_derived))
 
     @property
     def total_multiplicity(self) -> int:
@@ -322,7 +329,7 @@ class PredictedSpectrum:
 
 
 def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
-    """Build P, Q, their spectra and the pair powers for (m, n), once each,
+    """Build P, Q, P's spectrum and the pair powers for (m, n), once each,
     and assemble the predicted spectra of both graphs."""
     p = build_p(m, n)
     p_values = quotient_eigenvalues(p)
@@ -331,10 +338,7 @@ def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
         for i, pair in enumerate(pair_powers(m, n), start=1)
     )
     zero = m**n - (m - 1) ** n - 2**n + 1
-    q = build_q(m, n)
-    prediction = PredictedSpectrum(
-        m, n, p, q, p_values, quotient_eigenvalues(q), q_derived, zero
-    )
+    prediction = PredictedSpectrum(m, n, p, build_q(m, n), p_values, q_derived, zero)
     count = vertex_count(m, n, "full")
     if prediction.total_multiplicity != count:
         raise ArithmeticError(

@@ -83,6 +83,19 @@ def det_cofactor(rows):
     return total
 
 
+def factored_det(nodes, diagonal) -> Fraction:
+    """det(V * diag(D) * U) for the Vandermonde matrix V of the nodes and
+    a unitriangular U: the pairwise node differences g[l] - g[r], l > r,
+    times the diagonal entries, multiplied out one by one."""
+    det = Fraction(1)
+    for r, low in enumerate(nodes):
+        for high in nodes[r + 1:]:
+            det *= high - low
+    for x in diagonal:
+        det *= x
+    return det
+
+
 def char_poly_faddeev(rows) -> list[int]:
     """Coefficients c[0..r] of det(x I - M) = sum c[k] x**k for a square
     integer matrix M of order r, by Faddeev-LeVerrier.

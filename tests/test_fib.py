@@ -1,5 +1,6 @@
 """Weighted Fibonacci sequence, ratios, identities, quadratic arithmetic."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from zdspectra.fib import (
     pair_power,
     pair_powers,
     zphi_mul,
+    zphi_to_float,
     zphi_to_quadratic,
 )
 
@@ -269,6 +271,23 @@ def test_zphi_arithmetic():
         pair_power(1, 1, 1)
     with pytest.raises(ValueError):
         pair_power(2, -1, 1)
+
+
+@pytest.mark.parametrize("m", [*range(2, 14), 10**6])
+def test_pair_power_floats_against_a_decimal_reference(m):
+    # a + b*phi = (2a + b + b*sqrt(4m-3)) / 2 at 400 digits.  At m = 2 the
+    # small pair powers are differences of two terms some 10**26 times
+    # larger, and at m = 10**6, n = 52 the norm (1 - m)**n is past the
+    # float range while the value is not.
+    with localcontext() as ctx:
+        ctx.prec = 400
+        root = Decimal(4 * m - 3).sqrt()
+        for n in range(2, 64) if m < 14 else (50, 52, 63):
+            for i, (a, b) in enumerate(pair_powers(m, n), start=1):
+                exact = (2 * a + b + b * root) / 2
+                got = zphi_to_float(m, (a, b))
+                assert abs(Decimal(got) - exact) <= Decimal("1e-15") * abs(exact), (
+                    n, i, got, exact)
 
 
 def test_ratio_limit_approaches_phi():

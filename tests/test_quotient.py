@@ -25,7 +25,7 @@ from zdspectra.quotient import (
 
 from zdspectra.fib import fib_values
 
-from oracles import det_cofactor, fib_loop, rank_gauss
+from oracles import det_cofactor, factored_det, fib_loop, rank_gauss
 
 KINDS = (QuotientKind.P, QuotientKind.Q)
 
@@ -245,7 +245,7 @@ def test_determinant_splits_into_named_factors():
     for kind in KINDS:
         fact = factorize_walk(3, 6, kind)
         det = det_walk_formula(3, 6, kind)
-        assert det == fact.vandermonde_det() * fact.diagonal_det()
+        assert det == factored_det(fact.ratios, fact.diagonal)
 
 
 def test_integer_determinant_formula_against_elimination_and_factors():
@@ -261,7 +261,7 @@ def test_integer_determinant_formula_against_elimination_and_factors():
                     walk_matrix_iterative(build(kind, m, n).entries)
                 )
                 fact = factorize_walk(m, n, kind)
-                assert formula == fact.vandermonde_det() * fact.diagonal_det()
+                assert formula == factored_det(fact.ratios, fact.diagonal)
 
 
 def test_iterative_walk_entries_are_python_ints():

@@ -437,7 +437,7 @@ def test_predicted_floats_are_those_of_the_exact_forms():
     # Each value is read off the Z[phi] pair, bit-identical to converting
     # the quadratic-field number; the exact strings are unchanged.
     cells = [(m, n) for m in range(2, 14) for n in range(2, 41)]
-    for m, n in cells + [(10**6, 50)]:
+    for m, n in cells + [(2, 50), (2, 63), (10**6, 50), (10**6, 52)]:
         pred = predicted_spectrum(m, n)
         entries = pred.json_entries()["q_derived"]
         for q, entry in zip(pred.q_derived, entries, strict=True):
@@ -456,10 +456,15 @@ def test_zero_multiplicity_vanishes_only_for_binary_fields():
 
 
 def test_prediction_carries_the_bipartite_quotient_spectrum():
+    # Q's spectrum is read off the pair powers; a symmetric eigensolve of
+    # Q is the second route.
     for m in range(2, 10):
         for n in range(2, 11):
             prediction = predicted_spectrum(m, n)
-            assert prediction.q_eigenvalues == quotient_eigenvalues(build_q(m, n))
+            values = np.array(prediction.q_eigenvalues)
+            solved = np.array(quotient_eigenvalues(build_q(m, n)))
+            assert values.shape == solved.shape == (n - 1,), (m, n)
+            assert np.all(np.abs(values - solved) <= 1e-12 * np.abs(solved)), (m, n)
             assert prediction.p == build_p(m, n) and prediction.q == build_q(m, n)
 
 
@@ -521,7 +526,7 @@ def test_spectrum_theorem_refuses_predictions_closer_than_twice_match(spacing, r
     # one computed value, so the theorem refuses to compare them.
     values = (0.0, spacing * spectra.MATCH, 5.0)
     prediction = spectra.PredictedSpectrum(
-        2, 3, build_p(2, 3), build_q(2, 3), values, (), (), 0
+        2, 3, build_p(2, 3), build_q(2, 3), values, (), 0
     )
     computed = classify_main(np.diag(values))
     if raises:
