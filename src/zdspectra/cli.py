@@ -66,6 +66,7 @@ from .spectra import (
     AmbiguousClassification,
     CheckResult,
     PredictedSpectrum,
+    ROLE_TAGS,
     SpectralReport,
     eigen_bundle,
     krylov_rank,
@@ -136,11 +137,6 @@ def _emit(text: str, output: str | None) -> None:
 
 # The two graphs of a cell, in report order.
 ROLES = ("full", "bipartite")
-# Per role: the check-name tag and the subject of the size-cap skip note.
-_ROLE_NAMES = {
-    "full": ("full graph", "all graph-level checks"),
-    "bipartite": ("bipartite subgraph", "all subgraph-level checks"),
-}
 
 
 @dataclass(frozen=True)
@@ -232,7 +228,9 @@ def _recurrence_checks(m: int) -> list[CheckResult]:
 
 
 def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
-    """Cell sizes and the equitable quotient against the closed form."""
+    """Cell sizes and the equitable quotient against the closed form; a
+    quotient that cannot be formed (a cell not equitable, a row outside
+    the cells or a cell empty) fails its check."""
     checks = []
     sizes = graph_obj.cell_sizes()
     law = expected_cell_sizes(graph_obj.m, graph_obj.n, graph_obj.role)
@@ -248,7 +246,7 @@ def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
         empirical = empirical_quotient(graph_obj)
         equal = empirical == quotient.entries
         detail = "" if equal else "empirical quotient differs from the closed form"
-    except NotEquitableError as exc:
+    except (NotEquitableError, ValueError) as exc:
         equal, detail = False, str(exc)
     checks.append(
         CheckResult(
@@ -267,12 +265,16 @@ def _graph_checks(
     report unless the graph is above the dense cap.
     """
     m, n = quotient.m, quotient.n
-    tag, everything = _ROLE_NAMES[role]
+    tag = ROLE_TAGS[role]
     # looked up at call time, so a rebinding of the module name takes effect
     build = build_graph if role == "full" else build_bipartite
     count = vertex_count(m, n, role)
     if count > size_cap:
-        note = f"{everything}: vertex count {count} exceeds size cap {size_cap}"
+        level = "graph" if role == "full" else "subgraph"
+        note = (
+            f"all {level}-level checks: "
+            f"vertex count {count} exceeds size cap {size_cap}"
+        )
         return [], [note], None
     graph_obj = build(m, n, size_cap=size_cap)
     checks = _structure_checks(graph_obj, quotient, tag)
@@ -331,7 +333,7 @@ def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
         checks["full"] += verify_spectrum_theorem(prediction, reports["full"]).checks
     if reports["bipartite"] is not None:
         checks["bipartite"] += verify_main_correspondences(
-            prediction, reports["bipartite"], reports["full"]
+            prediction, reports["bipartite"]
         ).checks
 
     capped = vertex_count(m, n, "full") > size_cap

@@ -23,18 +23,20 @@ graph whose zero-count partition is not equitable.
 
 A cell's exact data is built once, by predicted_spectrum: the quotients
 P and Q of the full graph and of the two-sided subgraph, P's spectrum
-and the pair powers, whose negations are Q's spectrum.  Each spectral
-claim has one path, a public function that returns one graph's checks
-in report order from that prediction and the spectral reports:
-verify_spectrum_theorem the full graph's, verify_main_correspondences
-the two-sided subgraph's, and q_eigen_exact_check the exact
-annihilation of Q.  The command-line
-battery calls these same functions, and decides each graph's Krylov
-check itself.  Only eigen_bundle and krylov_rank read a graph; this
-module never builds one, so the size caps live with the builders and
-the command line.  Every threshold of a floating-point verdict (value
-matching, grouping, main classification) is one module constant below,
-read when a check runs.
+and the pair powers, whose negations are Q's spectrum.  From it
+PredictedSpectrum.groups gives each graph's whole predicted spectrum,
+and each graph's dense spectrum is decided alone against its own
+groups, so no verdict on one graph reads the other's report.  Each
+spectral claim has one path, a public function that returns one graph's
+checks in report order: verify_spectrum_theorem the full graph's,
+verify_main_correspondences the two-sided subgraph's (both one call of
+the same group check) and q_eigen_exact_check the exact annihilation of
+Q.  The command-line battery calls these same functions, and decides
+each graph's Krylov check itself.  Only eigen_bundle and krylov_rank
+read a graph; this module never builds one, so the size caps live with
+the builders and the command line.  Every threshold of a floating-point
+verdict (value matching, grouping, main classification) is one module
+constant below, read when a check runs.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = [
     "GROUPING_GAP_REL",
     "PROJECTION_THRESHOLD",
     "DEAD_BAND_FACTOR",
+    "ROLE_TAGS",
     "AmbiguousClassification",
     "EigenvalueGroup",
     "SpectralReport",
@@ -100,6 +103,9 @@ GROUPING_GAP_REL = 1e-9
 # [DEAD_BAND_FACTOR * threshold, threshold] raise.
 PROJECTION_THRESHOLD = 1e-7
 DEAD_BAND_FACTOR = 0.1
+
+# The tag that names each graph in its check names.
+ROLE_TAGS = {"full": "full graph", "bipartite": "bipartite subgraph"}
 
 
 class AmbiguousClassification(Exception):
@@ -258,7 +264,8 @@ def quotient_eigenvalues(quotient: QuotientMatrix) -> tuple[float, ...]:
 class QEigenvalue:
     """One sign-flipped eigenvalue contributed by the bipartite quotient:
     the pair power phi**index * xi**(n-index), held as its Z[phi] pair
-    (a, b) meaning a + b*phi for the spectrum's weight m."""
+    (a, b) meaning a + b*phi for the spectrum's weight m, with its
+    multiplicity C(n, index) - 1 in the full graph's spectrum."""
 
     index: int
     pair: tuple[int, int]
@@ -272,14 +279,18 @@ class PredictedSpectrum:
 
     `p` is the full graph's equitable quotient and `q` the two-sided
     subgraph's, with ascending spectra `p_eigenvalues` and `q_eigenvalues`.
-    The subgraph's main eigenvalues are Q's spectrum.  The full graph's
-    spectrum is P's eigenvalues once each, the pair powers
-    phi**i * xi**(n-i) (`q_derived`) with multiplicity C(n, i) - 1, and
-    zero for the remainder: its multiplicity is derived from the counting
-    identity (vertex count minus everything else), which simplifies to
-    m**n - (m-1)**n - 2**n + 1 and vanishes exactly when m = 2.  Q's
-    spectrum is the n - 1 negated pair powers, pairwise distinct, each
-    proved a root of Q's characteristic polynomial by q_eigen_exact_check.
+    The full graph's spectrum is P's eigenvalues once each and main, the
+    pair powers phi**i * xi**(n-i) (`q_derived`) with multiplicity
+    C(n, i) - 1 and not main, and zero for the remainder: its multiplicity
+    is derived from the counting identity (vertex count minus everything
+    else), which simplifies to m**n - (m-1)**n - 2**n + 1 and vanishes
+    exactly when m = 2.  The subgraph's spectrum is -phi**i * xi**(n-i),
+    main, and +phi**i * xi**(n-i), not main, each with multiplicity
+    C(n-2, i-1), and zero with multiplicity 2(m-1)m**(n-2) - 2**(n-1),
+    none when m = 2.  Q's spectrum, the subgraph's main values, is the
+    n - 1 negated pair powers, pairwise distinct, each proved a root of
+    Q's characteristic polynomial by q_eigen_exact_check.  Each graph's
+    groups are compared with its own dense spectrum alone.
     """
 
     m: int
@@ -295,20 +306,25 @@ class PredictedSpectrum:
         """Q's ascending spectrum, the negated pair powers."""
         return tuple(sorted(-q.value for q in self.q_derived))
 
-    @property
-    def total_multiplicity(self) -> int:
-        return (
-            len(self.p_eigenvalues)
-            + sum(q.multiplicity for q in self.q_derived)
-            + self.zero_multiplicity
-        )
-
-    def multiset(self) -> list[tuple[float, int]]:
-        """Sorted (value, multiplicity) pairs including the zero block."""
-        items = [(v, 1) for v in self.p_eigenvalues]
-        items.extend((q.value, q.multiplicity) for q in self.q_derived)
-        if self.zero_multiplicity:
-            items.append((0.0, self.zero_multiplicity))
+    def groups(self, role: str) -> list[tuple[float, int, bool]]:
+        """Sorted (value, multiplicity, main) triples of the predicted
+        spectrum of the full graph ("full") or the two-sided subgraph
+        ("bipartite"), with the zero block where it is not empty."""
+        m, n = self.m, self.n
+        if role == "full":
+            items = [(v, 1, True) for v in self.p_eigenvalues]
+            items += [(q.value, q.multiplicity, False) for q in self.q_derived]
+            zero = self.zero_multiplicity
+        elif role == "bipartite":
+            items = []
+            for q in self.q_derived:
+                mult = math.comb(n - 2, q.index - 1)
+                items += [(-q.value, mult, True), (q.value, mult, False)]
+            zero = 2 * (m - 1) * m ** (n - 2) - 2 ** (n - 1)
+        else:
+            raise ValueError(f"role must be 'full' or 'bipartite', got {role!r}")
+        if zero:
+            items.append((0.0, zero, False))
         return sorted(items)
 
     def json_entries(self) -> dict:
@@ -330,7 +346,8 @@ class PredictedSpectrum:
 
 def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
     """Build P, Q, P's spectrum and the pair powers for (m, n), once each,
-    and assemble the predicted spectra of both graphs."""
+    and assemble the predicted spectra of both graphs; each graph's
+    predicted multiplicities must total its vertex count."""
     p = build_p(m, n)
     p_values = quotient_eigenvalues(p)
     q_derived = tuple(
@@ -339,12 +356,13 @@ def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
     )
     zero = m**n - (m - 1) ** n - 2**n + 1
     prediction = PredictedSpectrum(m, n, p, build_q(m, n), p_values, q_derived, zero)
-    count = vertex_count(m, n, "full")
-    if prediction.total_multiplicity != count:
-        raise ArithmeticError(
-            f"predicted multiplicities total {prediction.total_multiplicity}, "
-            f"vertex count is {count}"
-        )
+    for role, tag in ROLE_TAGS.items():
+        total = sum(mult for _, mult, _ in prediction.groups(role))
+        count = vertex_count(m, n, role)
+        if total != count:
+            raise ArithmeticError(
+                f"predicted {tag} multiplicities total {total}, vertex count is {count}"
+            )
     return prediction
 
 
@@ -381,32 +399,19 @@ def eigen_bundle(graph: object) -> SpectralReport:
     return classify_main(adjacency_matrix(graph).astype(np.float64))
 
 
-def _match_sorted(
-    predicted: list[float], computed: list[float], tolerance: float
-) -> tuple[bool, float | None]:
-    """Match two value lists after sorting; the residual is the largest
-    difference, or None when the lengths differ."""
-    if len(predicted) != len(computed):
-        return False, None
-    residual = max(
-        (abs(a - b) for a, b in zip(sorted(predicted), sorted(computed))),
-        default=0.0,
-    )
-    return residual <= tolerance, residual
-
-
-def verify_spectrum_theorem(
-    prediction: PredictedSpectrum, full: SpectralReport
+def _verify_groups(
+    prediction: PredictedSpectrum, role: str, report: SpectralReport
 ) -> VerificationReport:
-    """The full graph's spectral checks against its prediction, in report
-    order: the distinct eigenvalue count, one check per predicted
-    eigenvalue (value within MATCH, exactly the predicted multiplicity),
-    and the main values against the full quotient's spectrum.
+    """One graph's dense spectrum against its predicted groups, in report
+    order: the distinct eigenvalue count; when it matches, one check per
+    predicted group (value within MATCH, exactly the predicted
+    multiplicity and main flag); then the main count against n-1.  Check
+    names carry the graph's tag from ROLE_TAGS.
     """
-    tolerance = MATCH
-    predicted_items = prediction.multiset()
+    tag, tolerance = ROLE_TAGS[role], MATCH
+    predicted = prediction.groups(role)
     spacing = min(
-        (b - a for (a, _), (b, _) in zip(predicted_items, predicted_items[1:])),
+        (b - a for (a, _, _), (b, _, _) in zip(predicted, predicted[1:])),
         default=math.inf,
     )
     if spacing <= 2 * tolerance:
@@ -414,99 +419,56 @@ def verify_spectrum_theorem(
             f"predicted eigenvalues only {spacing:.3e} apart; "
             f"cannot match at tolerance {tolerance:.3e}"
         )
-    computed_items = [(g.value, g.multiplicity) for g in full.groups]
+    computed = report.groups
     checks = [
         CheckResult(
-            "distinct eigenvalue count",
-            len(computed_items) == len(predicted_items),
+            f"distinct eigenvalue count ({tag})",
+            len(computed) == len(predicted),
             None,
-            f"computed {len(computed_items)}, predicted {len(predicted_items)}",
+            f"computed {len(computed)}, predicted {len(predicted)}",
         )
     ]
-    if len(computed_items) == len(predicted_items):
-        for (pv, pm), (cv, cm) in zip(predicted_items, computed_items):
-            residual = abs(cv - pv)
+    if len(computed) == len(predicted):
+        for (value, mult, main), group in zip(predicted, computed):
+            residual = abs(group.value - value)
+            want = "main" if main else "non-main"
+            got = "main" if group.is_main else "non-main"
             checks.append(
                 CheckResult(
-                    f"eigenvalue {pv:.12g} x{pm}",
-                    residual <= tolerance and cm == pm,
+                    f"eigenvalue {value:.12g} x{mult} {want} ({tag})",
+                    residual <= tolerance
+                    and group.multiplicity == mult
+                    and group.is_main == main,
                     residual,
-                    f"computed {cv:.12g} x{cm}",
+                    f"computed {group.value:.12g} x{group.multiplicity} {got}",
                 )
             )
-    main_full = full.main_values()
-    ok, res = _match_sorted(list(prediction.p_eigenvalues), list(main_full), tolerance)
+    mains, n = len(report.main_values()), prediction.n
     checks.append(
         CheckResult(
-            "main eigenvalues equal the full quotient spectrum",
-            ok,
-            res,
-            f"{len(main_full)} main vs {len(prediction.p_eigenvalues)} predicted",
+            f"main count equals n-1 ({tag})",
+            mains == n - 1,
+            None,
+            f"{mains} main vs {n - 1}",
         )
     )
     return VerificationReport(tuple(checks))
 
 
-def verify_main_correspondences(
-    prediction: PredictedSpectrum,
-    bipartite: SpectralReport,
-    full: SpectralReport | None,
+def verify_spectrum_theorem(
+    prediction: PredictedSpectrum, full: SpectralReport
 ) -> VerificationReport:
-    """The two-sided subgraph's main-eigenvalue checks, in report order;
-    values match within MATCH.
+    """The full graph's dense spectral checks (see _verify_groups)."""
+    return _verify_groups(prediction, "full", full)
 
-    Its main values against the bipartite quotient's spectrum
-    (`prediction.q_eigenvalues`); then, with the full graph's report, the
-    full graph's nonzero non-main values against the negated subgraph
-    mains and both main counts against n-1, or without it the subgraph's
-    main count alone.
-    """
-    n, tolerance = prediction.n, MATCH
-    main_bip = list(bipartite.main_values())
-    ok, res = _match_sorted(list(prediction.q_eigenvalues), main_bip, tolerance)
-    checks = [
-        CheckResult(
-            "subgraph main eigenvalues equal the bipartite quotient spectrum",
-            ok,
-            res,
-            f"{len(main_bip)} main vs {len(prediction.q_eigenvalues)} predicted",
-        )
-    ]
-    if full is None:
-        checks.append(
-            CheckResult(
-                "subgraph main count equals n-1",
-                len(main_bip) == n - 1,
-                None,
-                f"{len(main_bip)} vs {n - 1}",
-            )
-        )
-    else:
-        main_full = full.main_values()
-        nonmain = [g for g in full.groups if not g.is_main]
-        if prediction.zero_multiplicity and nonmain:
-            zero_group = min(nonmain, key=lambda g: abs(g.value))
-            nonmain = [g for g in nonmain if g is not zero_group]
-        ok, res = _match_sorted(
-            [-v for v in main_bip], [g.value for g in nonmain], tolerance
-        )
-        checks.append(
-            CheckResult(
-                "nonzero non-main values equal the negated subgraph mains",
-                ok,
-                res,
-                f"{len(nonmain)} non-main vs {len(main_bip)} negated mains",
-            )
-        )
-        checks.append(
-            CheckResult(
-                "main counts equal n-1 on both graphs",
-                len(main_full) == n - 1 == len(main_bip),
-                None,
-                f"full {len(main_full)}, subgraph {len(main_bip)}, n-1 = {n - 1}",
-            )
-        )
-    return VerificationReport(tuple(checks))
+
+def verify_main_correspondences(
+    prediction: PredictedSpectrum, bipartite: SpectralReport
+) -> VerificationReport:
+    """The two-sided subgraph's dense spectral checks (see _verify_groups):
+    its main values against Q's spectrum, its non-main values against the
+    pair powers, its multiplicities and its zero block."""
+    return _verify_groups(prediction, "bipartite", bipartite)
 
 
 # -- exact annihilation -----------------------------------------------------

@@ -142,9 +142,7 @@ def test_criterion_08_correspondence_corollaries(graphs, reports):
     with criterion(8, "main sets equal quotient spectra; Krylov counts agree"):
         for m, n in dense_grid():
             report = verify_main_correspondences(
-                predicted_spectrum(m, n),
-                bipartite=reports(m, n, "bipartite"),
-                full=reports(m, n),
+                predicted_spectrum(m, n), reports(m, n, "bipartite")
             )
             assert report.passed, (m, n, report.failures)
             for role in ("full", "bipartite"):

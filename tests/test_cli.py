@@ -227,14 +227,29 @@ _BIP_PREFIX = (
     + _ANNIHILATION_M2_N5
     + [s.format("bipartite subgraph") for s in _STRUCTURE_CHECKS]
 )
-_FULL_SPECTRUM_M2_N5 = ["distinct eigenvalue count"] + [
-    f"eigenvalue {value} x{mult}"
-    for value, mult in (
-        ("-4.2360679775", 4), ("-2.09972762926", 1), ("-0.61803398875", 9),
-        ("-0.114443723705", 1), ("0.2360679775", 4), ("0.476252246276", 1),
-        ("1.61803398875", 9), ("8.73791910668", 1),
+
+
+def _spectrum_checks(tag, groups):
+    return (
+        [f"distinct eigenvalue count ({tag})"]
+        + [f"eigenvalue {group} ({tag})" for group in groups]
+        + [f"main count equals n-1 ({tag})"]
     )
-]
+
+
+_FULL_SPECTRUM_M2_N5 = _spectrum_checks("full graph", [
+    "-4.2360679775 x4 non-main", "-2.09972762926 x1 main",
+    "-0.61803398875 x9 non-main", "-0.114443723705 x1 main",
+    "0.2360679775 x4 non-main", "0.476252246276 x1 main",
+    "1.61803398875 x9 non-main", "8.73791910668 x1 main",
+])
+# The subgraph's checks do not depend on whether the full graph is dense.
+_BIP_SPECTRUM_M2_N5 = _spectrum_checks("bipartite subgraph", [
+    "-4.2360679775 x1 non-main", "-1.61803398875 x3 main",
+    "-0.61803398875 x3 non-main", "-0.2360679775 x1 main",
+    "0.2360679775 x1 non-main", "0.61803398875 x3 main",
+    "1.61803398875 x3 non-main", "4.2360679775 x1 main",
+])
 
 
 @pytest.mark.parametrize(
@@ -242,23 +257,14 @@ _FULL_SPECTRUM_M2_N5 = ["distinct eigenvalue count"] + [
     [
         pytest.param(
             None,
-            _FULL_PREFIX + _FULL_SPECTRUM_M2_N5 + [
-                "main eigenvalues equal the full quotient spectrum",
-            ],
-            _BIP_PREFIX + [
-                "subgraph main eigenvalues equal the bipartite quotient spectrum",
-                "nonzero non-main values equal the negated subgraph mains",
-                "main counts equal n-1 on both graphs",
-            ],
+            _FULL_PREFIX + _FULL_SPECTRUM_M2_N5,
+            _BIP_PREFIX + _BIP_SPECTRUM_M2_N5,
             id="both-dense",
         ),
         pytest.param(
             "20",  # 30 full-graph vertices, 16 subgraph vertices
             _FULL_PREFIX,
-            _BIP_PREFIX + [
-                "subgraph main eigenvalues equal the bipartite quotient spectrum",
-                "subgraph main count equals n-1",
-            ],
+            _BIP_PREFIX + _BIP_SPECTRUM_M2_N5,
             id="subgraph-dense",
         ),
         pytest.param("1", _FULL_PREFIX, _BIP_PREFIX, id="neither-dense"),
@@ -428,27 +434,28 @@ def test_exact_walk_rank_alone_decides_distinct_quotient_eigenvalues():
 
 
 def test_battery_reads_the_match_tolerance_at_call_time(monkeypatch):
-    # Rounding keeps every computed value off its prediction by more than
-    # 1e-300, so each value match fails; the counts and the exact ranks,
+    # Rounding keeps almost every computed value off its prediction by
+    # more than 1e-300, so each of those value matches fails; only a value
+    # computed exactly still matches.  The counts and the exact ranks,
     # which no tolerance enters, still pass.
     monkeypatch.setattr(spectra, "MATCH", 1e-300)
     battery = cli.run_battery(3, 4, 20000, 3000)
-    verdicts = {c.name: c.passed for role in cli.ROLES for c in battery.checks[role]}
-    value_matches = {name for name in verdicts if name.startswith("eigenvalue ")}
-    assert len(value_matches) == len(battery.prediction.multiset())
-    value_matches |= {
-        "main eigenvalues equal the full quotient spectrum",
-        "subgraph main eigenvalues equal the bipartite quotient spectrum",
-        "nonzero non-main values equal the negated subgraph mains",
-    }
-    assert {name for name, ok in verdicts.items() if not ok} == value_matches
-    for name in (
-        "distinct eigenvalue count",
-        "main counts equal n-1 on both graphs",
-        "exact Krylov rank equals n-1 (full graph)",
-        "exact Krylov rank equals n-1 (bipartite subgraph)",
-    ):
-        assert verdicts[name] is True
+    checks = [c for role in cli.ROLES for c in battery.checks[role]]
+    verdicts = {c.name: c.passed for c in checks}
+    value_matches = {c.name for c in checks if c.name.startswith("eigenvalue ")}
+    assert len(value_matches) == sum(
+        len(battery.prediction.groups(role)) for role in cli.ROLES
+    )
+    exact = {c.name for c in checks if c.name in value_matches and c.residual == 0.0}
+    assert len(exact) < len(value_matches) // 4
+    assert {name for name, ok in verdicts.items() if not ok} == value_matches - exact
+    for tag in ("full graph", "bipartite subgraph"):
+        for name in (
+            "distinct eigenvalue count",
+            "main count equals n-1",
+            "exact Krylov rank equals n-1",
+        ):
+            assert verdicts[f"{name} ({tag})"] is True
 
 
 def test_dropped_vertex_fails_the_structure_and_krylov_checks(monkeypatch, capsys):
@@ -479,6 +486,28 @@ def test_dropped_vertex_fails_the_structure_and_krylov_checks(monkeypatch, capsy
     listed = err.split("check failures:\n", 1)[1].splitlines()
     for name in faulted:
         assert f"  full: {name}" in listed, name
+
+
+def test_empty_cell_fails_the_empirical_quotient_check(monkeypatch, capsys):
+    # Fault injection: the full graph of (3,3) loses every vertex with two
+    # zeros, so cell 2 is empty and there is no quotient to form.  That
+    # is a failing check (exit 1) with the report printed, not a usage
+    # error (exit 2).
+    build = cli.build_graph
+
+    def emptied(m, n, size_cap=DEFAULT_SIZE_CAP):
+        g = build(m, n, size_cap=size_cap)
+        return ZeroDivisorGraph(g.m, g.n, g.coords[(g.coords == 0).sum(axis=1) != 2])
+
+    monkeypatch.setattr(cli, "build_graph", emptied)
+    name = "empirical quotient equals the closed form (full graph)"
+    for cap in (str(cli.DEFAULT_DENSE_CAP), "1"):
+        code, out, err = run(capsys, "report", "--m", "3", "--n", "3",
+                             "--dense-cap", cap)
+        assert code == 1, err
+        full = json.loads(out)[0]
+        assert {c["name"]: c["pass"] for c in full["checks"]}[name] is False
+        assert f"  full: {name}" in err.split("check failures:\n", 1)[1].splitlines()
 
 
 def test_verify_range_validation(capsys):
@@ -652,14 +681,17 @@ def test_benchmark_trace_hooks_see_the_battery(capsys):
 # verify and report commands re-recorded when the quotient-level
 # "pairwise separated" checks were removed (two fewer checks per cell,
 # nothing else changed).  None of these commands prints eigenvalue text,
-# so the digests do not depend on the BLAS build.
+# so the digests do not depend on the BLAS build.  The default verify and
+# the dense-cap 200 sweep were re-recorded when each dense graph was
+# checked against its own predicted groups (the check count of each cell
+# with a dense graph, and the total, changed; nothing else).
 GOLDEN_STDOUT = {
     "verify":
-        "27654880e95d920db89c7517f97bf5efc6f19169dd62df71272a57cd77564c71",
+        "fcdc51e3394644849627fec4a936baa76edf5a7a1217d1601a5f074cc7ee9f73",
     "verify --m 2..9 --n 2..10 --size-cap 1":
         "b80c4191322500fd6a2f31344d52d7b034880b7e2f4e9ba90e9f3fdec3b5f782",
     "verify --m 2..5 --n 2..6 --dense-cap 200":
-        "4b57fd4c8aa6b963eef9476c0dbf62a3f5a856918ddd90231078160592d40003",
+        "6133012ed456c25988cae7fd51aadff8e0d445c0713aea3b216d38784dc123f2",
     "report --m 3 --n 4 --format text --dense-cap 1":
         "5aa9d6fb6cee5b9fbd234069c6aff70a64b9aa4f510185ed8be29ee073d07e0c",
     "quotient --kind p --m 3 --n 6 --format json":

@@ -421,7 +421,19 @@ def test_predicted_spectrum_structure():
     assert [q.value for q in pred.q_derived] == [-2.0, 4.0, -8.0]
     assert [q.multiplicity for q in pred.q_derived] == [3, 5, 3]
     assert pred.zero_multiplicity == 3**4 - 2**4 - 2**4 + 1
-    assert pred.total_multiplicity == 3**4 - 2**4 - 1
+    full, bip = pred.groups("full"), pred.groups("bipartite")
+    assert sum(mult for _, mult, _ in full) == 3**4 - 2**4 - 1
+    assert [(v, mult) for v, mult, main in full if main] == [
+        (v, 1) for v in pred.p_eigenvalues
+    ]
+    # the subgraph: -/+ each pair power x C(2, i-1), the negations main,
+    # and zero x (2 * 2 * 3**2 - 2**3)
+    assert bip == [
+        (-8.0, 1, False), (-4.0, 2, True), (-2.0, 1, False), (0.0, 28, False),
+        (2.0, 1, True), (4.0, 2, False), (8.0, 1, True),
+    ]
+    with pytest.raises(ValueError, match="role"):
+        pred.groups("subgraph")
 
 
 def test_predicted_exact_forms_match_floats():
@@ -469,11 +481,12 @@ def test_prediction_carries_the_bipartite_quotient_spectrum():
 
 
 def test_predicted_sum_matches_quotient_traces():
-    # Spectrum sum must equal trace(adjacency) = 0.
+    # Spectrum sum must equal trace(adjacency) = 0, on both graphs.
     for m, n in [(2, 4), (3, 4), (4, 3)]:
         pred = predicted_spectrum(m, n)
-        total = sum(v * mult for v, mult in pred.multiset())
-        assert abs(total) < 1e-8
+        for role in ("full", "bipartite"):
+            total = sum(v * mult for v, mult, _ in pred.groups(role))
+            assert abs(total) < 1e-8, (m, n, role)
 
 
 def test_predicted_json_uses_exact_strings():
@@ -490,22 +503,24 @@ def _theorem(m, n, reports):
     return verify_spectrum_theorem(predicted_spectrum(m, n), reports(m, n))
 
 
-def _correspondences(m, n, reports, full=True):
+def _correspondences(m, n, reports):
     return verify_main_correspondences(
-        predicted_spectrum(m, n),
-        reports(m, n, "bipartite"),
-        reports(m, n) if full else None,
+        predicted_spectrum(m, n), reports(m, n, "bipartite")
     )
 
 
 def test_spectrum_theorem_small_cases(reports):
     for m, n in [(2, 2), (2, 4), (3, 2), (3, 3)]:
-        report = _theorem(m, n, reports)
-        assert report.passed
-        names = [c.name for c in report.checks]
-        assert names[0] == "distinct eigenvalue count"
-        assert all(name.startswith("eigenvalue ") for name in names[1:-1])
-        assert names[-1] == "main eigenvalues equal the full quotient spectrum"
+        for report, tag in (
+            (_theorem(m, n, reports), "full graph"),
+            (_correspondences(m, n, reports), "bipartite subgraph"),
+        ):
+            assert report.passed
+            names = [c.name for c in report.checks]
+            assert names[0] == f"distinct eigenvalue count ({tag})"
+            assert all(name.startswith("eigenvalue ") for name in names[1:-1])
+            assert all(name.endswith(f" ({tag})") for name in names)
+            assert names[-1] == f"main count equals n-1 ({tag})"
 
 
 def test_spectrum_theorem_residuals_are_small(reports):
@@ -542,52 +557,92 @@ def test_correspondence_check_names_are_stable(reports):
     full = _theorem(2, 4, reports)
     assert full.passed
     assert [c.name for c in full.checks] == [
-        "distinct eigenvalue count",
-        "eigenvalue -2.61803398875 x3",
-        "eigenvalue -1 x1",
-        "eigenvalue -0.38196601125 x3",
-        "eigenvalue 0.208712152522 x1",
-        "eigenvalue 1 x5",
-        "eigenvalue 4.79128784748 x1",
-        "main eigenvalues equal the full quotient spectrum",
+        "distinct eigenvalue count (full graph)",
+        "eigenvalue -2.61803398875 x3 non-main (full graph)",
+        "eigenvalue -1 x1 main (full graph)",
+        "eigenvalue -0.38196601125 x3 non-main (full graph)",
+        "eigenvalue 0.208712152522 x1 main (full graph)",
+        "eigenvalue 1 x5 non-main (full graph)",
+        "eigenvalue 4.79128784748 x1 main (full graph)",
+        "main count equals n-1 (full graph)",
     ]
     report = _correspondences(2, 4, reports)
     assert report.passed
     assert [c.name for c in report.checks] == [
-        "subgraph main eigenvalues equal the bipartite quotient spectrum",
-        "nonzero non-main values equal the negated subgraph mains",
-        "main counts equal n-1 on both graphs",
-    ]
-    alone = _correspondences(2, 4, reports, full=False)
-    assert alone.passed
-    assert [c.name for c in alone.checks] == [
-        "subgraph main eigenvalues equal the bipartite quotient spectrum",
-        "subgraph main count equals n-1",
+        "distinct eigenvalue count (bipartite subgraph)",
+        "eigenvalue -2.61803398875 x1 non-main (bipartite subgraph)",
+        "eigenvalue -1 x2 main (bipartite subgraph)",
+        "eigenvalue -0.38196601125 x1 non-main (bipartite subgraph)",
+        "eigenvalue 0.38196601125 x1 main (bipartite subgraph)",
+        "eigenvalue 1 x2 non-main (bipartite subgraph)",
+        "eigenvalue 2.61803398875 x1 main (bipartite subgraph)",
+        "main count equals n-1 (bipartite subgraph)",
     ]
 
 
 def test_correspondences_with_zero_block(reports):
-    # m = 3 exercises the branch that discards the zero eigenvalue group
-    # before negation matching.
-    assert _correspondences(3, 4, reports).passed
+    # m = 3: the subgraph's zero block, 2(m-1)m**(n-2) - 2**(n-1) = 28, is
+    # one predicted group among the others, checked like each of them.
+    report = _correspondences(3, 4, reports)
+    assert report.passed
+    assert "eigenvalue 0 x28 non-main (bipartite subgraph)" in [
+        c.name for c in report.checks
+    ]
+
+
+def _subgraph_fault(reports, m, n, fault):
+    """The subgraph's computed report with its groups rewritten by
+    `fault`; every main group, and so Q's spectrum, is kept."""
+    computed = reports(m, n, "bipartite")
+    groups = list(computed.groups)
+    fault(groups)
+    assert [g for g in groups if g.is_main] == [g for g in computed.groups if g.is_main]
+    return verify_main_correspondences(
+        predicted_spectrum(m, n), spectra.SpectralReport(tuple(groups))
+    )
+
+
+def test_subgraph_fault_moving_one_non_main_group_fails(reports):
+    def moved(groups):
+        k = next(i for i, g in enumerate(groups) if not g.is_main)
+        groups[k] = replace(groups[k], value=groups[k].value + 1e-3)
+
+    report = _subgraph_fault(reports, 2, 5, moved)
+    assert [c.name for c in report.failures] == [
+        "eigenvalue -4.2360679775 x1 non-main (bipartite subgraph)"
+    ]
+    assert report.failures[0].residual == pytest.approx(1e-3)
+
+
+def test_subgraph_fault_swapping_two_non_main_multiplicities_fails(reports):
+    # (3,5): the non-main groups are +phi**i * xi**(5-i) x C(3, i-1) and
+    # zero x 92; the first two of unequal multiplicity trade them, which
+    # keeps the total.
+    def swapped(groups):
+        nonmain = [i for i, g in enumerate(groups) if not g.is_main]
+        a = nonmain[0]
+        b = next(i for i in nonmain if groups[i].multiplicity != groups[a].multiplicity)
+        ma, mb = groups[a].multiplicity, groups[b].multiplicity
+        groups[a] = replace(groups[a], multiplicity=mb)
+        groups[b] = replace(groups[b], multiplicity=ma)
+
+    report = _subgraph_fault(reports, 3, 5, swapped)
+    assert len(report.failures) == 2
+    assert all("non-main" in c.name for c in report.failures)
+    assert not any("count" in c.name for c in report.failures)
 
 
 def test_correspondences_fail_at_unreachable_match_tolerance(monkeypatch, reports):
-    # Rounding keeps every computed value off its prediction by more than
-    # 1e-300, so each value match fails; the counts do not depend on the
-    # tolerance and still pass.
+    # Rounding keeps almost every computed value off its prediction by
+    # more than 1e-300, and each such value match fails on both graphs;
+    # only a value computed exactly still matches.  The counts do not
+    # depend on the tolerance and still pass.
     monkeypatch.setattr(spectra, "MATCH", 1e-300)
-    full = _theorem(3, 4, reports)
-    report = _correspondences(3, 4, reports)
-    verdicts = {c.name: c.passed for c in full.checks[-1:] + report.checks}
-    assert verdicts == {
-        "main eigenvalues equal the full quotient spectrum": False,
-        "subgraph main eigenvalues equal the bipartite quotient spectrum": False,
-        "nonzero non-main values equal the negated subgraph mains": False,
-        "main counts equal n-1 on both graphs": True,
-    }
-    for check in full.failures + report.failures:
-        assert check.residual is not None and check.residual > 1e-300
+    for report in (_theorem(3, 4, reports), _correspondences(3, 4, reports)):
+        values = [c for c in report.checks if c.name.startswith("eigenvalue ")]
+        assert [c.passed for c in values] == [c.residual == 0.0 for c in values]
+        assert report.failures
+        assert [c.passed for c in report.checks if "count" in c.name] == [True, True]
 
 
 def test_readme_quick_start_runs(capsys):
