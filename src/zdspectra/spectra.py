@@ -3,7 +3,14 @@ Krylov ranks, and comparison of graph spectra against their predictions.
 
 Dense symmetric matrices are decomposed by LAPACK through
 numpy.linalg.eigh, and an equitable quotient through the symmetric
-matrix it is similar to.  Computed eigenvalues are merged into groups by a
+matrix it is similar to.  A dense matrix is first reduced by exact row
+equality: twin vertices have equal adjacency rows, each class of c equal
+rows adds c - 1 exact zero eigenvalues with no main component, and the
+rest of the spectrum is that of a symmetric matrix of the order of the
+number of distinct rows (see classify_main for why this is exact).  The
+classes come from the matrix's bytes, never from the graph's supports,
+so the dense route stays independent of the lattice route.  Computed
+eigenvalues are merged into groups by a
 gap rule, each group is flagged as main or not by projecting the
 normalized all-ones vector onto its eigenspace (a quantity that does
 not depend on the basis chosen inside the eigenspace), and a dead band
@@ -124,20 +131,28 @@ class AmbiguousClassification(Exception):
 # -- eigensolver ------------------------------------------------------------
 
 
+def _symmetric(matrix: object, dtype: type | None = None) -> np.ndarray:
+    """The matrix as a C-contiguous array, checked square, non-empty and
+    exactly symmetric."""
+    A = np.ascontiguousarray(matrix, dtype=dtype)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise ValueError("matrix must be square and non-empty")
+    if not np.array_equal(A, A.T):
+        raise ValueError("matrix must be exactly symmetric")
+    return A
+
+
 def symmetric_eigen(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of an exactly symmetric matrix.
 
     Returns (w, V) with eigenvalues w ascending and orthonormal
     eigenvectors in the columns of V, from LAPACK's symmetric solver
     through numpy.linalg.eigh, which already sorts w ascending.
-    Deterministic for fixed input.
+    Deterministic for fixed input.  classify_main calls it once, on the
+    matrix reduced to its distinct rows, so for a graph the order solved
+    is the number of twin classes, not the vertex count.
     """
-    A = np.asarray(matrix, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValueError("matrix must be square and non-empty")
-    if not np.array_equal(A, A.T):
-        raise ValueError("matrix must be exactly symmetric")
-    return np.linalg.eigh(A)
+    return np.linalg.eigh(_symmetric(matrix, np.float64))
 
 
 # -- classification ---------------------------------------------------------
@@ -177,19 +192,55 @@ def _group_bounds(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def _row_classes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row index and the size of each class of byte-identical
+    rows of a C-contiguous matrix, in first-row order.  Each row is one
+    np.void item, so np.unique compares whole rows as bytes."""
+    rows = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def classify_main(matrix: object) -> SpectralReport:
     """Group the spectrum of a symmetric matrix and flag main eigenvalues.
 
-    A group is main when the normalized all-ones vector has projection
-    norm above the threshold on its eigenspace; norms inside the dead
-    band raise AmbiguousClassification.
+    The matrix A of order N is reduced by exact row equality before it is
+    eigensolved.  Let the k classes of byte-identical rows have sizes c,
+    representatives r and indicator matrix E.  Rows i and j in one class
+    are equal, so by symmetry their columns are too: A(e_i - e_j) = 0,
+    and e_i - e_j is orthogonal to the all-ones vector.  These vectors
+    span the orthogonal complement of range(E), so A is zero there: N - k
+    eigenvalues are exactly 0 with exactly zero main projection.  On the
+    orthonormal basis U = E D^-1/2 of range(E), D = diag(c), A acts as
+    S = A[r, r] * sqrt(c c^T), so A = U S U^T.  S is solved instead of A,
+    with the square root taken of the integer outer product so that S is
+    exactly symmetric, and its eigenvectors Y give main projections
+    |Y^T sqrt(c)| / sqrt(N).  Its Frobenius norm is A's.  When every row
+    is distinct, S is A.  The classes come from A's bytes alone, so the
+    reduction holds for any real symmetric matrix and assumes nothing of
+    where A came from; equal values with different bytes (0.0 and -0.0)
+    only leave two classes that could have been one.
+
+    Computed eigenvalues closer than max(GROUPING_GAP, GROUPING_GAP_REL *
+    ||A||_F) merge into one group.  A group is main when the normalized
+    all-ones vector has projection norm above the threshold on its
+    eigenspace; norms inside the dead band raise AmbiguousClassification.
     """
-    A = np.asarray(matrix, dtype=np.float64)
-    w, V = symmetric_eigen(A)
-    n = len(w)
-    gap = max(GROUPING_GAP, GROUPING_GAP_REL * float(np.linalg.norm(A)))
-    ones = np.full(n, 1.0 / math.sqrt(n))
-    coeff = V.T @ ones
+    A = _symmetric(matrix)
+    n = len(A)
+    first, counts = _row_classes(A)
+    if len(first) == n:
+        S = A.astype(np.float64)
+    else:
+        scale = np.sqrt(np.outer(counts, counts))
+        S = A[np.ix_(first, first)].astype(np.float64) * scale
+    w, Y = symmetric_eigen(S)
+    coeff = Y.T @ (np.sqrt(counts) / math.sqrt(n))
+    zero = np.searchsorted(w, 0.0)
+    w = np.insert(w, zero, np.zeros(n - len(w)))
+    coeff = np.insert(coeff, zero, np.zeros(n - len(coeff)))
+    gap = max(GROUPING_GAP, GROUPING_GAP_REL * float(np.linalg.norm(S)))
     high = PROJECTION_THRESHOLD
     low = DEAD_BAND_FACTOR * high
     groups = []
@@ -394,9 +445,11 @@ class VerificationReport:
 
 
 def eigen_bundle(graph: object) -> SpectralReport:
-    """Classify a graph's dense spectrum: its adjacency matrix is
-    decomposed once, and the report is reused across checks."""
-    return classify_main(adjacency_matrix(graph).astype(np.float64))
+    """Classify a graph's dense spectrum: its int8 adjacency matrix goes
+    to classify_main as it is, which eigensolves it on its distinct rows
+    only (twin vertices have equal rows), and the report is reused across
+    checks."""
+    return classify_main(adjacency_matrix(graph))
 
 
 def _verify_groups(

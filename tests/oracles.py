@@ -164,6 +164,31 @@ def krylov_rank_rows(rows) -> int:
     return rank
 
 
+def classify_full_order(
+    matrix, gap_abs: float, gap_rel: float, threshold: float
+) -> list[tuple[float, int, float, bool]]:
+    """Main classification at full order, with no reduction: one eigh of
+    the whole symmetric matrix A, ascending eigenvalues cut into groups
+    wherever a step reaches max(gap_abs, gap_rel * ||A||_F), and a group
+    main when the normalized all-ones vector projects onto its eigenvectors
+    with norm above threshold.  Returns (mean value, multiplicity,
+    projection norm, main) per group, ascending."""
+    A = np.asarray(matrix, dtype=np.float64)
+    order = len(A)
+    w, V = np.linalg.eigh(A)
+    gap = max(gap_abs, gap_rel * float(np.linalg.norm(A)))
+    coeff = V.T @ np.full(order, 1.0 / np.sqrt(order))
+    groups = []
+    start = 0
+    for i in range(1, order + 1):
+        if i == order or w[i] - w[i - 1] >= gap:
+            projection = float(np.linalg.norm(coeff[start:i]))
+            value = float(np.mean(w[start:i]))
+            groups.append((value, i - start, projection, projection > threshold))
+            start = i
+    return groups
+
+
 def disjoint_sums_cumsum(table: np.ndarray, n: int) -> np.ndarray:
     """out[s] = sum of table[t] over the supports t disjoint from s: a
     cumulative sum along each axis of the (2,) * n view gives the sum

@@ -53,7 +53,13 @@ from zdspectra.spectra import (
 from zdspectra.spectra import _char_poly, _det_shifted
 
 from conftest import dense_grid
-from oracles import brute_adjacency, char_poly_faddeev, det_cofactor, krylov_rank_rows
+from oracles import (
+    brute_adjacency,
+    char_poly_faddeev,
+    classify_full_order,
+    det_cofactor,
+    krylov_rank_rows,
+)
 
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -124,6 +130,14 @@ def test_input_validation():
         symmetric_eigen(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         symmetric_eigen(np.zeros((0, 0)))
+    # rows 0 and 1 are equal but columns 0 and 1 are not: the twin
+    # reduction needs symmetry, so classification checks it on the input
+    asymmetric = np.array([[0.0, 1.0], [0.9, 0.0]])
+    for bad in (asymmetric, np.array([[0, 1, 1], [0, 1, 1], [1, 0, 0]])):
+        with pytest.raises(ValueError, match="symmetric"):
+            classify_main(bad)
+    with pytest.raises(ValueError, match="square"):
+        classify_main(np.zeros((0, 0)))
 
 
 # === main classification ===
@@ -235,6 +249,68 @@ def test_dead_band_raises(monkeypatch):
     assert low == pytest.approx(0.2)
     assert high == pytest.approx(2.0)
     assert low <= info.value.projection <= high
+
+
+def _assert_full_order_classification(A, report):
+    # Same groups, multiplicities and main flags as one eigh of the whole
+    # matrix; values within 1e-10 * max(1, ||A||_F), projection norms
+    # within 1e-10.
+    expected = classify_full_order(
+        A, spectra.GROUPING_GAP, spectra.GROUPING_GAP_REL, spectra.PROJECTION_THRESHOLD
+    )
+    assert [(g.multiplicity, g.is_main) for g in report.groups] == [
+        (mult, main) for _, mult, _, main in expected
+    ]
+    tolerance = 1e-10 * max(1.0, float(np.linalg.norm(A)))
+    for group, (value, _, projection, _) in zip(report.groups, expected):
+        assert abs(group.value - value) <= tolerance, (group, value)
+        assert abs(group.projection - projection) <= 1e-10, (group, projection)
+
+
+@pytest.mark.parametrize("role", ["full", "bipartite"])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 5) for n in range(2, 7)])
+def test_twin_reduced_classification_matches_the_full_order_oracle(graphs, reports, m, n, role):
+    # Every graph of the default grid, (4,6)'s 3,366-vertex full graph
+    # included, against the unreduced decomposition.
+    A = adjacency_matrix(graphs(m, n, role)).astype(np.float64)
+    _assert_full_order_classification(A, reports(m, n, role))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_twin_reduction_holds_for_any_symmetric_matrix(seed):
+    # Random symmetric float matrices with nonzero diagonals and negative
+    # entries, expanded by a random class map so that rows repeat in
+    # scattered positions (equal rows i and j then also have A[i,i] ==
+    # A[i,j]); the first seed repeats no row.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 12))
+    extra = 0 if seed == 0 else int(rng.integers(1, 30))
+    base = rng.normal(size=(k, k))
+    base = base + base.T
+    labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, extra)]))
+    A = base[np.ix_(labels, labels)]
+    assert len(np.unique(A, axis=0)) == k
+    report = classify_main(A)
+    _assert_full_order_classification(A, report)
+    if extra:
+        zero = [g for g in report.groups if g.value == 0.0]
+        assert [(g.multiplicity, g.projection, g.is_main) for g in zero] == [(extra, 0.0, False)]
+
+
+@pytest.mark.parametrize("m,n,orders", [(3, 5, [30, 16]), (2, 7, [126, 64])])
+def test_eigensolve_runs_at_the_twin_class_count(monkeypatch, graphs, m, n, orders):
+    # The full graph has one class of equal rows per proper support, the
+    # subgraph one per support of a side; at m = 2 no two rows are equal.
+    solved = []
+
+    def spy(matrix):
+        solved.append(len(matrix))
+        return symmetric_eigen(matrix)
+
+    monkeypatch.setattr(spectra, "symmetric_eigen", spy)
+    for role in ("full", "bipartite"):
+        eigen_bundle(graphs(m, n, role))
+    assert solved == orders
 
 
 # === krylov rank ===
