@@ -29,7 +29,6 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fib import docagne_residual
 from .graph import (
@@ -148,7 +147,7 @@ class WalkRoutes:
     closed: IntMatrix
     rank: int
     det_elimination: int
-    det_factorization: Fraction
+    det_factorization: int
 
     @property
     def walk_match(self) -> bool:
@@ -343,16 +342,21 @@ def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
 # -- report assembly --------------------------------------------------------
 
 
-def _graph_entry(battery: Battery, role: str, predicted: dict) -> dict:
-    m, n = battery.prediction.m, battery.prediction.n
-    report = battery.reports[role]
+def _graph_entry(battery: Battery, role: str) -> dict:
+    """One graph's report entry; its `predicted` groups are the tuple its
+    dense spectrum was checked against, in the same order."""
+    prediction, report = battery.prediction, battery.reports[role]
+    m, n = prediction.m, prediction.n
     entry = {
         "m": m,
         "n": n,
         "graph": role,
         "vertices": json_safe_int(vertex_count(m, n, role)),
         "eigenvalues": report.eigenvalue_json_entries() if report else [],
-        "predicted": predicted,
+        "predicted": [
+            {"value": v, "multiplicity": json_safe_int(k), "main": main, "exact": exact}
+            for v, k, main, exact in prediction.groups(role)
+        ],
         "checks": [c.json_entry() for c in battery.checks[role]],
     }
     if battery.skipped[role]:
@@ -364,15 +368,7 @@ def assemble_report(
     m: int, n: int, size_cap: int, dense_cap: int
 ) -> tuple[list[dict], Battery]:
     battery = run_battery(m, n, size_cap, dense_cap)
-    predicted = {
-        "full": battery.prediction.json_entries(),
-        "bipartite": {
-            "main_eigenvalues": list(battery.prediction.q_eigenvalues),
-            "main_count": n - 1,
-        },
-    }
-    entries = [_graph_entry(battery, role, predicted[role]) for role in ROLES]
-    return entries, battery
+    return [_graph_entry(battery, role) for role in ROLES], battery
 
 
 def _report_text(entries: list[dict]) -> str:
@@ -403,7 +399,8 @@ def _report_text(entries: list[dict]) -> str:
 @contextlib.contextmanager
 def _unlimited_int_str():
     """Lift Python's int-to-str digit limit (4300 by default) for the
-    duration, on interpreters that have one, and restore it after."""
+    duration, on interpreters that have one, and restore it after: walk
+    determinants and a failing check's exact detail can be longer."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -418,8 +415,8 @@ def _unlimited_int_str():
 def _quotient_text(fmt: str, quotient: QuotientMatrix, routes: WalkRoutes) -> str:
     """The quotient, its walk matrices and determinants, rendered in full.
 
-    Walk determinants have about n**2 digits (over 4300 at m=9, n=32), so
-    the caller lifts the int-to-str limit around this.
+    Walk determinants have about n**2 digits (over 4300 at m=9, n=32);
+    main lifts the int-to-str limit around every subcommand.
     """
     kind, m, n = quotient.kind, quotient.m, quotient.n
     if fmt == "csv":
@@ -478,9 +475,7 @@ def _cmd_quotient(args) -> int:
     m, n = args.m, args.n
     quotient = build_p(m, n) if args.kind == "p" else build_q(m, n)
     routes = _walk_routes(quotient)
-    with _unlimited_int_str():
-        text = _quotient_text(args.format, quotient, routes)
-    _emit(text, args.output)
+    _emit(_quotient_text(args.format, quotient, routes), args.output)
     return 0 if routes.walk_match and routes.det_match else 1
 
 
@@ -626,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with _unlimited_int_str():
+            return args.handler(args)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

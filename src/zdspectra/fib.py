@@ -21,7 +21,6 @@ __all__ = [
     "docagne_residual",
     "fib_values",
     "golden_pair",
-    "pair_power",
     "pair_powers",
     "zphi_is_zero",
     "zphi_mul",
@@ -287,22 +286,10 @@ def zphi_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return a * c + (m - 1) * bd, a * d + b * c + bd
 
 
-def pair_power(m: int, i: int, j: int) -> tuple[int, int]:
-    """phi**i * xi**j as the integer pair (a, b) meaning a + b*phi."""
-    check_integer(m, "weight m", 2)
-    check_integer(i, "exponent", 0)
-    check_integer(j, "exponent", 0)
-    value = (1, 0)
-    for _ in range(i):
-        value = zphi_mul(m, value, (0, 1))
-    for _ in range(j):
-        value = zphi_mul(m, value, (1, -1))
-    return value
-
-
 def pair_powers(m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """pair_power(m, i, n - i) for i = 1..n-1, from the powers of phi and
-    xi up to n - 1: 3(n - 1) products in all instead of n per index."""
+    """The pair powers phi**i * xi**(n-i) for i = 1..n-1 as integer pairs
+    (a, b) meaning a + b*phi, from the powers of phi and xi up to n - 1:
+    3(n - 1) products in all instead of n per index."""
     check_integer(m, "weight m", 2)
     check_integer(n, "exponent", 0)
     phi, xi = [(1, 0)], [(1, 0)]

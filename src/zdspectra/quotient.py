@@ -235,7 +235,7 @@ def factorize_walk(m: int, n: int, kind: QuotientKind) -> WalkFactorization:
     )
 
 
-def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
+def det_walk_formula(m: int, n: int, kind: QuotientKind) -> int:
     """Walk-matrix determinant from the factorization:
 
         det = prod_{r<l} (g[l] - g[r]) * prod_k D[k]
@@ -244,9 +244,9 @@ def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
     is (F[l+1]*F[r] - F[r+1]*F[l]) / (F[l]*F[r]); every F[k], k < n-1,
     appears in n-2 of those denominators.  The diagonal is the integer
     F[k]**(n-1) * F[k+1] for the P kind and (m-1)**k * F[k]**(n-2) for
-    the Q kind.  Numerator and denominator meet in one Fraction, a
-    nonzero rational that always reduces to an integer.  factorize_walk
-    reaches the same value through the factors themselves.
+    the Q kind.  The denominator always divides the numerator; a
+    remainder raises ArithmeticError.  factorize_walk reaches the same
+    value through the factors themselves.
     """
     check_params(m, n)
     if not isinstance(kind, QuotientKind):
@@ -263,7 +263,10 @@ def det_walk_formula(m: int, n: int, kind: QuotientKind) -> Fraction:
             num *= fs[k] ** (n - 1) * fs[k + 1]
         else:
             num *= (m - 1) ** k * fs[k] ** (n - 2)
-    return Fraction(num, den)
+    det, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("walk determinant formula is not an integer")
+    return det
 
 
 # -- exact linear algebra -------------------------------------------------
@@ -312,9 +315,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
         p = rows[pivot_row][col]
         for r in range(pivot_row + 1, n_rows):
             factor = rows[r][col]
-            if factor == 0 and p == prev:
-                # row already reduced against this pivot scale
-                continue
             row_r = rows[r]
             row_p = rows[pivot_row]
             for c in range(col + 1, n_cols):

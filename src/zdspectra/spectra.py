@@ -21,21 +21,23 @@ The pair powers are algebraic integers a + b*phi, so annihilation runs
 in integer Z[phi] arithmetic on the quotient's integer characteristic
 polynomial (Berkowitz's division-free algorithm), and each determinant
 is tested for zero in integers.  Values become QuadraticNumbers only
-for the report: a failing check's detail or a printed exact eigenvalue;
-predicted floats are read straight off the integer pairs.  A graph's
-Krylov rank never forms the adjacency matrix; only the dense eigensolve
-does.  It is the exact rank of the (n - 1) x (n - 1) walk matrix of the
-graph's equitable quotient (see krylov_rank for why), and None for a
-graph whose zero-count partition is not equitable.
+for a failing check's detail; predicted floats are read straight off
+the integer pairs, once per cell.  A graph's Krylov rank never forms
+the adjacency matrix; only the dense eigensolve does.  It is the exact
+rank of the (n - 1) x (n - 1) walk matrix of the graph's equitable
+quotient (see krylov_rank for why), and None for a graph whose
+zero-count partition is not equitable.
 
 A cell's exact data is built once, by predicted_spectrum: the quotients
-P and Q of the full graph and of the two-sided subgraph, P's spectrum
-and the pair powers, whose negations are Q's spectrum.  From it
-PredictedSpectrum.groups gives each graph's whole predicted spectrum,
-and each graph's dense spectrum is decided alone against its own
-groups, so no verdict on one graph reads the other's report.  Each
-spectral claim has one path, a public function that returns one graph's
-checks in report order: verify_spectrum_theorem the full graph's,
+P and Q of the full graph and of the two-sided subgraph, P's spectrum,
+the pair powers, whose negations are Q's spectrum, and each graph's
+whole predicted spectrum as one tuple of (value, multiplicity, main,
+exact) groups.  PredictedSpectrum.groups returns that tuple; each
+graph's dense spectrum is decided alone against it, so no verdict on
+one graph reads the other's report, and the command line prints the
+same tuple as that graph's predicted spectrum.  Each spectral claim has
+one path, a public function that returns one graph's checks in report
+order: verify_spectrum_theorem the full graph's,
 verify_main_correspondences the two-sided subgraph's (both one call of
 the same group check) and q_eigen_exact_check the exact annihilation of
 Q.  The command-line battery calls these same functions, and decides
@@ -66,7 +68,6 @@ from .quotient import (
     build_p,
     build_q,
     exact_rank,
-    json_safe_int,
     walk_matrix_iterative,
 )
 
@@ -82,7 +83,6 @@ __all__ = [
     "SpectralReport",
     "CheckResult",
     "VerificationReport",
-    "QEigenvalue",
     "PredictedSpectrum",
     "symmetric_eigen",
     "classify_main",
@@ -311,17 +311,8 @@ def quotient_eigenvalues(quotient: QuotientMatrix) -> tuple[float, ...]:
     return tuple(np.linalg.eigvalsh(r * r.T).tolist())
 
 
-@dataclass(frozen=True)
-class QEigenvalue:
-    """One sign-flipped eigenvalue contributed by the bipartite quotient:
-    the pair power phi**index * xi**(n-index), held as its Z[phi] pair
-    (a, b) meaning a + b*phi for the spectrum's weight m, with its
-    multiplicity C(n, index) - 1 in the full graph's spectrum."""
-
-    index: int
-    pair: tuple[int, int]
-    value: float
-    multiplicity: int
+# (value, multiplicity, main, exact): one group of a predicted spectrum.
+PredictedGroup = tuple[float, int, bool, str | None]
 
 
 @dataclass(frozen=True)
@@ -329,19 +320,24 @@ class PredictedSpectrum:
     """The exact data of one (m, n) cell and the spectra predicted from it.
 
     `p` is the full graph's equitable quotient and `q` the two-sided
-    subgraph's, with ascending spectra `p_eigenvalues` and `q_eigenvalues`.
-    The full graph's spectrum is P's eigenvalues once each and main, the
-    pair powers phi**i * xi**(n-i) (`q_derived`) with multiplicity
-    C(n, i) - 1 and not main, and zero for the remainder: its multiplicity
-    is derived from the counting identity (vertex count minus everything
-    else), which simplifies to m**n - (m-1)**n - 2**n + 1 and vanishes
-    exactly when m = 2.  The subgraph's spectrum is -phi**i * xi**(n-i),
-    main, and +phi**i * xi**(n-i), not main, each with multiplicity
-    C(n-2, i-1), and zero with multiplicity 2(m-1)m**(n-2) - 2**(n-1),
-    none when m = 2.  Q's spectrum, the subgraph's main values, is the
-    n - 1 negated pair powers, pairwise distinct, each proved a root of
-    Q's characteristic polynomial by q_eigen_exact_check.  Each graph's
-    groups are compared with its own dense spectrum alone.
+    subgraph's; `p_eigenvalues` is P's ascending spectrum and `pairs` the
+    pair powers phi**i * xi**(n-i), i = 1..n-1, as Z[phi] pairs (a, b)
+    meaning a + b*phi.  `full` and `bipartite` are each graph's predicted
+    spectrum as (value, multiplicity, main, exact) groups sorted by value:
+    `exact` is "phi^i*xi^j" or "-phi^i*xi^j" (j = n - i) for a signed pair
+    power, "0" for the zero block, and None for an eigenvalue of P, which
+    has no closed form.  The full graph's is P's eigenvalues once each and
+    main, the pair powers with multiplicity C(n, i) - 1 and not main, and
+    zero for the remainder: its multiplicity is derived from the counting
+    identity (vertex count minus everything else), which simplifies to
+    m**n - (m-1)**n - 2**n + 1 and vanishes exactly when m = 2.  The
+    subgraph's is -phi**i * xi**(n-i), main, and +phi**i * xi**(n-i), not
+    main, each with multiplicity C(n-2, i-1), and zero with multiplicity
+    2(m-1)m**(n-2) - 2**(n-1), none when m = 2.  Q's spectrum, the
+    subgraph's main values, is the n - 1 negated pair powers, pairwise
+    distinct, each proved a root of Q's characteristic polynomial by
+    q_eigen_exact_check.  Each graph's groups are compared with its own
+    dense spectrum alone, and the report prints them as its `predicted`.
     """
 
     m: int
@@ -349,72 +345,53 @@ class PredictedSpectrum:
     p: QuotientMatrix
     q: QuotientMatrix
     p_eigenvalues: tuple[float, ...]
-    q_derived: tuple[QEigenvalue, ...]
-    zero_multiplicity: int
+    pairs: tuple[tuple[int, int], ...]
+    full: tuple[PredictedGroup, ...]
+    bipartite: tuple[PredictedGroup, ...]
 
     @property
     def q_eigenvalues(self) -> tuple[float, ...]:
-        """Q's ascending spectrum, the negated pair powers."""
-        return tuple(sorted(-q.value for q in self.q_derived))
+        """Q's ascending spectrum, the subgraph's main values."""
+        return tuple(value for value, _, main, _ in self.bipartite if main)
 
-    def groups(self, role: str) -> list[tuple[float, int, bool]]:
-        """Sorted (value, multiplicity, main) triples of the predicted
-        spectrum of the full graph ("full") or the two-sided subgraph
-        ("bipartite"), with the zero block where it is not empty."""
-        m, n = self.m, self.n
-        if role == "full":
-            items = [(v, 1, True) for v in self.p_eigenvalues]
-            items += [(q.value, q.multiplicity, False) for q in self.q_derived]
-            zero = self.zero_multiplicity
-        elif role == "bipartite":
-            items = []
-            for q in self.q_derived:
-                mult = math.comb(n - 2, q.index - 1)
-                items += [(-q.value, mult, True), (q.value, mult, False)]
-            zero = 2 * (m - 1) * m ** (n - 2) - 2 ** (n - 1)
-        else:
+    def groups(self, role: str) -> tuple[PredictedGroup, ...]:
+        """The predicted spectrum of the full graph ("full") or the
+        two-sided subgraph ("bipartite")."""
+        if role not in ROLE_TAGS:
             raise ValueError(f"role must be 'full' or 'bipartite', got {role!r}")
-        if zero:
-            items.append((0.0, zero, False))
-        return sorted(items)
-
-    def json_entries(self) -> dict:
-        return {
-            "p_eigenvalues": list(self.p_eigenvalues),
-            "q_derived": [
-                {
-                    "index": q.index,
-                    "exact": str(zphi_to_quadratic(self.m, q.pair)),
-                    "value": q.value,
-                    "multiplicity": json_safe_int(q.multiplicity),
-                }
-                for q in self.q_derived
-            ],
-            "zero_multiplicity": json_safe_int(self.zero_multiplicity),
-            "zero_multiplicity_derived": True,
-        }
+        return self.full if role == "full" else self.bipartite
 
 
 def predicted_spectrum(m: int, n: int) -> PredictedSpectrum:
     """Build P, Q, P's spectrum and the pair powers for (m, n), once each,
-    and assemble the predicted spectra of both graphs; each graph's
+    and assemble the predicted groups of both graphs; each graph's
     predicted multiplicities must total its vertex count."""
     p = build_p(m, n)
     p_values = quotient_eigenvalues(p)
-    q_derived = tuple(
-        QEigenvalue(i, pair, zphi_to_float(m, pair), math.comb(n, i) - 1)
-        for i, pair in enumerate(pair_powers(m, n), start=1)
-    )
-    zero = m**n - (m - 1) ** n - 2**n + 1
-    prediction = PredictedSpectrum(m, n, p, build_q(m, n), p_values, q_derived, zero)
-    for role, tag in ROLE_TAGS.items():
-        total = sum(mult for _, mult, _ in prediction.groups(role))
-        count = vertex_count(m, n, role)
+    pairs = pair_powers(m, n)
+    full: list[PredictedGroup] = [(value, 1, True, None) for value in p_values]
+    bipartite: list[PredictedGroup] = []
+    for i, pair in enumerate(pairs, start=1):
+        value, power = zphi_to_float(m, pair), f"phi^{i}*xi^{n - i}"
+        full.append((value, math.comb(n, i) - 1, False, power))
+        mult = math.comb(n - 2, i - 1)
+        bipartite += [(-value, mult, True, "-" + power), (value, mult, False, power)]
+    for role, groups, zero in (
+        ("full", full, m**n - (m - 1) ** n - 2**n + 1),
+        ("bipartite", bipartite, 2 * (m - 1) * m ** (n - 2) - 2 ** (n - 1)),
+    ):
+        if zero:
+            groups.append((0.0, zero, False, "0"))
+        groups.sort(key=lambda group: group[0])
+        total, count = sum(g[1] for g in groups), vertex_count(m, n, role)
         if total != count:
             raise ArithmeticError(
-                f"predicted {tag} multiplicities total {total}, vertex count is {count}"
+                f"predicted {ROLE_TAGS[role]} multiplicities total {total}, "
+                f"vertex count is {count}"
             )
-    return prediction
+    return PredictedSpectrum(
+        m, n, p, build_q(m, n), p_values, pairs, tuple(full), tuple(bipartite)
+    )
 
 
 # -- verification reports ---------------------------------------------------
@@ -464,8 +441,7 @@ def _verify_groups(
     tag, tolerance = ROLE_TAGS[role], MATCH
     predicted = prediction.groups(role)
     spacing = min(
-        (b - a for (a, _, _), (b, _, _) in zip(predicted, predicted[1:])),
-        default=math.inf,
+        (b[0] - a[0] for a, b in zip(predicted, predicted[1:])), default=math.inf
     )
     if spacing <= 2 * tolerance:
         raise ArithmeticError(
@@ -482,7 +458,7 @@ def _verify_groups(
         )
     ]
     if len(computed) == len(predicted):
-        for (value, mult, main), group in zip(predicted, computed):
+        for (value, mult, main, _), group in zip(predicted, computed):
             residual = abs(group.value - value)
             want = "main" if main else "non-main"
             got = "main" if group.is_main else "non-main"
@@ -569,7 +545,7 @@ def _det_shifted(m: int, coeffs: list[int], value: tuple[int, int]) -> tuple[int
 def q_eigen_exact_check(prediction: PredictedSpectrum) -> VerificationReport:
     """Exactly verify that every pair power phi**i * xi**(n-i) annihilates
     the bipartite quotient: det(Q + value * I) == 0, for the quotient
-    `prediction.q` and the pairs in `prediction.q_derived`.
+    `prediction.q` and the pairs in `prediction.pairs`, i = position + 1.
 
     The pair powers are algebraic integers a + b*phi, so the check runs in
     integer Z[phi] arithmetic: the integer characteristic polynomial of Q
@@ -583,9 +559,9 @@ def q_eigen_exact_check(prediction: PredictedSpectrum) -> VerificationReport:
     m = prediction.m
     coeffs = _char_poly(prediction.q.entries)
     checks = []
-    for q in prediction.q_derived:
-        name = f"pair power i={q.index} annihilates the bipartite quotient"
-        det = _det_shifted(m, coeffs, q.pair)
+    for i, pair in enumerate(prediction.pairs, start=1):
+        name = f"pair power i={i} annihilates the bipartite quotient"
+        det = _det_shifted(m, coeffs, pair)
         if zphi_is_zero(m, det):
             checks.append(CheckResult(name, True, 0.0))
             continue
@@ -595,7 +571,7 @@ def q_eigen_exact_check(prediction: PredictedSpectrum) -> VerificationReport:
                 name,
                 False,
                 abs(float(exact)),
-                f"det(Q + ({zphi_to_quadratic(m, q.pair)}) I) = {exact}",
+                f"det(Q + ({zphi_to_quadratic(m, pair)}) I) = {exact}",
             )
         )
     return VerificationReport(tuple(checks))

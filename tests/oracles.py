@@ -22,6 +22,17 @@ def fib_loop(m: int, k: int) -> int:
     return prev
 
 
+def pair_power(m: int, i: int, j: int) -> tuple[int, int]:
+    """phi**i * xi**j as the integer pair (a, b) meaning a + b*phi, one
+    factor at a time, with phi = (0, 1), xi = 1 - phi = (1, -1) and
+    phi**2 = phi + (m - 1)."""
+    a, b = 1, 0
+    for c, d in [(0, 1)] * i + [(1, -1)] * j:
+        # (a + b phi)(c + d phi) = ac + (ad + bc) phi + bd (phi + m - 1)
+        a, b = a * c + b * d * (m - 1), a * d + b * c + b * d
+    return a, b
+
+
 def brute_vertices(m: int, n: int) -> list[tuple[int, ...]]:
     """All length-n tuples over 0..m-1 with at least one zero and one nonzero."""
     out = []

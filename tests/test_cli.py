@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from zdspectra import cli, spectra
+from zdspectra.fib import QuadraticNumber
 from zdspectra.graph import DEFAULT_SIZE_CAP, ZeroDivisorGraph
 from zdspectra.quotient import (
     build_p,
@@ -81,8 +82,8 @@ def test_quotient_output_file(capsys, tmp_path):
 
 
 def test_quotient_renders_determinants_past_the_int_str_limit(capsys):
-    # The walk determinant at (9, 16) has 834 digits.  Rendering lifts
-    # Python's int-to-str limit for itself only, and puts it back after.
+    # The walk determinant at (9, 16) has 834 digits.  The command lifts
+    # Python's int-to-str limit while it runs, and puts it back after.
     det = exact_det(walk_matrix_iterative(build_p(9, 16).entries))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -104,6 +105,27 @@ def test_quotient_renders_determinants_past_the_int_str_limit(capsys):
     assert f"determinant (elimination): {digits}\n" in results["text"][1]
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_failing_exact_check_with_a_huge_value_exits_1(capsys, monkeypatch):
+    # A failing "determinant routes agree" check prints both determinants
+    # in its detail; at (9, 16) they have 835 digits, past a limit of 640.
+    # That is a check failure, exit 1, not a usage error.
+    real = cli.det_walk_formula
+    monkeypatch.setattr(cli, "det_walk_formula", lambda *args: real(*args) + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "verify", "--m", "9", "--n", "16",
+                             "--size-cap", "1")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1, err
+    assert "m=9 n=16: determinant routes agree (P) - elimination " in out
+
+
 # === report ===
 
 def test_report_json_schema(capsys):
@@ -120,11 +142,53 @@ def test_report_json_schema(capsys):
     assert all(c["pass"] for c in full["checks"] + bip["checks"])
     assert {"name", "pass", "residual"} <= set(full["checks"][0])
     predicted = full["predicted"]
-    assert predicted["zero_multiplicity"] == 0
-    assert len(predicted["p_eigenvalues"]) == 3
+    assert all(set(g) == {"value", "multiplicity", "main", "exact"} for g in predicted)
+    assert "0" not in [g["exact"] for g in predicted]  # no zero block at m = 2
+    assert [g["exact"] for g in predicted if g["main"]] == [None] * 3
     assert bip["vertices"] == 8
-    assert bip["predicted"]["main_count"] == 3
-    assert len(bip["predicted"]["main_eigenvalues"]) == 3
+    assert [g["exact"] for g in bip["predicted"] if g["main"]] == [
+        "-phi^2*xi^2", "-phi^1*xi^3", "-phi^3*xi^1"
+    ]
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (2, 5)])
+def test_report_prints_each_graph_prediction_beside_its_groups(
+    capsys, monkeypatch, m, n
+):
+    # Each graph's "predicted" is the tuple its dense groups were checked
+    # against, group by group; a passing report builds no QuadraticNumber.
+    def built(*args):
+        raise AssertionError("a passing report built a QuadraticNumber")
+
+    monkeypatch.setattr(QuadraticNumber, "__post_init__", built)
+    code, out, err = run(capsys, "report", "--m", str(m), "--n", str(n))
+    assert code == 0 and err == ""
+    prediction = spectra.predicted_spectrum(m, n)
+    for entry in json.loads(out):
+        predicted, computed = entry["predicted"], entry["eigenvalues"]
+        assert [tuple(g.values()) for g in predicted] == list(
+            prediction.groups(entry["graph"])
+        )
+        assert len(predicted) == len(computed) > 1
+        for want, got in zip(predicted, computed):
+            assert want["multiplicity"] == got["multiplicity"]
+            assert want["main"] is got["main"]
+            assert abs(want["value"] - got["value"]) <= spectra.MATCH
+
+
+def test_report_prints_predictions_past_the_size_cap(capsys):
+    # Above the size cap the report still prints both graphs' predicted
+    # groups; multiplicities past 2**53 are decimal strings.
+    code, out, _ = run(capsys, "report", "--m", "1000", "--n", "14")
+    assert code == 3
+    for entry in json.loads(out):
+        mults = [g["multiplicity"] for g in entry["predicted"]]
+        assert entry["eigenvalues"] == [] and len(mults) == 2 * 13 + 1
+        assert all(
+            isinstance(k, str) if int(k) > 2**53 else isinstance(k, int) for k in mults
+        )
+        assert any(isinstance(k, str) for k in mults)
+        assert sum(int(k) for k in mults) == int(entry["vertices"])
 
 
 def test_report_detects_zero_block(capsys):

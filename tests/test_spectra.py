@@ -1,6 +1,7 @@
 """Dense eigensolver, main classification, predictions, verification."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,6 @@ import pytest
 from zdspectra.fib import (
     QuadraticNumber,
     golden_pair,
-    pair_power,
     zphi_is_zero,
     zphi_to_quadratic,
 )
@@ -59,6 +59,7 @@ from oracles import (
     classify_full_order,
     det_cofactor,
     krylov_rank_rows,
+    pair_power,
 )
 
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -494,20 +495,27 @@ def test_quotient_eigenvalues_are_the_balanced_spectrum(role, build):
 
 def test_predicted_spectrum_structure():
     pred = predicted_spectrum(3, 4)
-    assert [q.value for q in pred.q_derived] == [-2.0, 4.0, -8.0]
-    assert [q.multiplicity for q in pred.q_derived] == [3, 5, 3]
-    assert pred.zero_multiplicity == 3**4 - 2**4 - 2**4 + 1
+    assert [zphi_to_quadratic(3, pair) for pair in pred.pairs] == [-2, 4, -8]
     full, bip = pred.groups("full"), pred.groups("bipartite")
-    assert sum(mult for _, mult, _ in full) == 3**4 - 2**4 - 1
-    assert [(v, mult) for v, mult, main in full if main] == [
-        (v, 1) for v in pred.p_eigenvalues
+    assert sum(mult for _, mult, _, _ in full) == 3**4 - 2**4 - 1
+    assert [(v, mult, exact) for v, mult, main, exact in full if main] == [
+        (v, 1, None) for v in pred.p_eigenvalues
+    ]
+    # the pair powers x (C(4, i) - 1), and zero x (3**4 - 2**4 - 2**4 + 1)
+    assert [g for g in full if not g[2]] == [
+        (-8.0, 3, False, "phi^3*xi^1"), (-2.0, 3, False, "phi^1*xi^3"),
+        (0.0, 50, False, "0"), (4.0, 5, False, "phi^2*xi^2"),
     ]
     # the subgraph: -/+ each pair power x C(2, i-1), the negations main,
     # and zero x (2 * 2 * 3**2 - 2**3)
-    assert bip == [
-        (-8.0, 1, False), (-4.0, 2, True), (-2.0, 1, False), (0.0, 28, False),
-        (2.0, 1, True), (4.0, 2, False), (8.0, 1, True),
-    ]
+    assert bip == (
+        (-8.0, 1, False, "phi^3*xi^1"), (-4.0, 2, True, "-phi^2*xi^2"),
+        (-2.0, 1, False, "phi^1*xi^3"), (0.0, 28, False, "0"),
+        (2.0, 1, True, "-phi^1*xi^3"), (4.0, 2, False, "phi^2*xi^2"),
+        (8.0, 1, True, "-phi^3*xi^1"),
+    )
+    assert pred.q_eigenvalues == (-4.0, 2.0, 8.0)
+    assert pred.groups("full") is full  # stored once, not rebuilt per call
     with pytest.raises(ValueError, match="role"):
         pred.groups("subgraph")
 
@@ -515,32 +523,63 @@ def test_predicted_spectrum_structure():
 def test_predicted_exact_forms_match_floats():
     phi, xi = golden_pair(2)
     pred = predicted_spectrum(2, 5)
-    for q in pred.q_derived:
-        exact = phi**q.index * xi ** (5 - q.index)
-        assert zphi_to_quadratic(2, q.pair) == exact
-        assert abs(float(exact) - q.value) < 1e-12
+    values = {exact: value for value, _, _, exact in pred.groups("full")}
+    for i, pair in enumerate(pred.pairs, start=1):
+        exact = phi**i * xi ** (5 - i)
+        assert zphi_to_quadratic(2, pair) == exact
+        assert abs(float(exact) - values[f"phi^{i}*xi^{5 - i}"]) < 1e-12
 
 
 def test_predicted_floats_are_those_of_the_exact_forms():
     # Each value is read off the Z[phi] pair, bit-identical to converting
-    # the quadratic-field number; the exact strings are unchanged.
+    # the quadratic-field number, in both graphs' groups.
     cells = [(m, n) for m in range(2, 14) for n in range(2, 41)]
     for m, n in cells + [(2, 50), (2, 63), (10**6, 50), (10**6, 52)]:
         pred = predicted_spectrum(m, n)
-        entries = pred.json_entries()["q_derived"]
-        for q, entry in zip(pred.q_derived, entries, strict=True):
-            exact = zphi_to_quadratic(m, pair_power(m, q.index, n - q.index))
-            assert q.value == float(exact), (m, n, q.index)
-            assert zphi_to_quadratic(m, q.pair) == exact
-            assert entry["exact"] == str(exact)
-            assert entry["value"] == q.value
+        full = {exact: value for value, _, _, exact in pred.groups("full")}
+        bip = {exact: value for value, _, _, exact in pred.groups("bipartite")}
+        for i, pair in enumerate(pred.pairs, start=1):
+            exact = zphi_to_quadratic(m, pair_power(m, i, n - i))
+            power = f"phi^{i}*xi^{n - i}"
+            assert full[power] == bip[power] == float(exact), (m, n, i)
+            assert bip["-" + power] == -float(exact), (m, n, i)
+            assert zphi_to_quadratic(m, pair) == exact
+
+
+def _zero_blocks(m, n, role):
+    return [mult for _, mult, _, exact in predicted_spectrum(m, n).groups(role)
+            if exact == "0"]
 
 
 def test_zero_multiplicity_vanishes_only_for_binary_fields():
     for n in range(2, 9):
-        assert predicted_spectrum(2, n).zero_multiplicity == 0
-    assert predicted_spectrum(3, 2).zero_multiplicity == 2
-    assert predicted_spectrum(4, 3).zero_multiplicity == 30
+        assert _zero_blocks(2, n, "full") == _zero_blocks(2, n, "bipartite") == []
+    assert _zero_blocks(3, 2, "full") == [2]
+    assert _zero_blocks(4, 3, "full") == [30]
+    assert _zero_blocks(4, 3, "bipartite") == [2 * 3 * 4 - 2**2]
+
+
+def test_predicted_exact_strings_evaluate_to_the_group_values():
+    # Each "exact" reads +-phi^i*xi^j with i + j = n, and its exact value
+    # is the group's float; P's eigenvalues have no closed form.
+    form = re.compile(r"(-?)phi\^(\d+)\*xi\^(\d+)")
+    for m in range(2, 10):
+        phi, xi = golden_pair(m)
+        for n in range(2, 13):
+            pred = predicted_spectrum(m, n)
+            for role in ("full", "bipartite"):
+                for value, _, main, exact in pred.groups(role):
+                    if exact is None:
+                        assert role == "full" and main and value in pred.p_eigenvalues
+                        continue
+                    if exact == "0":
+                        assert value == 0.0 and not main
+                        continue
+                    sign, i, j = form.fullmatch(exact).groups()
+                    assert int(i) + int(j) == n, (m, n, exact)
+                    want = float(phi ** int(i) * xi ** int(j)) * (-1 if sign else 1)
+                    assert abs(value - want) <= 1e-12 * abs(want), (m, n, exact)
+            assert sum(exact is None for *_, exact in pred.groups("full")) == n - 1
 
 
 def test_prediction_carries_the_bipartite_quotient_spectrum():
@@ -561,16 +600,15 @@ def test_predicted_sum_matches_quotient_traces():
     for m, n in [(2, 4), (3, 4), (4, 3)]:
         pred = predicted_spectrum(m, n)
         for role in ("full", "bipartite"):
-            total = sum(v * mult for v, mult, _ in pred.groups(role))
+            total = sum(v * mult for v, mult, _, _ in pred.groups(role))
             assert abs(total) < 1e-8, (m, n, role)
 
 
 def test_predicted_json_uses_exact_strings():
-    entries = predicted_spectrum(2, 4).json_entries()
-    assert entries["zero_multiplicity"] == 0
-    assert entries["zero_multiplicity_derived"] is True
-    assert len(entries["p_eigenvalues"]) == 3
-    assert all(isinstance(q["exact"], str) for q in entries["q_derived"])
+    full = predicted_spectrum(2, 4).groups("full")
+    assert [mult for _, mult, _, exact in full if exact == "0"] == []
+    assert [exact for *_, exact in full if exact is None] == [None] * 3
+    assert all(isinstance(exact, str) for _, _, main, exact in full if not main)
 
 
 # === verification drivers ===
@@ -616,8 +654,9 @@ def test_spectrum_theorem_refuses_predictions_closer_than_twice_match(spacing, r
     # Two predicted values within 2 * MATCH of each other could both match
     # one computed value, so the theorem refuses to compare them.
     values = (0.0, spacing * spectra.MATCH, 5.0)
+    groups = tuple((value, 1, True, None) for value in values)
     prediction = spectra.PredictedSpectrum(
-        2, 3, build_p(2, 3), build_q(2, 3), values, (), 0
+        2, 3, build_p(2, 3), build_q(2, 3), values, (), groups, ()
     )
     computed = classify_main(np.diag(values))
     if raises:
