@@ -13,13 +13,17 @@ structure checks and one exact Krylov check, and one within the dense
 cap also gets its dense spectral report.  The spectra module only
 receives reports ready-made.
 
-Exit statuses: 0 success, 1 check failure, 2 usage error, 3 resource cap
-exceeded.  Identical invocations produce byte-identical output.  The
-caps are set only by --size-cap and --dense-cap.  Each (m, n) is
-checked once, by fib.check_params inside the quotient and graph
-builders, which every subcommand calls before it writes anything.  The
-numeric policy is the set of constants in spectra (MATCH, GROUPING_GAP
-and the rest), read when each check runs; no flag or variable sets it.
+Exit statuses are decided in `main` alone: 1 if a check failed, else 3
+if a graph was above the size cap, else 0; 2 for a usage error or an
+--output that cannot be written.  Each subcommand handler returns its
+stdout text, whether a check failed and whether a graph was capped, and
+`main` alone writes that text.  Identical invocations produce
+byte-identical output.  The caps are set only by --size-cap and
+--dense-cap.  Each (m, n) is checked once, by fib.check_params inside
+the quotient and graph builders, which every subcommand calls before
+anything is written.  The numeric policy is the set of constants in
+spectra (MATCH, GROUPING_GAP and the rest), read when each check runs;
+no flag or variable sets it.
 """
 
 from __future__ import annotations
@@ -122,14 +126,6 @@ def _add_common(parser: argparse.ArgumentParser, *, dense: bool) -> None:
     parser.add_argument(
         "--output", metavar="PATH", default=None, help="write to PATH instead of stdout"
     )
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
 
 
 # -- check batteries --------------------------------------------------------
@@ -471,40 +467,37 @@ def _quotient_text(fmt: str, quotient: QuotientMatrix, routes: WalkRoutes) -> st
     return "\n".join(lines) + "\n"
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args) -> tuple[str, bool, bool]:
     m, n = args.m, args.n
     quotient = build_p(m, n) if args.kind == "p" else build_q(m, n)
     routes = _walk_routes(quotient)
-    _emit(_quotient_text(args.format, quotient, routes), args.output)
-    return 0 if routes.walk_match and routes.det_match else 1
+    failed = not (routes.walk_match and routes.det_match)
+    return _quotient_text(args.format, quotient, routes), failed, False
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[str, bool, bool]:
     entries, battery = assemble_report(args.m, args.n, args.size_cap, args.dense_cap)
     if args.format == "text":
         text = _report_text(entries)
     else:
         text = json.dumps(entries, indent=2) + "\n"
-    _emit(text, args.output)
     if battery.capped:
         print(
             f"error: vertex count exceeds size cap {args.size_cap}; "
             "quotient-level report only",
             file=sys.stderr,
         )
-        return 3
     if battery.failures:
         print("check failures:", file=sys.stderr)
         for role, check in battery.failures:
             print(f"  {role}: {check.name}", file=sys.stderr)
-        return 1
-    return 0
+    return text, bool(battery.failures), battery.capped
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, bool, bool]:
     m_lo, m_hi = args.m
     n_lo, n_hi = args.n
-    rows = []
+    lines = [f"{'m':>3} {'n':>3} {'checks':>7} {'failed':>7} {'skipped':>8}  status"]
     failures = []
     skip_notes = []
     total = 0
@@ -512,46 +505,32 @@ def _cmd_verify(args) -> int:
         recurrence = _recurrence_checks(m)
         for n in range(n_lo, n_hi + 1):
             battery = run_battery(m, n, args.size_cap, args.dense_cap)
-            checks = recurrence + [
-                c for role in ROLES for c in battery.checks[role]
-            ]
+            checks = recurrence + [c for role in ROLES for c in battery.checks[role]]
             failed = [c for c in checks if not c.passed]
             skipped = [note for role in ROLES for note in battery.skipped[role]]
             total += len(checks)
-            rows.append(
-                (m, n, len(checks), len(failed), len(skipped),
-                 "pass" if not failed else "FAIL")
+            lines.append(
+                f"{m:>3} {n:>3} {len(checks):>7} {len(failed):>7} {len(skipped):>8}  "
+                + ("FAIL" if failed else "pass")
             )
             failures += [(m, n, c) for c in failed]
             skip_notes += [(m, n, note) for note in skipped]
-
-    lines = [f"{'m':>3} {'n':>3} {'checks':>7} {'failed':>7} {'skipped':>8}  status"]
-    for m, n, n_checks, n_failed, n_skipped, status in rows:
-        lines.append(
-            f"{m:>3} {n:>3} {n_checks:>7} {n_failed:>7} {n_skipped:>8}  {status}"
-        )
-    lines.append("")
-    lines.append(
-        f"{len(rows)} cells, {total} checks, {len(failures)} failures"
-    )
+    cells = (m_hi - m_lo + 1) * (n_hi - n_lo + 1)
+    lines += ["", f"{cells} cells, {total} checks, {len(failures)} failures"]
     if skip_notes:
         lines.append("skipped:")
         lines += [f"  m={m} n={n}: {note}" for m, n, note in skip_notes]
     if failures:
         lines.append("failures:")
         for m, n, check in failures:
-            residual = (
-                f" (residual {check.residual:.3e})"
-                if check.residual is not None
-                else ""
-            )
+            r = check.residual
+            residual = "" if r is None else f" (residual {r:.3e})"
             detail = f" - {check.detail}" if check.detail else ""
             lines.append(f"  m={m} n={n}: {check.name}{residual}{detail}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0 if not failures else 1
+    return "\n".join(lines) + "\n", bool(failures), False
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> tuple[str, bool, bool]:
     build = build_graph if args.what == "graph" else build_bipartite
     graph_obj = build(args.m, args.n, size_cap=args.size_cap)
     if args.format == "dot":
@@ -560,8 +539,7 @@ def _cmd_export(args) -> int:
         text = adjacency_to_csv(graph_obj)
     else:
         text = json.dumps(to_json_descriptor(graph_obj), indent=2) + "\n"
-    _emit(text, args.output)
-    return 0
+    return text, False, False
 
 
 # -- parser -----------------------------------------------------------------
@@ -622,16 +600,22 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with _unlimited_int_str():
-            return args.handler(args)
+            text, failed, capped = args.handler(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AmbiguousClassification, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if failed else 3 if capped else 0
 
 
 if __name__ == "__main__":

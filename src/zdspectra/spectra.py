@@ -131,14 +131,11 @@ class AmbiguousClassification(Exception):
 # -- eigensolver ------------------------------------------------------------
 
 
-def _symmetric(matrix: object, dtype: type | None = None) -> np.ndarray:
-    """The matrix as a C-contiguous array, checked square, non-empty and
-    exactly symmetric."""
+def _square(matrix: object, dtype: type | None = None) -> np.ndarray:
+    """The matrix as a C-contiguous array, checked square and non-empty."""
     A = np.ascontiguousarray(matrix, dtype=dtype)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("matrix must be square and non-empty")
-    if not np.array_equal(A, A.T):
-        raise ValueError("matrix must be exactly symmetric")
     return A
 
 
@@ -152,7 +149,10 @@ def symmetric_eigen(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     matrix reduced to its distinct rows, so for a graph the order solved
     is the number of twin classes, not the vertex count.
     """
-    return np.linalg.eigh(_symmetric(matrix, np.float64))
+    A = _square(matrix, np.float64)
+    if not np.array_equal(A, A.T):
+        raise ValueError("matrix must be exactly symmetric")
+    return np.linalg.eigh(A)
 
 
 # -- classification ---------------------------------------------------------
@@ -192,14 +192,17 @@ def _group_bounds(w: np.ndarray, gap: float) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _row_classes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_classes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first row index and the size of each class of byte-identical
-    rows of a C-contiguous matrix, in first-row order.  Each row is one
-    np.void item, so np.unique compares whole rows as bytes."""
+    rows of a C-contiguous matrix, classes numbered in first-row order,
+    and each row's class.  Each row is one np.void item, so np.unique
+    compares whole rows as bytes."""
     rows = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    _, first, inverse, counts = np.unique(
+        rows, return_index=True, return_inverse=True, return_counts=True
+    )
     order = np.argsort(first)
-    return first[order], counts[order]
+    return first[order], counts[order], np.argsort(order)[inverse]
 
 
 def classify_main(matrix: object) -> SpectralReport:
@@ -222,19 +225,31 @@ def classify_main(matrix: object) -> SpectralReport:
     where A came from; equal values with different bytes (0.0 and -0.0)
     only leave two classes that could have been one.
 
+    Symmetry is decided exactly, in A's own dtype so that no integer is
+    rounded.  With every row distinct A is compared with its transpose.
+    Else, in O(kN), each representative row R = A[r] must be constant on
+    every class of columns and B = A[r, r] must be symmetric; then, with
+    c(i) the class of row i, A[i, j] = R[c(i), j] = B[c(i), c(j)] =
+    B[c(j), c(i)] = R[c(j), i] = A[j, i].
+
     Computed eigenvalues closer than max(GROUPING_GAP, GROUPING_GAP_REL *
     ||A||_F) merge into one group.  A group is main when the normalized
     all-ones vector has projection norm above the threshold on its
     eigenspace; norms inside the dead band raise AmbiguousClassification.
     """
-    A = _symmetric(matrix)
+    A = _square(matrix)
     n = len(A)
-    first, counts = _row_classes(A)
+    first, counts, row_class = _row_classes(A)
     if len(first) == n:
+        symmetric = np.array_equal(A, A.T)
         S = A.astype(np.float64)
     else:
-        scale = np.sqrt(np.outer(counts, counts))
-        S = A[np.ix_(first, first)].astype(np.float64) * scale
+        R = A[first]
+        B = R[:, first]
+        symmetric = np.array_equal(R, R[:, first[row_class]]) and np.array_equal(B, B.T)
+        S = B.astype(np.float64) * np.sqrt(np.outer(counts, counts))
+    if not symmetric:
+        raise ValueError("matrix must be exactly symmetric")
     w, Y = symmetric_eigen(S)
     coeff = Y.T @ (np.sqrt(counts) / math.sqrt(n))
     zero = np.searchsorted(w, 0.0)

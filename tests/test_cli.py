@@ -81,6 +81,33 @@ def test_quotient_output_file(capsys, tmp_path):
     assert target.read_text() == "0,0,1\n0,1,2\n1,3,3\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["report", "--m", "3", "--n", "4"],
+        ["report", "--m", "2", "--n", "4", "--format", "text", "--size-cap", "10"],
+        ["verify", "--m", "2..3", "--n", "2..4"],
+        ["export", "--m", "2", "--n", "4", "--format", "json"],
+    ],
+    ids=["report-json", "report-text-capped", "verify", "export"],
+)
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, command):
+    code, out, err = run(capsys, *command)
+    target = tmp_path / "out"
+    assert run(capsys, *command, "--output", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "missing-parent"])
+def test_unwritable_output_exits_2_with_one_error_line(capsys, tmp_path, target):
+    code, out, err = run(capsys, "report", "--m", "2", "--n", "3",
+                         "--output", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_quotient_renders_determinants_past_the_int_str_limit(capsys):
     # The walk determinant at (9, 16) has 834 digits.  The command lifts
     # Python's int-to-str limit while it runs, and puts it back after.
@@ -221,6 +248,22 @@ def test_report_size_cap_exit(capsys):
     assert full["skipped"]
     # Quotient-level checks still run.
     assert any("walk" in c["name"] for c in full["checks"])
+
+
+def test_failed_check_outranks_the_size_cap(capsys, monkeypatch):
+    # A capped report whose quotient-level checks fail exits 1, and lists
+    # the failures after the cap note.
+    real = cli.det_walk_formula
+    monkeypatch.setattr(cli, "det_walk_formula", lambda *args: real(*args) + 1)
+    code, out, err = run(capsys, "report", "--m", "2", "--n", "4", "--size-cap", "10")
+    assert code == 1
+    assert err == (
+        "error: vertex count exceeds size cap 10; quotient-level report only\n"
+        "check failures:\n"
+        "  full: determinant routes agree (P)\n"
+        "  bipartite: determinant routes agree (Q)\n"
+    )
+    assert json.loads(out)[0]["skipped"]
 
 
 @pytest.mark.parametrize("cap, code", [("6", 0), ("5", 3)])

@@ -124,6 +124,12 @@ def test_graph_adjacency_reconstruction(graphs):
     assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-10)
 
 
+def _repeat_rows(base):
+    # rows and columns 0 and 1 are copies of base's first, so k < N
+    labels = [0, 0, *range(1, len(base))]
+    return np.asarray(base)[np.ix_(labels, labels)]
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         symmetric_eigen(np.array([[0.0, 1.0], [0.9, 0.0]]))
@@ -131,10 +137,19 @@ def test_input_validation():
         symmetric_eigen(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         symmetric_eigen(np.zeros((0, 0)))
-    # rows 0 and 1 are equal but columns 0 and 1 are not: the twin
-    # reduction needs symmetry, so classification checks it on the input
-    asymmetric = np.array([[0.0, 1.0], [0.9, 0.0]])
-    for bad in (asymmetric, np.array([[0, 1, 1], [0, 1, 1], [1, 0, 0]])):
+    # The twin reduction needs symmetry, so classification checks it on
+    # the input, exactly: the mirror entries 2**53 and 2**53 + 1 round to
+    # one float.  After the two matrices of distinct rows, rows 0 and 1
+    # are equal in each: first columns 0 and 1 are not; then only the
+    # class block is asymmetric.
+    huge = np.array([[0, 2**53], [2**53 + 1, 0]], dtype=np.int64)
+    for bad in (
+        np.array([[0.0, 1.0], [0.9, 0.0]]),
+        huge,
+        np.array([[0, 1, 1], [0, 1, 1], [1, 0, 0]]),
+        _repeat_rows([[0, 1], [2, 0]]),
+        _repeat_rows(huge),
+    ):
         with pytest.raises(ValueError, match="symmetric"):
             classify_main(bad)
     with pytest.raises(ValueError, match="square"):
@@ -296,6 +311,15 @@ def test_twin_reduction_holds_for_any_symmetric_matrix(seed):
     if extra:
         zero = [g for g in report.groups if g.value == 0.0]
         assert [(g.multiplicity, g.projection, g.is_main) for g in zero] == [(extra, 0.0, False)]
+
+
+def test_twin_branch_accepts_signed_zeros_in_mirrored_cells():
+    # symmetry is decided on values, so 0.0 against -0.0 is symmetric
+    base = random_symmetric(5, 7)
+    base[1, 3], base[3, 1] = 0.0, -0.0
+    A = _repeat_rows(base)
+    assert np.signbit(A[4, 2]) != np.signbit(A[2, 4])
+    _assert_full_order_classification(A, classify_main(A))
 
 
 @pytest.mark.parametrize("m,n,orders", [(3, 5, [30, 16]), (2, 7, [126, 64])])
