@@ -17,11 +17,11 @@ Exit statuses are decided in `main` alone: 1 if a check failed, else 3
 if a graph was above the size cap, else 0; 2 for a usage error or an
 --output that cannot be written.  Each subcommand handler returns its
 stdout text, whether a check failed and whether a graph was capped, and
-`main` alone writes that text.  Identical invocations produce
-byte-identical output.  The caps are set only by --size-cap and
---dense-cap.  Each (m, n) is checked once, by fib.check_params inside
-the quotient and graph builders, which every subcommand calls before
-anything is written.  The numeric policy is the set of constants in
+`main` alone writes that text, then notes a capped report on stderr.
+Identical invocations produce byte-identical output.  The caps are set
+only by --size-cap and --dense-cap.  Each (m, n) is checked once, by
+fib.check_params inside the quotient and graph builders, which every
+subcommand calls before anything is written.  The numeric policy is the set of constants in
 spectra (MATCH, GROUPING_GAP and the rest), read when each check runs;
 no flag or variable sets it.
 """
@@ -481,12 +481,6 @@ def _cmd_report(args) -> tuple[str, bool, bool]:
         text = _report_text(entries)
     else:
         text = json.dumps(entries, indent=2) + "\n"
-    if battery.capped:
-        print(
-            f"error: vertex count exceeds size cap {args.size_cap}; "
-            "quotient-level report only",
-            file=sys.stderr,
-        )
     if battery.failures:
         print("check failures:", file=sys.stderr)
         for role, check in battery.failures:
@@ -606,6 +600,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
+        if capped:
+            print(
+                f"note: vertex count exceeds size cap {args.size_cap}; "
+                "quotient-level report only",
+                file=sys.stderr,
+            )
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,9 +4,11 @@ Two (n-1) x (n-1) integer matrices are built for field size m and tuple
 length n: the P kind records, for a vertex with i zero coordinates, how
 many neighbors it has with j zero coordinates in the full graph; the
 Q kind does the same inside the two-sided induced subgraph.  Their walk
-matrices [e, Be, B**2 e, ...] admit closed forms in the weighted
-Fibonacci family, a Vandermonde-diagonal-unitriangular factorization,
-and a product formula for the determinant.  All arithmetic in this
+matrices [e, Be, B**2 e, ...] share one factor law (`_walk_factor`): a
+Vandermonde matrix T in the weighted Fibonacci nodes with scaled
+columns, times a unitriangular U (the identity for Q).  The closed
+forms, the factorization and the determinant all read it, and the
+determinant is a division-free integer product.  All arithmetic in this
 module is exact, in Python integers and fractions; floats never appear.
 Matrix products run on object-dtype numpy arrays of Python ints, which
 keeps the arbitrary-precision arithmetic and moves the loops into C.
@@ -19,6 +21,7 @@ nested rows or an ndarray, under one entry check (`_integer_rows`).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -123,45 +126,63 @@ def h_coefficients(m: int, n: int) -> tuple[int, ...]:
     return tuple(hs)
 
 
+def _walk_factor(
+    m: int, n: int, kind: QuotientKind
+) -> tuple[list[int], list[int], Iterator[tuple[int, ...]]]:
+    """F[0..n], the column weights w_k and the rows of the walk factor
+
+        T[i][k] = w_k * F[k]**(n-1-i) * F[k+1]**(i-1),   i = 1..n-1,
+
+    with w_k = F[k] * F[k+1] for the P kind and (m-1)**k for the Q kind.
+    T is the Vandermonde matrix of the homogeneous nodes (F[k+1] : F[k])
+    with scaled columns; the walk matrix is T for the Q kind and T * U
+    for the P kind (see walk_matrix_closed_p).  The rows are built only
+    when read.
+    """
+    check_params(m, n)
+    if not isinstance(kind, QuotientKind):
+        raise ValueError(f"kind must be a QuotientKind, got {kind!r}")
+    fs = fib_values(m, n)
+    if kind is QuotientKind.P:
+        weights = [fs[k] * fs[k + 1] for k in range(n - 1)]
+    else:
+        weights = [(m - 1) ** k for k in range(n - 1)]
+    rows = (
+        tuple(
+            w * fs[k] ** (n - 1 - i) * fs[k + 1] ** (i - 1)
+            for k, w in enumerate(weights)
+        )
+        for i in range(1, n)
+    )
+    return fs, weights, rows
+
+
 def walk_matrix_closed_p(m: int, n: int) -> IntMatrix:
     """P-kind walk matrix from the closed form
 
         entry(i, k) = F[k]**n * g[k]**i - sum_j h_j * F[k-j-1]**n * g[k-j-1]**i
 
-    with g[k] = F[k+1]/F[k].  Since i < n, each term F[k]**n * g[k]**i is
-    the integer F[k]**(n-i) * F[k+1]**i, so the form is evaluated in that
-    integer shape, like walk_matrix_closed_q; row i needs only n-1 of
-    them, so each is computed once per row.
+    with g[k] = F[k+1]/F[k]: each term F[k]**n * g[k]**i is the integer
+    T[i][k] = F[k]**(n-i) * F[k+1]**i of the walk factor, so the walk
+    matrix is T * U, with U unitriangular from the h coefficients.
     """
-    check_params(m, n)
-    fs = fib_values(m, n)
+    _, _, rows = _walk_factor(m, n, QuotientKind.P)
     hs = h_coefficients(m, n)
-    rows = []
-    for i in range(1, n):
-        terms = [fs[k] ** (n - i) * fs[k + 1] ** i for k in range(n - 1)]
-        rows.append(
-            tuple(
-                terms[k] - sum(hs[j] * terms[k - j - 1] for j in range(k))
-                for k in range(n - 1)
-            )
+    return tuple(
+        tuple(
+            terms[k] - sum(hs[j] * terms[k - j - 1] for j in range(k))
+            for k in range(n - 1)
         )
-    return tuple(rows)
+        for terms in rows
+    )
 
 
 def walk_matrix_closed_q(m: int, n: int) -> IntMatrix:
-    """Q-kind walk matrix from the closed form, in its integer shape:
+    """Q-kind walk matrix from the closed form: the walk factor itself,
 
         entry(i, k) = (m-1)**k * F[k]**(n-i-1) * F[k+1]**(i-1)
     """
-    check_params(m, n)
-    fs = fib_values(m, n)
-    return tuple(
-        tuple(
-            (m - 1) ** k * fs[k] ** (n - i - 1) * fs[k + 1] ** (i - 1)
-            for k in range(n - 1)
-        )
-        for i in range(1, n)
-    )
+    return tuple(_walk_factor(m, n, QuotientKind.Q)[2])
 
 
 @dataclass(frozen=True)
@@ -203,69 +224,42 @@ class WalkFactorization:
 def factorize_walk(m: int, n: int, kind: QuotientKind) -> WalkFactorization:
     """Factor the walk matrix of the chosen kind as V * diag(D) * U.
 
-    For the P kind, D[k] = F[k]**n * g[k] and column k+1 of U is
-    (-h_{k-1}, ..., -h_0, 1, 0, ...); for the Q kind,
-    D[k] = (m-1)**k * F[k]**(n-2) and U is the identity.
+    The walk factor T is V * diag(D) with D[k] = w_k * F[k]**(n-2), its
+    column weight times the powers its node takes out.  Column k+1 of U
+    is (-h_{k-1}, ..., -h_0, 1, 0, ...) for the P kind; the Q kind has
+    no correction, so its U is the identity.
     """
-    check_params(m, n)
-    if not isinstance(kind, QuotientKind):
-        raise ValueError(f"kind must be a QuotientKind, got {kind!r}")
-    fs = fib_values(m, n)
+    fs, weights, _ = _walk_factor(m, n, kind)
     r = n - 1
     ratios = tuple(Fraction(fs[k + 1], fs[k]) for k in range(r))
     vandermonde = tuple(tuple(g**i for g in ratios) for i in range(r))
-    if kind is QuotientKind.P:
-        diagonal = tuple(Fraction(fs[k]) ** n * ratios[k] for k in range(r))
-        hs = h_coefficients(m, n)
-        unitriangular = tuple(
-            tuple(
-                1 if i == j else (-hs[j - 1 - i] if i < j else 0) for j in range(r)
-            )
-            for i in range(r)
-        )
-    else:
-        diagonal = tuple(
-            Fraction((m - 1) ** k * fs[k] ** (n - 2)) for k in range(r)
-        )
-        unitriangular = tuple(
-            tuple(1 if i == j else 0 for j in range(r)) for i in range(r)
-        )
+    diagonal = tuple(Fraction(w * fs[k] ** (n - 2)) for k, w in enumerate(weights))
+    hs = h_coefficients(m, n) if kind is QuotientKind.P else (0,) * (n - 2)
+    unitriangular = tuple(
+        tuple(1 if i == j else (-hs[j - 1 - i] if i < j else 0) for j in range(r))
+        for i in range(r)
+    )
     return WalkFactorization(
         kind, m, n, ratios, vandermonde, diagonal, unitriangular
     )
 
 
 def det_walk_formula(m: int, n: int, kind: QuotientKind) -> int:
-    """Walk-matrix determinant from the factorization:
+    """Walk-matrix determinant as a product of integers:
 
-        det = prod_{r<l} (g[l] - g[r]) * prod_k D[k]
+        det = prod_k w_k * prod_{k<l} (F[l+1]*F[k] - F[k+1]*F[l])
 
-    evaluated in integers.  With g[k] = F[k+1]/F[k], each node difference
-    is (F[l+1]*F[r] - F[r+1]*F[l]) / (F[l]*F[r]); every F[k], k < n-1,
-    appears in n-2 of those denominators.  The diagonal is the integer
-    F[k]**(n-1) * F[k+1] for the P kind and (m-1)**k * F[k]**(n-2) for
-    the Q kind.  The denominator always divides the numerator; a
-    remainder raises ArithmeticError.  factorize_walk reaches the same
-    value through the factors themselves.
+    This is det T (U is unitriangular): the homogeneous Vandermonde
+    determinant of the nodes (F[k+1] : F[k]) times the column weights,
+    so no division is needed.  By d'Ocagne's identity each node factor
+    is +-(m-1)**(k+1) * F[l-k-1], never zero.  factorize_walk reaches
+    the same value through the factors themselves.
     """
-    check_params(m, n)
-    if not isinstance(kind, QuotientKind):
-        raise ValueError(f"kind must be a QuotientKind, got {kind!r}")
-    fs = fib_values(m, n)
-    r = n - 1
-    num = 1
-    for right in range(r):
-        for left in range(right + 1, r):
-            num *= fs[left + 1] * fs[right] - fs[right + 1] * fs[left]
-    den = math.prod(fs[:r]) ** (r - 1)
-    for k in range(r):
-        if kind is QuotientKind.P:
-            num *= fs[k] ** (n - 1) * fs[k + 1]
-        else:
-            num *= (m - 1) ** k * fs[k] ** (n - 2)
-    det, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("walk determinant formula is not an integer")
+    fs, weights, _ = _walk_factor(m, n, kind)
+    det = math.prod(weights)
+    for k in range(n - 1):
+        for l in range(k + 1, n - 1):
+            det *= fs[l + 1] * fs[k] - fs[k + 1] * fs[l]
     return det
 
 

@@ -107,6 +107,20 @@ def factored_det(nodes, diagonal) -> Fraction:
     return det
 
 
+def walk_factors(m: int, n: int, kind: str) -> tuple[list[Fraction], list[Fraction]]:
+    """Nodes and diagonal of the walk factorization of kind "P" or "Q",
+    in rational form from the Fibonacci values alone: g[k] = F[k+1]/F[k],
+    D[k] = F[k]**n * g[k] for P and (m-1)**k * F[k]**(n-2) for Q, k < n-1.
+    factored_det(*walk_factors(m, n, kind)) is the walk determinant."""
+    fs = [fib_loop(m, k) for k in range(n)]
+    nodes = [Fraction(fs[k + 1], fs[k]) for k in range(n - 1)]
+    if kind == "P":
+        diagonal = [fs[k] ** n * g for k, g in enumerate(nodes)]
+    else:
+        diagonal = [Fraction((m - 1) ** k * fs[k] ** (n - 2)) for k in range(n - 1)]
+    return nodes, diagonal
+
+
 def char_poly_faddeev(rows) -> list[int]:
     """Coefficients c[0..r] of det(x I - M) = sum c[k] x**k for a square
     integer matrix M of order r, by Faddeev-LeVerrier.

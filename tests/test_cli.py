@@ -108,6 +108,15 @@ def test_unwritable_output_exits_2_with_one_error_line(capsys, tmp_path, target)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_capped_report_to_an_unwritable_output_prints_only_the_error(capsys, tmp_path):
+    # The cap note describes a written report, so it is not printed when
+    # the write fails: stderr is the one error line.
+    code, out, err = run(capsys, "report", "--m", "2", "--n", "4", "--size-cap", "10",
+                         "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_quotient_renders_determinants_past_the_int_str_limit(capsys):
     # The walk determinant at (9, 16) has 834 digits.  The command lifts
     # Python's int-to-str limit while it runs, and puts it back after.
@@ -241,7 +250,7 @@ def test_report_text_format(capsys):
 def test_report_size_cap_exit(capsys):
     code, out, err = run(capsys, "report", "--m", "2", "--n", "4", "--size-cap", "10")
     assert code == 3
-    assert "size cap" in err
+    assert err == "note: vertex count exceeds size cap 10; quotient-level report only\n"
     entries = json.loads(out)
     full = entries[0]
     assert full["eigenvalues"] == []
@@ -252,16 +261,16 @@ def test_report_size_cap_exit(capsys):
 
 def test_failed_check_outranks_the_size_cap(capsys, monkeypatch):
     # A capped report whose quotient-level checks fail exits 1, and lists
-    # the failures after the cap note.
+    # the failures before the cap note, which follows the written report.
     real = cli.det_walk_formula
     monkeypatch.setattr(cli, "det_walk_formula", lambda *args: real(*args) + 1)
     code, out, err = run(capsys, "report", "--m", "2", "--n", "4", "--size-cap", "10")
     assert code == 1
     assert err == (
-        "error: vertex count exceeds size cap 10; quotient-level report only\n"
         "check failures:\n"
         "  full: determinant routes agree (P)\n"
         "  bipartite: determinant routes agree (Q)\n"
+        "note: vertex count exceeds size cap 10; quotient-level report only\n"
     )
     assert json.loads(out)[0]["skipped"]
 

@@ -25,7 +25,7 @@ from zdspectra.quotient import (
 
 from zdspectra.fib import fib_values
 
-from oracles import det_cofactor, factored_det, fib_loop, rank_gauss
+from oracles import det_cofactor, factored_det, fib_loop, rank_gauss, walk_factors
 
 KINDS = (QuotientKind.P, QuotientKind.Q)
 
@@ -242,16 +242,19 @@ def test_determinant_formula_and_spot_values():
 
 
 def test_determinant_splits_into_named_factors():
+    # factorize_walk's nodes and diagonal are the oracle's, which reads
+    # the Fibonacci values alone, not the package's column weights.
     for kind in KINDS:
         fact = factorize_walk(3, 6, kind)
-        det = det_walk_formula(3, 6, kind)
-        assert det == factored_det(fact.ratios, fact.diagonal)
+        nodes, diagonal = walk_factors(3, 6, kind.value)
+        assert (list(fact.ratios), list(fact.diagonal)) == (nodes, diagonal)
+        assert det_walk_formula(3, 6, kind) == factored_det(nodes, diagonal)
 
 
 def test_integer_determinant_formula_against_elimination_and_factors():
-    # det_walk_formula divides integer numerators by integer denominators
-    # exactly; elimination and the Fraction-valued factorization are two
-    # independent routes to the same value.
+    # det_walk_formula multiplies integers only; elimination and the
+    # oracle's Fraction-valued factors are two independent routes to the
+    # same value.
     for kind in KINDS:
         for m in range(2, 10):
             for n in range(2, 13):
@@ -260,8 +263,24 @@ def test_integer_determinant_formula_against_elimination_and_factors():
                 assert formula == exact_det(
                     walk_matrix_iterative(build(kind, m, n).entries)
                 )
-                fact = factorize_walk(m, n, kind)
-                assert formula == factored_det(fact.ratios, fact.diagonal)
+                assert formula == factored_det(*walk_factors(m, n, kind.value))
+
+
+def test_division_free_determinant_against_the_rational_factors_at_scale():
+    # The product of the column weights and the homogeneous node
+    # differences equals the rational Vandermonde form over a wide grid
+    # and at large m and n; at two larger cells the elimination and the
+    # closed walk agree with it too.
+    cells = [(m, n) for m in range(2, 14) for n in range(2, 25)]
+    cells += [(2, 40), (9, 32), (10**6, 20), (2, 63)]
+    for kind in KINDS:
+        for m, n in cells:
+            formula = det_walk_formula(m, n, kind)
+            assert formula == factored_det(*walk_factors(m, n, kind.value)), (m, n)
+        for m, n in ((9, 24), (2, 32)):
+            walk = walk_matrix_iterative(build(kind, m, n).entries)
+            assert closed_walk(kind, m, n) == walk
+            assert exact_det(walk) == det_walk_formula(m, n, kind)
 
 
 def test_iterative_walk_entries_are_python_ints():
