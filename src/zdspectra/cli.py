@@ -1,27 +1,28 @@
 """Command line: quotient rendering, spectral reports, verification
 sweeps, and graph exports.
 
-`report` and `verify` run one check battery per (m, n) cell: each
-quotient is built and P's spectrum taken once, and every check is filed
-under the graph it describes ("full" or "bipartite"); each spectral
-verify function returns the checks of one graph.  Distinct quotient
+`report` and `verify` run one check battery per (m, n) cell.  The
+cell's quotients are built and P's spectrum taken once; then each graph,
+the full graph and then the bipartite subgraph, runs all of its checks
+in one pass, in report order: its quotient's four exact checks (and for
+the subgraph the annihilation of Q); unless it is above the size cap,
+its cell sizes, equitable quotient and exact Krylov rank; unless it is
+above the dense cap, its own dense spectrum check.  A graph above the
+size cap is never built (the builders refuse it too).  Distinct quotient
 eigenvalues are decided by the exact walk rank, never a float spacing.
-
-Each cap is decided once per graph, here: a graph above the size cap is
-never built (the builders refuse it too).  Every built graph gets its
-structure checks and one exact Krylov check, and one within the dense
-cap also gets its dense spectral report.  The spectra module only
-receives reports ready-made.
+`verify` adds three samples of d'Ocagne's identity per m, which `report`
+does not run; `quotient` fails exactly when one of its four exact
+checks fails.
 
 Exit statuses are decided in `main` alone: 1 if a check failed, else 3
 if a graph was above the size cap, else 0; 2 for a usage error or an
 --output that cannot be written.  Each subcommand handler returns its
-stdout text, whether a check failed and whether a graph was capped, and
-`main` alone writes that text, then notes a capped report on stderr.
-Identical invocations produce byte-identical output.  The caps are set
-only by --size-cap and --dense-cap.  Each (m, n) is checked once, by
-fib.check_params inside the quotient and graph builders, which every
-subcommand calls before anything is written.  The numeric policy is the set of constants in
+stdout text, whether a check failed and the graphs the size cap
+skipped; `main` alone writes that text, then names those graphs in one
+note on stderr.  Identical invocations produce byte-identical output.
+The caps are set only by --size-cap and --dense-cap.  fib.check_params
+runs in every builder and closed form that a command reaches, before
+anything is written.  The numeric policy is the set of constants in
 spectra (MATCH, GROUPING_GAP and the rest), read when each check runs;
 no flag or variable sets it.
 """
@@ -165,18 +166,17 @@ def _walk_routes(quotient: QuotientMatrix) -> WalkRoutes:
     return WalkRoutes(walk, closed_of(m, n), rank, det, det_walk_formula(m, n, kind))
 
 
-def _quotient_checks(quotient: QuotientMatrix) -> list[CheckResult]:
-    """Exact-arithmetic checks for one quotient.  Walk rank n - 1 also
-    proves its eigenvalues distinct: balanced by its cell sizes, it is
-    similar to a symmetric matrix, and a diagonalisable matrix with a
-    cyclic vector has only simple eigenvalues."""
+def _quotient_checks(quotient: QuotientMatrix, routes: WalkRoutes) -> list[CheckResult]:
+    """Exact-arithmetic checks for one quotient and its walk routes.  Walk
+    rank n - 1 also proves its eigenvalues distinct: balanced by its cell
+    sizes, it is similar to a symmetric matrix, and a diagonalisable
+    matrix with a cyclic vector has only simple eigenvalues."""
     m, n, tag = quotient.m, quotient.n, quotient.kind.value
     if quotient.kind is QuotientKind.P:
         law = tuple(m**i - 1 for i in range(1, n))
     else:
         law = tuple((m - 1) * m ** (i - 1) for i in range(1, n))
     sums = quotient.row_sums()
-    routes = _walk_routes(quotient)
     return [
         CheckResult(
             f"row sums follow the degree law ({tag})",
@@ -222,24 +222,63 @@ def _recurrence_checks(m: int) -> list[CheckResult]:
     return checks
 
 
-def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
-    """Cell sizes and the equitable quotient against the closed form; a
-    quotient that cannot be formed (a cell not equitable, a row outside
-    the cells or a cell empty) fails its check."""
-    checks = []
+@dataclass
+class Battery:
+    """All checks for one (m, n), keyed by the role of the graph they
+    describe ("full" or "bipartite"); `capped` lists, in report order,
+    the roles whose graph the size cap skipped."""
+
+    prediction: PredictedSpectrum
+    checks: dict[str, list[CheckResult]]
+    skipped: dict[str, list[str]]
+    reports: dict[str, SpectralReport | None]
+    capped: tuple[str, ...]
+
+    @property
+    def failures(self) -> list[tuple[str, CheckResult]]:
+        return [
+            (role, c) for role in ROLES for c in self.checks[role] if not c.passed
+        ]
+
+
+def _check_graph(battery: Battery, role: str, size_cap: int, dense_cap: int) -> None:
+    """Run every check of one graph of the battery's cell, in report order
+    (see the module docstring), and file its checks, skip notes and dense
+    spectral report under its role; a graph the size cap skips is added
+    to `capped`.  A quotient that cannot be formed (a cell not equitable,
+    a row outside the cells or a cell empty) fails its check."""
+    prediction = battery.prediction
+    m, n = prediction.m, prediction.n
+    full = role == "full"
+    tag = ROLE_TAGS[role]
+    quotient = prediction.p if full else prediction.q
+    checks = battery.checks[role] = _quotient_checks(quotient, _walk_routes(quotient))
+    skipped = battery.skipped[role] = []
+    battery.reports[role] = None
+    if not full:
+        checks += q_eigen_exact_check(prediction).checks
+    count = vertex_count(m, n, role)
+    if count > size_cap:
+        level = "graph" if full else "subgraph"
+        skipped.append(
+            f"all {level}-level checks: "
+            f"vertex count {count} exceeds size cap {size_cap}"
+        )
+        battery.capped += (role,)
+        return
+    # looked up at call time, so a rebinding of the module name takes effect
+    graph_obj = (build_graph if full else build_bipartite)(m, n, size_cap=size_cap)
     sizes = graph_obj.cell_sizes()
-    law = expected_cell_sizes(graph_obj.m, graph_obj.n, graph_obj.role)
     checks.append(
         CheckResult(
             f"cell sizes follow the closed form ({tag})",
-            sizes == law,
+            sizes == expected_cell_sizes(m, n, role),
             None,
             f"sizes {sizes}",
         )
     )
     try:
-        empirical = empirical_quotient(graph_obj)
-        equal = empirical == quotient.entries
+        equal = empirical_quotient(graph_obj) == quotient.entries
         detail = "" if equal else "empirical quotient differs from the closed form"
     except (NotEquitableError, ValueError) as exc:
         equal, detail = False, str(exc)
@@ -248,31 +287,6 @@ def _structure_checks(graph_obj, quotient, tag: str) -> list[CheckResult]:
             f"empirical quotient equals the closed form ({tag})", equal, None, detail
         )
     )
-    return checks
-
-
-def _graph_checks(
-    role: str, quotient: QuotientMatrix, size_cap: int, dense_cap: int
-) -> tuple[list[CheckResult], list[str], SpectralReport | None]:
-    """Graph-level work for one role, as (checks, skip notes, dense
-    spectral report): nothing above the size cap; else the structure
-    checks, the exact Krylov rank against n-1, and the dense spectral
-    report unless the graph is above the dense cap.
-    """
-    m, n = quotient.m, quotient.n
-    tag = ROLE_TAGS[role]
-    # looked up at call time, so a rebinding of the module name takes effect
-    build = build_graph if role == "full" else build_bipartite
-    count = vertex_count(m, n, role)
-    if count > size_cap:
-        level = "graph" if role == "full" else "subgraph"
-        note = (
-            f"all {level}-level checks: "
-            f"vertex count {count} exceeds size cap {size_cap}"
-        )
-        return [], [note], None
-    graph_obj = build(m, n, size_cap=size_cap)
-    checks = _structure_checks(graph_obj, quotient, tag)
     rank = krylov_rank(graph_obj)
     checks.append(
         CheckResult(
@@ -282,57 +296,27 @@ def _graph_checks(
             f"rank {rank} vs {n - 1}",
         )
     )
-    if count <= dense_cap:
-        return checks, [], eigen_bundle(graph_obj)
-    note = f"dense spectrum checks: vertex count {count} exceeds dense cap {dense_cap}"
-    return checks, [note], None
-
-
-@dataclass
-class Battery:
-    """All checks for one (m, n), keyed by the role of the graph they
-    describe ("full" or "bipartite")."""
-
-    prediction: PredictedSpectrum
-    checks: dict[str, list[CheckResult]]
-    skipped: dict[str, list[str]]
-    reports: dict[str, SpectralReport | None]
-    capped: bool
-
-    @property
-    def failures(self) -> list[tuple[str, CheckResult]]:
-        return [
-            (role, c) for role in ROLES for c in self.checks[role] if not c.passed
-        ]
+    if count > dense_cap:
+        skipped.append(
+            f"dense spectrum checks: vertex count {count} exceeds dense cap {dense_cap}"
+        )
+        return
+    report = battery.reports[role] = eigen_bundle(graph_obj)
+    verify = verify_spectrum_theorem if full else verify_main_correspondences
+    checks += verify(prediction, report).checks
 
 
 def run_battery(m: int, n: int, size_cap: int, dense_cap: int) -> Battery:
-    """Run every check that fits under the caps for one parameter cell.
+    """Run every check that fits under the caps for one parameter cell,
+    one graph at a time.
 
     `predicted_spectrum` builds the cell's quotients, P's spectrum and
     the pair powers once; every check reads them from the prediction.
     """
-    prediction = predicted_spectrum(m, n)
-    quotients = {"full": prediction.p, "bipartite": prediction.q}
-    checks = {role: _quotient_checks(quotients[role]) for role in ROLES}
-    checks["bipartite"] += q_eigen_exact_check(prediction).checks
-
-    skipped: dict[str, list[str]] = {}
-    reports: dict[str, SpectralReport | None] = {}
+    battery = Battery(predicted_spectrum(m, n), {}, {}, {}, ())
     for role in ROLES:
-        graph_checks, skipped[role], reports[role] = _graph_checks(
-            role, quotients[role], size_cap, dense_cap
-        )
-        checks[role] += graph_checks
-    if reports["full"] is not None:
-        checks["full"] += verify_spectrum_theorem(prediction, reports["full"]).checks
-    if reports["bipartite"] is not None:
-        checks["bipartite"] += verify_main_correspondences(
-            prediction, reports["bipartite"]
-        ).checks
-
-    capped = vertex_count(m, n, "full") > size_cap
-    return Battery(prediction, checks, skipped, reports, capped)
+        _check_graph(battery, role, size_cap, dense_cap)
+    return battery
 
 
 # -- report assembly --------------------------------------------------------
@@ -467,15 +451,15 @@ def _quotient_text(fmt: str, quotient: QuotientMatrix, routes: WalkRoutes) -> st
     return "\n".join(lines) + "\n"
 
 
-def _cmd_quotient(args) -> tuple[str, bool, bool]:
+def _cmd_quotient(args) -> tuple[str, bool, tuple[str, ...]]:
     m, n = args.m, args.n
     quotient = build_p(m, n) if args.kind == "p" else build_q(m, n)
     routes = _walk_routes(quotient)
-    failed = not (routes.walk_match and routes.det_match)
-    return _quotient_text(args.format, quotient, routes), failed, False
+    failed = not all(c.passed for c in _quotient_checks(quotient, routes))
+    return _quotient_text(args.format, quotient, routes), failed, ()
 
 
-def _cmd_report(args) -> tuple[str, bool, bool]:
+def _cmd_report(args) -> tuple[str, bool, tuple[str, ...]]:
     entries, battery = assemble_report(args.m, args.n, args.size_cap, args.dense_cap)
     if args.format == "text":
         text = _report_text(entries)
@@ -488,7 +472,7 @@ def _cmd_report(args) -> tuple[str, bool, bool]:
     return text, bool(battery.failures), battery.capped
 
 
-def _cmd_verify(args) -> tuple[str, bool, bool]:
+def _cmd_verify(args) -> tuple[str, bool, tuple[str, ...]]:
     m_lo, m_hi = args.m
     n_lo, n_hi = args.n
     lines = [f"{'m':>3} {'n':>3} {'checks':>7} {'failed':>7} {'skipped':>8}  status"]
@@ -521,10 +505,10 @@ def _cmd_verify(args) -> tuple[str, bool, bool]:
             residual = "" if r is None else f" (residual {r:.3e})"
             detail = f" - {check.detail}" if check.detail else ""
             lines.append(f"  m={m} n={n}: {check.name}{residual}{detail}")
-    return "\n".join(lines) + "\n", bool(failures), False
+    return "\n".join(lines) + "\n", bool(failures), ()
 
 
-def _cmd_export(args) -> tuple[str, bool, bool]:
+def _cmd_export(args) -> tuple[str, bool, tuple[str, ...]]:
     build = build_graph if args.what == "graph" else build_bipartite
     graph_obj = build(args.m, args.n, size_cap=args.size_cap)
     if args.format == "dot":
@@ -533,7 +517,7 @@ def _cmd_export(args) -> tuple[str, bool, bool]:
         text = adjacency_to_csv(graph_obj)
     else:
         text = json.dumps(to_json_descriptor(graph_obj), indent=2) + "\n"
-    return text, False, False
+    return text, False, ()
 
 
 # -- parser -----------------------------------------------------------------
@@ -602,8 +586,8 @@ def main(argv: list[str] | None = None) -> int:
                 handle.write(text)
         if capped:
             print(
-                f"note: vertex count exceeds size cap {args.size_cap}; "
-                "quotient-level report only",
+                f"note: size cap {args.size_cap} skipped the graph-level checks of "
+                + " and ".join(f"the {ROLE_TAGS[role]}" for role in capped),
                 file=sys.stderr,
             )
     except SizeCapExceeded as exc:

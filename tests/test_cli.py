@@ -12,6 +12,7 @@ from zdspectra import cli, spectra
 from zdspectra.fib import QuadraticNumber
 from zdspectra.graph import DEFAULT_SIZE_CAP, ZeroDivisorGraph
 from zdspectra.quotient import (
+    QuotientMatrix,
     build_p,
     build_q,
     exact_det,
@@ -79,6 +80,25 @@ def test_quotient_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "0,0,1\n0,1,2\n1,3,3\n"
+
+
+def test_quotient_exits_by_the_battery_quotient_checks(capsys, monkeypatch):
+    # `quotient` and the battery share one verdict: a degree-law fault
+    # fails the command, whose text differs only in the row sums it prints.
+    argv = ("quotient", "--kind", "p", "--m", "3", "--n", "5")
+    code, clean, _ = run(capsys, *argv)
+    assert code == 0
+    real = QuotientMatrix.row_sums
+    monkeypatch.setattr(
+        QuotientMatrix, "row_sums", lambda self: tuple(s + 1 for s in real(self))
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    changed = [
+        (a, b) for a, b in zip(clean.splitlines(), out.splitlines()) if a != b
+    ]
+    assert changed == [("row sums: 2 8 26 80", "row sums: 3 9 27 81")]
+    assert len(out.splitlines()) == len(clean.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -250,7 +270,7 @@ def test_report_text_format(capsys):
 def test_report_size_cap_exit(capsys):
     code, out, err = run(capsys, "report", "--m", "2", "--n", "4", "--size-cap", "10")
     assert code == 3
-    assert err == "note: vertex count exceeds size cap 10; quotient-level report only\n"
+    assert err == "note: size cap 10 skipped the graph-level checks of the full graph\n"
     entries = json.loads(out)
     full = entries[0]
     assert full["eigenvalues"] == []
@@ -270,7 +290,7 @@ def test_failed_check_outranks_the_size_cap(capsys, monkeypatch):
         "check failures:\n"
         "  full: determinant routes agree (P)\n"
         "  bipartite: determinant routes agree (Q)\n"
-        "note: vertex count exceeds size cap 10; quotient-level report only\n"
+        "note: size cap 10 skipped the graph-level checks of the full graph\n"
     )
     assert json.loads(out)[0]["skipped"]
 
@@ -282,7 +302,8 @@ def test_size_cap_admits_a_graph_of_exactly_its_size(capsys, cap, code):
     # it is not, while the smaller subgraph still is.
     got, out, err = run(capsys, "report", "--m", "2", "--n", "3", "--size-cap", cap)
     assert got == code
-    assert ("size cap" in err) == (code == 3)
+    note = "note: size cap 5 skipped the graph-level checks of the full graph\n"
+    assert err == (note if code == 3 else "")
     full, bip = json.loads(out)
     assert sum(g["multiplicity"] for g in bip["eigenvalues"]) == 4
     assert "skipped" not in bip
